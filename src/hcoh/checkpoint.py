@@ -11,7 +11,8 @@ Layout, all little-endian, in order:
     r   f64  b
     u32      codebook order
     u64      codebook seed
-    u32      number of assigned labels, then that many (u32 label, u32 column)
+    u32      number of assigned labels, then that many (u32 label, u32 column),
+             label 0xFFFFFFFF for the unknown label -1
     u32 u32  reducer in_dim, out_dim
     u64      reducer seed
     u8       reducer identity flag
@@ -23,12 +24,12 @@ followed by an atomic rename, so a crashed run never leaves a partial
 checkpoint behind.
 """
 
-import os
 import struct
 
 import numpy as np
 
 from .errors import FormatError
+from .fileio import atomic_write, labels_from_u32, labels_to_u32
 from .hadamard import HadamardCodebook
 from .learner import HashModel
 from .lsh import LshReducer
@@ -39,7 +40,16 @@ VERSION = 1
 
 def save_checkpoint(path, model: HashModel, book: HadamardCodebook,
                     reducer: LshReducer) -> None:
+    """Write a checkpoint atomically.
+
+    Raises FormatError for an assigned label that a u32 cannot hold:
+    anything outside [0, 0xFFFFFFFF) other than the unknown label -1.
+    """
     d, r = model.feature_dim, model.code_length
+    labels = sorted(book.assignment)
+    pairs = np.column_stack([
+        labels_to_u32(labels, path),
+        np.array([book.assignment[label] for label in labels], dtype="<u4")])
     parts = [
         MAGIC,
         struct.pack("<BII", VERSION, d, r),
@@ -48,16 +58,12 @@ def save_checkpoint(path, model: HashModel, book: HadamardCodebook,
         model.weights.astype("<f8").tobytes(),
         model.bias.astype("<f8").tobytes(),
         struct.pack("<IQ", book.order, book.seed),
-        struct.pack("<I", len(book.assignment)),
+        struct.pack("<I", len(labels)),
+        pairs.tobytes(),
+        struct.pack("<IIQB", reducer.in_dim, reducer.out_dim, reducer.seed,
+                    1 if reducer.is_identity else 0),
     ]
-    for label in sorted(book.assignment):
-        parts.append(struct.pack("<II", label, book.assignment[label]))
-    parts.append(struct.pack("<IIQB", reducer.in_dim, reducer.out_dim,
-                             reducer.seed, 1 if reducer.is_identity else 0))
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(parts))
-    os.replace(tmp, path)
+    atomic_write(path, parts)
 
 
 def load_checkpoint(path):
@@ -86,10 +92,11 @@ def load_checkpoint(path):
     need = off + n_assigned * 8 + 17
     if len(data) != need:
         raise FormatError(f"{path}: expected {need} bytes, got {len(data)}")
-    assignment = {}
-    for _ in range(n_assigned):
-        label, column = struct.unpack_from("<II", data, off); off += 8
-        assignment[label] = column
+    pairs = np.frombuffer(data, dtype="<u4", count=2 * n_assigned,
+                          offset=off).reshape(n_assigned, 2)
+    off += n_assigned * 8
+    assignment = dict(zip(labels_from_u32(pairs[:, 0]).tolist(),
+                          pairs[:, 1].tolist()))
     in_dim, out_dim, red_seed, identity = struct.unpack_from("<IIQB", data, off)
 
     model = HashModel(weights=weights.reshape(d, r).astype(np.float64),

@@ -22,6 +22,7 @@ from .errors import (CodebookExhaustedError, ConfigError, DimensionError,
                      FormatError, HcohError, NumericFailureError,
                      UndefinedAPError)
 from .evaluation import evaluate
+from .fileio import atomic_write
 from .pipeline import RunConfig, run_repeats, run_training
 
 EXIT_CONFIG = 2
@@ -98,11 +99,8 @@ def _config_from_args(args, repeat: int = 0) -> RunConfig:
 
 
 def _write_records(path, records) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, ((json.dumps(rec, sort_keys=True) + "\n").encode()
+                        for rec in records))
 
 
 def _add_common_train_flags(p) -> None:
@@ -213,12 +211,8 @@ def _cmd_curve(args) -> int:
             rec = json.loads(line)
             if rec.get("record") == "checkpoint":
                 points.append((rec["instances_seen"], rec["map"]))
-    tmp = f"{args.out}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("instances_seen,map\n")
-        for x, y in points:
-            fh.write(f"{x},{y!r}\n")
-    os.replace(tmp, args.out)
+    atomic_write(args.out, [b"instances_seen,map\n"]
+                 + [f"{x},{y!r}\n".encode() for x, y in points])
     print(f"wrote {len(points)} curve points -> {args.out}")
     return 0
 

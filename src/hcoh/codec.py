@@ -8,7 +8,9 @@ Codes are produced by thresholding the linear model at zero:
 target codes).  An r-bit code is stored LSB-first in ceil(r/64) uint64
 words; unused bits in the last word are always zero, so two codes are
 equal exactly when their words are equal.  Hamming distance is XOR plus
-popcount over the words.
+popcount over the words, computed in one place, :func:`hamming_distances`,
+which returns the narrowest unsigned dtype that holds every distance in
+[0, r]; numpy's stable argsort is a radix sort on such rows.
 
 Code-set file layout (little-endian throughout):
 
@@ -17,16 +19,17 @@ Code-set file layout (little-endian throughout):
     u32      n           number of codes
     u32      r           bits per code
     n * ceil(r/64) u64   packed words, instance-major
-    n * u32  label ids
+    n * u32  label ids, 0xFFFFFFFF for unknown (-1 in memory)
 """
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, FormatError
+from .fileio import (UNKNOWN_LABEL, atomic_write, labels_from_u32,
+                     labels_to_u32)
 from .learner import HashModel
 
 WORD_BITS = 64
@@ -85,7 +88,7 @@ class BinaryCodeSet:
     """
 
     words: np.ndarray   # (n, ceil(length/64)) uint64
-    labels: np.ndarray  # (n,)
+    labels: np.ndarray  # (n,) int64, -1 for unknown
     length: int
 
     def __post_init__(self):
@@ -119,40 +122,64 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
             f"features have shape {u.shape}, expected (n, {model.feature_dim})")
     bits = (u @ model.weights + model.bias >= 0).astype(np.uint8)
     if labels is None:
-        labels = np.full(u.shape[0], -1, dtype=np.int64)
+        labels = np.full(u.shape[0], UNKNOWN_LABEL, dtype=np.int64)
     labels = np.atleast_1d(np.asarray(labels))
     return BinaryCodeSet(words=pack_bits(bits), labels=labels,
                          length=model.code_length)
+
+
+def _distance_dtype(length: int):
+    """Narrowest unsigned integer dtype that holds every distance in [0, length]."""
+    for dtype in (np.uint8, np.uint16):
+        if length <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint32
+
+
+def hamming_distances(queries: np.ndarray, database: np.ndarray,
+                      length: int) -> np.ndarray:
+    """Hamming distance between every query code and every database code.
+
+    ``queries`` (q, w) and ``database`` (n, w) hold packed ``length``-bit
+    codes as in :class:`BinaryCodeSet`.  Returns a (q, n) array of uint8
+    when ``length`` < 256, uint16 when ``length`` < 65,536, else uint32.
+    The temporary XOR block is q * n * w words.
+    """
+    if queries.shape[1] == 1:
+        # bitwise_count of one word is already uint8, and length <= 64.
+        return np.bitwise_count(queries ^ database[:, 0])
+    xor = queries[:, None, :] ^ database[None, :, :]
+    return np.bitwise_count(xor).sum(axis=2, dtype=_distance_dtype(length))
 
 
 def hamming(a: BinaryCode, b: BinaryCode) -> int:
     """Number of differing bit positions between two equal-length codes."""
     if a.length != b.length:
         raise DimensionError(f"code lengths differ: {a.length} vs {b.length}")
-    return int(np.bitwise_count(a.words ^ b.words).sum())
+    return int(hamming_distances(a.words[None], b.words[None], a.length)[0, 0])
 
 
 def hamming_to_set(query: BinaryCode, database: BinaryCodeSet) -> np.ndarray:
-    """Hamming distance from one code to every code in a set (uint32)."""
+    """Hamming distance from one code to every code in a set.
+
+    The dtype is that of :func:`hamming_distances` for the code length.
+    """
     if query.length != database.length:
         raise DimensionError(
             f"code lengths differ: {query.length} vs {database.length}")
-    xor = database.words ^ query.words[None, :]
-    return np.bitwise_count(xor).sum(axis=1, dtype=np.uint32)
+    return hamming_distances(query.words[None], database.words, query.length)[0]
 
 
 def save_code_set(path, code_set: BinaryCodeSet) -> None:
-    """Write a code set atomically (temp file + rename)."""
-    n = len(code_set)
-    header = CODE_MAGIC + struct.pack("<BII", CODE_VERSION, n, code_set.length)
-    body = code_set.words.astype("<u8").tobytes()
-    labels = code_set.labels.astype("<u4").tobytes()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-        fh.write(labels)
-    os.replace(tmp, path)
+    """Write a code set atomically; unknown labels (-1) are stored as 0xFFFFFFFF.
+
+    Raises FormatError for any other label outside [0, 0xFFFFFFFF).
+    """
+    labels = labels_to_u32(code_set.labels, path)
+    header = CODE_MAGIC + struct.pack("<BII", CODE_VERSION, len(code_set),
+                                      code_set.length)
+    atomic_write(path, [header, code_set.words.astype("<u8").tobytes(),
+                        labels.tobytes()])
 
 
 def load_code_set(path) -> BinaryCodeSet:
@@ -173,4 +200,4 @@ def load_code_set(path) -> BinaryCodeSet:
     words = np.frombuffer(data, dtype="<u8", count=n * wpc, offset=17)
     labels = np.frombuffer(data, dtype="<u4", count=n, offset=17 + n * wpc * 8)
     return BinaryCodeSet(words=words.reshape(n, wpc).astype(np.uint64),
-                         labels=labels.astype(np.int64), length=length)
+                         labels=labels_from_u32(labels), length=length)

@@ -8,7 +8,8 @@ Two on-disk feature carriers are supported (byte layouts in FORMATS.md):
   values.  Gzipped files (.gz) are read transparently.
 * HCOHFEAT, a minimal dense float32 matrix with a little-endian header,
   for precomputed features of any provenance; stored values pass through
-  unchanged.  Labels ride in a bare u32 array file.
+  unchanged.  Labels ride in a bare u32 array file, 0xFFFFFFFF standing
+  for the unknown label -1.
 
 The benchmark split takes a seeded per-class sample as the query (test)
 set, leaves the remainder as the retrieval database, and draws the
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
+from .fileio import atomic_write, labels_from_u32, labels_to_u32
 from .learner import TrainBatch
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -144,10 +146,8 @@ def load_dense(feature_path, label_path) -> Dataset:
 def save_dense(path, features: np.ndarray) -> None:
     features = np.atleast_2d(np.asarray(features, dtype=np.float32))
     n, d = features.shape
-    with open(path, "wb") as fh:
-        fh.write(FEAT_MAGIC)
-        fh.write(struct.pack("<BII", FEAT_VERSION, n, d))
-        fh.write(features.astype("<f4").tobytes())
+    atomic_write(path, [FEAT_MAGIC, struct.pack("<BII", FEAT_VERSION, n, d),
+                        features.astype("<f4").tobytes()])
 
 
 def load_labels(path) -> np.ndarray:
@@ -155,12 +155,15 @@ def load_labels(path) -> np.ndarray:
     if len(data) % 4 != 0:
         raise FormatError(
             f"{path}: label file size {len(data)} not a multiple of 4")
-    return np.frombuffer(data, dtype="<u4").astype(np.int64)
+    return labels_from_u32(np.frombuffer(data, dtype="<u4"))
 
 
 def save_labels(path, labels: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(np.asarray(labels).astype("<u4").tobytes())
+    """Write a label file atomically; -1 (unknown) is stored as 0xFFFFFFFF.
+
+    Raises FormatError for any other label outside [0, 0xFFFFFFFF).
+    """
+    atomic_write(path, [labels_to_u32(labels, path).tobytes()])
 
 
 def split(dataset: Dataset, spec: SplitSpec):

@@ -10,6 +10,16 @@ precision is the non-interpolated form
 with R the number of relevant items, clipped to the cutoff K when one is
 given (so AP@K <= 1 always).  Queries with no relevant item in the
 database are skipped and counted, not scored as zero.
+
+:func:`evaluate` ranks a block of queries at a time.  The block's
+distances come from :func:`hcoh.codec.hamming_distances` in the
+narrowest unsigned dtype that holds the code length (uint8 below 256
+bits, uint16 below 65,536), and one ``argsort(kind="stable")`` over the
+block orders every row.  On 8- and 16-bit integers numpy's stable sort
+is a radix sort, linear in the database size, and being stable it keeps
+the tie rule: by distance, then by database index.  Each query then
+gathers its ranked relevance once, and AP, AP@K and P@K all come from
+the positions of its relevant items.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import BinaryCode, BinaryCodeSet, hamming_to_set
+from .codec import (BinaryCode, BinaryCodeSet, hamming_distances,
+                    hamming_to_set)
 from .errors import DimensionError, UndefinedAPError
 
 _QUERY_CHUNK = 64  # queries ranked per distance-matrix block
@@ -95,21 +106,25 @@ class EvalReport:
         return rec
 
 
-def _score_chunk(queries, database, db_labels, lo, hi, k_prec, k_map,
+def _score_chunk(queries, database, lo, hi, k_prec, k_map,
                  ap_full, ap_cut, prec, scored):
-    xor_counts = np.bitwise_count(
-        database.words[None, :, :] ^ queries.words[lo:hi, None, :])
-    distances = xor_counts.sum(axis=2, dtype=np.uint32)
+    distances = hamming_distances(queries.words[lo:hi], database.words,
+                                  database.length)
+    rankings = np.argsort(distances, axis=1, kind="stable")
     for row, qi in enumerate(range(lo, hi)):
-        ranking = np.argsort(distances[row], kind="stable")
-        relevance = db_labels == queries.labels[qi]
-        if not relevance.any():
+        # 0-based ranks of the relevant items, ascending.
+        hits = np.flatnonzero(
+            (database.labels == queries.labels[qi])[rankings[row]])
+        if hits.size == 0:
             continue
         scored[qi] = True
-        ap_full[qi] = average_precision(ranking, relevance)
+        # Precision at the rank of each relevant item, in rank order.
+        precisions = np.arange(1, hits.size + 1) / (hits + 1.0)
+        ap_full[qi] = precisions.sum() / hits.size
         if k_map is not None:
-            ap_cut[qi] = average_precision(ranking, relevance, cutoff=k_map)
-        prec[qi] = precision_at_k(ranking, relevance, k_prec)
+            in_cut = np.searchsorted(hits, k_map)
+            ap_cut[qi] = precisions[:in_cut].sum() / min(hits.size, k_map)
+        prec[qi] = np.searchsorted(hits, k_prec) / k_prec
 
 
 def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
@@ -127,7 +142,8 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
     n_q, n_db = len(queries), len(database)
     if not 1 <= k_prec <= n_db:
         raise ValueError(f"k_prec must be in [1, {n_db}], got {k_prec}")
-    db_labels = database.labels
+    if k_map is not None and k_map < 1:
+        raise ValueError(f"k_map must be positive, got {k_map}")
     ap_full = np.zeros(n_q)
     ap_cut = np.zeros(n_q)
     prec = np.zeros(n_q)
@@ -135,7 +151,7 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
 
     bounds = [(lo, min(lo + _QUERY_CHUNK, n_q))
               for lo in range(0, n_q, _QUERY_CHUNK)]
-    args = (queries, database, db_labels)
+    args = (queries, database)
     out = (ap_full, ap_cut, prec, scored)
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -1,0 +1,62 @@
+"""What every file writer shares: the atomic write and the u32 label ids.
+
+Every file the package writes goes through :func:`atomic_write`, so a
+reader never sees a partial file and a failed write leaves nothing
+behind.  Label ids are stored as little-endian u32 in code-set files,
+checkpoints and label files alike.  The top value 0xFFFFFFFF is reserved
+for "unknown" and reads back as -1; any other id outside
+[0, 0xFFFFFFFF) cannot be stored and is rejected instead of wrapped.
+"""
+
+import os
+
+import numpy as np
+
+from .errors import FormatError
+
+UNKNOWN_LABEL = -1
+UNKNOWN_LABEL_U32 = 0xFFFFFFFF
+
+
+def atomic_write(path, chunks) -> None:
+    """Write the byte strings of ``chunks``, in order, as the file ``path``.
+
+    The bytes go to a temp file beside the target, which is then renamed
+    over it.  If anything raises before the rename, including the
+    iteration of ``chunks``, the temp file is removed and the target is
+    left as it was.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def labels_to_u32(labels, path) -> np.ndarray:
+    """Label ids as a little-endian u32 array, -1 stored as 0xFFFFFFFF.
+
+    Raises FormatError, naming ``path``, for any other id outside
+    [0, 0xFFFFFFFF).
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = (labels < UNKNOWN_LABEL) | (labels >= UNKNOWN_LABEL_U32)
+    if bad.any():
+        raise FormatError(
+            f"{path}: label {int(labels[bad][0])} cannot be stored; ids must "
+            f"lie in [0, {UNKNOWN_LABEL_U32}) or be {UNKNOWN_LABEL} (unknown)")
+    return labels.astype("<u4")
+
+
+def labels_from_u32(raw: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`labels_to_u32`: int64 ids, 0xFFFFFFFF read as -1."""
+    labels = raw.astype(np.int64)
+    labels[labels == UNKNOWN_LABEL_U32] = UNKNOWN_LABEL
+    return labels

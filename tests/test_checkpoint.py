@@ -44,6 +44,14 @@ class TestRoundTrip:
         for label in (11, 12, 13):
             assert restored.assign_label(label) == book.assign_label(label)
 
+    def test_unknown_label_round_trips(self, tmp_path):
+        model, book, reducer = make_state()
+        book.assign_label(-1)
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, model, book, reducer)
+        _, loaded, _ = load_checkpoint(path)
+        assert loaded.assignment == book.assignment
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         model, book, reducer = make_state()
         a, b = tmp_path / "a.hcoh", tmp_path / "b.hcoh"
@@ -73,4 +81,12 @@ class TestCorruption:
         target = tmp_path / "sub" / "model.hcoh"  # parent does not exist
         with pytest.raises(OSError):
             save_checkpoint(target, model, book, reducer)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("label", [-5, 2**32 - 1, 2**32 + 5])
+    def test_unstorable_label_rejected_without_writing(self, tmp_path, label):
+        model, book, reducer = make_state()
+        book.assign_label(label)
+        with pytest.raises(FormatError, match=str(label)):
+            save_checkpoint(tmp_path / "model.hcoh", model, book, reducer)
         assert list(tmp_path.iterdir()) == []

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hcoh import (BinaryCode, BinaryCodeSet, DimensionError, FormatError,
-                  HashModel, encode, hamming, hamming_to_set, init_model,
-                  load_code_set, pack_bits, save_code_set, unpack_bits)
+                  HashModel, encode, hamming, hamming_distances, hamming_to_set,
+                  init_model, load_code_set, pack_bits, save_code_set,
+                  unpack_bits)
 
 
 def naive_hamming(bits_a, bits_b):
@@ -129,6 +130,38 @@ class TestHamming:
         assert np.array_equal(fast, slow)
 
 
+class TestDistanceKernel:
+    """``hamming_distances`` and its wrappers against the unpacked-bits loop."""
+
+    @pytest.mark.parametrize("r", [1, 63, 64, 65, 255, 256, 300])
+    def test_matches_naive_loop(self, r):
+        rng = np.random.default_rng(r)
+        queries, q_bits = random_code_set(rng, 4, r)
+        database, db_bits = random_code_set(rng, 30, r)
+        expected = np.array([[naive_hamming(a, b) for b in db_bits]
+                             for a in q_bits])
+        dtype = np.uint8 if r < 256 else np.uint16
+        got = hamming_distances(queries.words, database.words, r)
+        assert got.dtype == dtype
+        assert np.array_equal(got, expected)
+        for qi in range(4):
+            row = hamming_to_set(queries.code(qi), database)
+            assert row.dtype == dtype
+            assert np.array_equal(row, expected[qi])
+            assert [hamming(queries.code(qi), database.code(j))
+                    for j in range(30)] == list(expected[qi])
+
+    @pytest.mark.parametrize("r,dtype", [(64, np.uint8), (255, np.uint8),
+                                         (256, np.uint16), (65535, np.uint16),
+                                         (65536, np.uint32)])
+    def test_complement_distance_fits_dtype(self, r, dtype):
+        codes = BinaryCodeSet(pack_bits(np.stack([np.zeros(r), np.ones(r)])),
+                              [0, 0], r)
+        got = hamming_distances(codes.words, codes.words, r)
+        assert got.dtype == dtype
+        assert np.array_equal(got, [[0, r], [r, 0]])
+
+
 class TestCodeSetFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -162,3 +195,26 @@ class TestCodeSetFile:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError, match="bytes"):
             load_code_set(path)
+
+    def test_unknown_labels_round_trip_as_minus_one(self, tmp_path):
+        model = init_model(3, 8, eta=0.1, seed=5)
+        codes = encode(model, np.zeros((4, 3)))
+        path = tmp_path / "codes.hcode"
+        save_code_set(path, codes)
+        assert path.read_bytes()[-16:] == b"\xff" * 16
+        assert np.array_equal(load_code_set(path).labels, [-1] * 4)
+
+    def test_largest_storable_label_round_trips(self, tmp_path):
+        codes = BinaryCodeSet(np.zeros((2, 1), dtype=np.uint64),
+                              [0, 2**32 - 2], 8)
+        path = tmp_path / "codes.hcode"
+        save_code_set(path, codes)
+        assert np.array_equal(load_code_set(path).labels, [0, 2**32 - 2])
+
+    @pytest.mark.parametrize("label", [-2, 2**32 - 1, 2**32 + 5])
+    def test_unstorable_label_rejected_without_writing(self, tmp_path, label):
+        codes = BinaryCodeSet(np.zeros((2, 1), dtype=np.uint64), [3, label], 8)
+        path = tmp_path / "codes.hcode"
+        with pytest.raises(FormatError, match=str(label)):
+            save_code_set(path, codes)
+        assert list(tmp_path.iterdir()) == []

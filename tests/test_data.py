@@ -128,6 +128,17 @@ class TestDenseFormat:
         with pytest.raises(FormatError, match="multiple of 4"):
             load_labels(tmp_path / "x.lab")
 
+    def test_unknown_label_round_trips(self, tmp_path):
+        save_labels(tmp_path / "x.lab", [-1, 0, 2**32 - 2])
+        assert (tmp_path / "x.lab").read_bytes()[:4] == b"\xff" * 4
+        assert np.array_equal(load_labels(tmp_path / "x.lab"), [-1, 0, 2**32 - 2])
+
+    @pytest.mark.parametrize("label", [-2, 2**32 - 1, 2**32 + 5])
+    def test_unstorable_label_rejected_without_writing(self, tmp_path, label):
+        with pytest.raises(FormatError, match=str(label)):
+            save_labels(tmp_path / "x.lab", [0, label])
+        assert list(tmp_path.iterdir()) == []
+
 
 def synthetic(n_classes=10, per_class=70, dim=6, seed=0):
     rng = np.random.default_rng(seed)

@@ -29,6 +29,21 @@ def oracle_ap(ranking, relevance, cutoff=None):
     return acc / denom
 
 
+def oracle_scores(q_bits, q_labels, db_bits, db_labels, k_prec, k_map=None):
+    """Per scored query: (AP, AP@k_map or None, P@k_prec), by the oracle."""
+    scores = []
+    for qi in range(len(q_bits)):
+        relevance = [db_labels[i] == q_labels[qi] for i in range(len(db_bits))]
+        if not any(relevance):
+            continue
+        ranking = oracle_rank(q_bits[qi], db_bits)
+        scores.append((
+            oracle_ap(ranking, relevance),
+            None if k_map is None else oracle_ap(ranking, relevance, cutoff=k_map),
+            sum(relevance[i] for i in ranking[:k_prec]) / k_prec))
+    return scores
+
+
 def make_set(bits, labels):
     bits = np.asarray(bits, dtype=np.uint8)
     return BinaryCodeSet(pack_bits(bits), np.asarray(labels), bits.shape[1])
@@ -192,19 +207,86 @@ class TestEvaluate:
 
     def test_threaded_evaluation_is_identical(self):
         rng = np.random.default_rng(6)
-        database, _ = random_set(rng, 300, 24, n_classes=4)
-        queries, _ = random_set(rng, 150, 24, n_classes=4)
-        seq = evaluate(queries, database, k_prec=20, k_map=50, n_threads=1)
-        par = evaluate(queries, database, k_prec=20, k_map=50, n_threads=4)
-        assert seq.map == par.map
-        assert seq.precision_at_k == par.precision_at_k
-        assert seq.map_at_k == par.map_at_k
+        for r in (24, 300):
+            database, _ = random_set(rng, 300, r, n_classes=4)
+            queries, _ = random_set(rng, 150, r, n_classes=4)
+            seq = evaluate(queries, database, k_prec=20, k_map=50, n_threads=1)
+            par = evaluate(queries, database, k_prec=20, k_map=50, n_threads=4)
+            assert np.array_equal(seq.per_query_ap, par.per_query_ap)
+            assert seq.map == par.map
+            assert seq.precision_at_k == par.precision_at_k
+            assert seq.map_at_k == par.map_at_k
+
+    def test_non_positive_map_cutoff_rejected(self):
+        code_set = make_set([[0, 1], [1, 1]], [0, 0])
+        with pytest.raises(ValueError, match="k_map"):
+            evaluate(code_set, code_set, k_prec=1, k_map=0)
 
     def test_length_mismatch_rejected(self):
         a = make_set([[0, 0]], [0])
         b = make_set([[0, 0, 0]], [0])
         with pytest.raises(DimensionError):
             evaluate(a, b, k_prec=1)
+
+
+def clustered_bits(rng, n, r, pool):
+    """Rows drawn from a few prototype codes with rare bit flips: many ties."""
+    prototypes = rng.integers(0, 2, size=(pool, r), dtype=np.uint8)
+    flips = (rng.random((n, r)) < 0.02).astype(np.uint8)
+    return prototypes[rng.integers(0, pool, n)] ^ flips
+
+
+class TestRankingKernel:
+    """Chunked radix ranking in ``evaluate`` against the brute-force oracle.
+
+    The lengths straddle the one-word/two-word and the uint8/uint16
+    distance-dtype boundaries; 70 queries make two query chunks.
+    """
+
+    @pytest.mark.parametrize("k_map", [None, 9])
+    @pytest.mark.parametrize("r", [1, 63, 64, 65, 255, 256, 300])
+    def test_matches_oracle(self, r, k_map):
+        rng = np.random.default_rng(r)
+        db_bits = clustered_bits(rng, 120, r, pool=6)
+        q_bits = clustered_bits(rng, 70, r, pool=6)
+        db_labels = rng.integers(0, 3, 120)
+        q_labels = rng.integers(0, 4, 70)  # label 3 has no relevant item
+        database, queries = make_set(db_bits, db_labels), make_set(q_bits, q_labels)
+        report = evaluate(queries, database, k_prec=15, k_map=k_map)
+
+        expected = oracle_scores(q_bits, q_labels, db_bits, db_labels, 15, k_map)
+        assert report.n_skipped == 70 - len(expected)
+        np.testing.assert_allclose(report.per_query_ap,
+                                   [e[0] for e in expected], rtol=0, atol=1e-12)
+        assert report.precision_at_k == pytest.approx(
+            np.mean([e[2] for e in expected]), abs=1e-12)
+        if k_map is None:
+            assert report.map_at_k is None
+        else:
+            assert report.map_at_k == pytest.approx(
+                np.mean([e[1] for e in expected]), abs=1e-12)
+        # Bit-identical to the per-query reference functions.
+        per_query = [average_precision(rank(queries.code(qi), database),
+                                       db_labels == q_labels[qi])
+                     for qi in range(70) if (db_labels == q_labels[qi]).any()]
+        assert np.array_equal(report.per_query_ap, per_query)
+
+    def test_all_tied_database_ranks_by_index(self):
+        rng = np.random.default_rng(12)
+        db_bits = np.tile(rng.integers(0, 2, size=(1, 40), dtype=np.uint8), (50, 1))
+        db_labels = rng.integers(0, 2, 50)
+        database = make_set(db_bits, db_labels)
+        q_bits = rng.integers(0, 2, size=(3, 40), dtype=np.uint8)
+        queries = make_set(q_bits, [0, 1, 1])
+        assert list(rank(queries.code(0), database)) == list(range(50))
+        report = evaluate(queries, database, k_prec=10, k_map=20)
+        by_index = list(range(50))
+        for qi, label in enumerate([0, 1, 1]):
+            relevance = list(db_labels == label)
+            assert report.per_query_ap[qi] == pytest.approx(
+                oracle_ap(by_index, relevance), abs=1e-12)
+        expected_p = np.mean([np.mean(db_labels[:10] == label) for label in [0, 1, 1]])
+        assert report.precision_at_k == pytest.approx(expected_p, abs=1e-12)
 
 
 class TestMapCurveAuc:
