@@ -8,8 +8,8 @@ ranking (mAP, Precision@K, and the AUC of mAP-vs-instances curves).
 """
 
 from .codec import (BinaryCode, BinaryCodeSet, encode, hamming,
-                    hamming_distances, hamming_to_set, load_code_set,
-                    pack_bits, save_code_set, unpack_bits)
+                    hamming_to_set, load_code_set, pack_bits, save_code_set,
+                    unpack_bits)
 from .data import (Dataset, SplitSpec, load_dense, load_idx, load_labels,
                    normalize, save_dense, save_labels, split, stream)
 from .errors import (CodebookExhaustedError, ConfigError, DimensionError,

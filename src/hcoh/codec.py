@@ -8,7 +8,7 @@ Codes are produced by thresholding the linear model at zero:
 target codes).  An r-bit code is stored LSB-first in ceil(r/64) uint64
 words; unused bits in the last word are always zero, so two codes are
 equal exactly when their words are equal.  Hamming distance is XOR plus
-popcount over the words, computed in one place, :func:`hamming_distances`,
+popcount over the words, computed in one place, ``_hamming_distances``,
 which returns the narrowest unsigned dtype that holds every distance in
 [0, r]; numpy's stable argsort is a radix sort on such rows.
 
@@ -136,14 +136,15 @@ def _distance_dtype(length: int):
     return np.uint32
 
 
-def hamming_distances(queries: np.ndarray, database: np.ndarray,
-                      length: int) -> np.ndarray:
+def _hamming_distances(queries: np.ndarray, database: np.ndarray,
+                       length: int) -> np.ndarray:
     """Hamming distance between every query code and every database code.
 
     ``queries`` (q, w) and ``database`` (n, w) hold packed ``length``-bit
     codes as in :class:`BinaryCodeSet`.  Returns a (q, n) array of uint8
     when ``length`` < 256, uint16 when ``length`` < 65,536, else uint32.
-    The temporary XOR block is q * n * w words.
+    The temporary XOR block is q * n * w words.  The callers check that
+    both sides have the same code length, which this does not.
     """
     if queries.shape[1] == 1:
         # bitwise_count of one word is already uint8, and length <= 64.
@@ -156,18 +157,19 @@ def hamming(a: BinaryCode, b: BinaryCode) -> int:
     """Number of differing bit positions between two equal-length codes."""
     if a.length != b.length:
         raise DimensionError(f"code lengths differ: {a.length} vs {b.length}")
-    return int(hamming_distances(a.words[None], b.words[None], a.length)[0, 0])
+    return int(_hamming_distances(a.words[None], b.words[None], a.length)[0, 0])
 
 
 def hamming_to_set(query: BinaryCode, database: BinaryCodeSet) -> np.ndarray:
     """Hamming distance from one code to every code in a set.
 
-    The dtype is that of :func:`hamming_distances` for the code length.
+    Returns uint8 when the code length is below 256 bits, uint16 below
+    65,536, else uint32.
     """
     if query.length != database.length:
         raise DimensionError(
             f"code lengths differ: {query.length} vs {database.length}")
-    return hamming_distances(query.words[None], database.words, query.length)[0]
+    return _hamming_distances(query.words[None], database.words, query.length)[0]
 
 
 def save_code_set(path, code_set: BinaryCodeSet) -> None:

@@ -12,14 +12,15 @@ given (so AP@K <= 1 always).  Queries with no relevant item in the
 database are skipped and counted, not scored as zero.
 
 :func:`evaluate` ranks a block of queries at a time.  The block's
-distances come from :func:`hcoh.codec.hamming_distances` in the
-narrowest unsigned dtype that holds the code length (uint8 below 256
-bits, uint16 below 65,536), and one ``argsort(kind="stable")`` over the
-block orders every row.  On 8- and 16-bit integers numpy's stable sort
-is a radix sort, linear in the database size, and being stable it keeps
-the tie rule: by distance, then by database index.  Each query then
-gathers its ranked relevance once, and AP, AP@K and P@K all come from
-the positions of its relevant items.
+distances come from ``hcoh.codec._hamming_distances`` in the narrowest
+unsigned dtype that holds the code length (uint8 below 256 bits, uint16
+below 65,536), and one ``argsort(kind="stable")`` over the block orders
+every row.  On 8- and 16-bit integers numpy's stable sort is a radix
+sort, linear in the database size, and being stable it keeps the tie
+rule: by distance, then by database index.  Each query's row of that
+ranking is then scored by :func:`average_precision` and
+:func:`precision_at_k`; only full AP gathers the whole ranked relevance
+list, the cut-off metrics gather their top K.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (BinaryCode, BinaryCodeSet, hamming_distances,
+from .codec import (BinaryCode, BinaryCodeSet, _hamming_distances,
                     hamming_to_set)
 from .errors import DimensionError, UndefinedAPError
 
@@ -49,7 +50,7 @@ def average_precision(ranking: np.ndarray, relevance: np.ndarray,
         raise DimensionError(
             f"ranking has {ranking.shape[0]} entries, relevance has "
             f"{relevance.shape[0]}")
-    total_relevant = int(relevance.sum())
+    total_relevant = int(np.count_nonzero(relevance))
     if cutoff is None:
         denom = total_relevant
         if denom == 0:
@@ -62,8 +63,9 @@ def average_precision(ranking: np.ndarray, relevance: np.ndarray,
         if denom == 0:
             return 0.0
         ranked_rel = relevance[ranking[:cutoff]]
+    # 0-based ranks of the relevant items; the i-th has precision i / (rank + 1).
     hits = np.flatnonzero(ranked_rel)
-    precisions = np.cumsum(ranked_rel)[hits] / (hits + 1.0)
+    precisions = np.arange(1, hits.size + 1) / (hits + 1.0)
     return float(precisions.sum() / denom)
 
 
@@ -108,23 +110,19 @@ class EvalReport:
 
 def _score_chunk(queries, database, lo, hi, k_prec, k_map,
                  ap_full, ap_cut, prec, scored):
-    distances = hamming_distances(queries.words[lo:hi], database.words,
-                                  database.length)
+    distances = _hamming_distances(queries.words[lo:hi], database.words,
+                                   database.length)
     rankings = np.argsort(distances, axis=1, kind="stable")
     for row, qi in enumerate(range(lo, hi)):
-        # 0-based ranks of the relevant items, ascending.
-        hits = np.flatnonzero(
-            (database.labels == queries.labels[qi])[rankings[row]])
-        if hits.size == 0:
+        relevance = database.labels == queries.labels[qi]
+        if not relevance.any():
             continue
         scored[qi] = True
-        # Precision at the rank of each relevant item, in rank order.
-        precisions = np.arange(1, hits.size + 1) / (hits + 1.0)
-        ap_full[qi] = precisions.sum() / hits.size
+        ap_full[qi] = average_precision(rankings[row], relevance)
         if k_map is not None:
-            in_cut = np.searchsorted(hits, k_map)
-            ap_cut[qi] = precisions[:in_cut].sum() / min(hits.size, k_map)
-        prec[qi] = np.searchsorted(hits, k_prec) / k_prec
+            ap_cut[qi] = average_precision(rankings[row], relevance,
+                                           cutoff=k_map)
+        prec[qi] = precision_at_k(rankings[row], relevance, k_prec)
 
 
 def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hcoh import (BinaryCode, BinaryCodeSet, DimensionError, FormatError,
-                  HashModel, encode, hamming, hamming_distances, hamming_to_set,
-                  init_model, load_code_set, pack_bits, save_code_set,
-                  unpack_bits)
+                  HashModel, encode, hamming, hamming_to_set, init_model,
+                  load_code_set, pack_bits, save_code_set, unpack_bits)
+from hcoh.codec import _hamming_distances
 
 
 def naive_hamming(bits_a, bits_b):
@@ -131,7 +131,7 @@ class TestHamming:
 
 
 class TestDistanceKernel:
-    """``hamming_distances`` and its wrappers against the unpacked-bits loop."""
+    """``_hamming_distances`` and its wrappers against the unpacked-bits loop."""
 
     @pytest.mark.parametrize("r", [1, 63, 64, 65, 255, 256, 300])
     def test_matches_naive_loop(self, r):
@@ -141,7 +141,7 @@ class TestDistanceKernel:
         expected = np.array([[naive_hamming(a, b) for b in db_bits]
                              for a in q_bits])
         dtype = np.uint8 if r < 256 else np.uint16
-        got = hamming_distances(queries.words, database.words, r)
+        got = _hamming_distances(queries.words, database.words, r)
         assert got.dtype == dtype
         assert np.array_equal(got, expected)
         for qi in range(4):
@@ -157,7 +157,7 @@ class TestDistanceKernel:
     def test_complement_distance_fits_dtype(self, r, dtype):
         codes = BinaryCodeSet(pack_bits(np.stack([np.zeros(r), np.ones(r)])),
                               [0, 0], r)
-        got = hamming_distances(codes.words, codes.words, r)
+        got = _hamming_distances(codes.words, codes.words, r)
         assert got.dtype == dtype
         assert np.array_equal(got, [[0, r], [r, 0]])
 
