@@ -27,14 +27,18 @@ for bits, labels in [(32, 10), (8, 10), (64, 205)]:
           f"{codeword_order(bits, labels)}")
 
 # ---------------------------------------------------------------------------
-# Labels claim columns as they first appear.  The draw is seeded and
-# without replacement, so reruns reproduce the same assignment and no two
-# classes ever share a codeword.
+# Labels claim columns as they first appear: the k-th new label takes the
+# k-th entry of a seeded permutation of the columns, so reruns reproduce
+# the same assignment and no two classes ever share a codeword.  The
+# codebook never builds H; it computes a column, (-1)**popcount(i & j)
+# over the rows i, when a label asks for it.
 # ---------------------------------------------------------------------------
 book = HadamardCodebook.create(order=8, seed=42)
 for label in [3, 1, 3, 7]:  # label 3 arrives twice
     print(f"label {label} -> column {book.assign_label(label)}")
-print("free columns left:", sorted(book.free_columns))
+print("columns left to draw:", book.order - len(book.assignment))
+print("codeword(3) is that column of H:",
+      np.array_equal(book.codeword(3), h8[:, book.assignment[3]]))
 
 a = book.codeword(3).astype(int)
 b = book.codeword(1).astype(int)

@@ -17,8 +17,11 @@ Layout, all little-endian, in order:
     u64      reducer seed
     u8       reducer identity flag
 
-The codebook matrix and the projection matrix are not stored; both are
-regenerated from (order, seed) and (dims, seed) on load, which keeps
+Neither the codebook matrix nor the projection is stored.  The codebook
+is rebuilt from (order, seed) and computes each column on demand; its
+seed fixes the column draw order, and ``HadamardCodebook.restore``
+accepts the recorded assignment only if it holds exactly the first k
+draws.  The projection is regenerated from (dims, seed).  This keeps
 checkpoints small and loads deterministic.  Writes go to a temp file
 followed by an atomic rename, so a crashed run never leaves a partial
 checkpoint behind.

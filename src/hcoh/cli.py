@@ -127,8 +127,8 @@ def _add_common_train_flags(p) -> None:
 
 
 def _cmd_train(args) -> int:
-    dataset = _load_dataset(args)
     config = _config_from_args(args)
+    dataset = _load_dataset(args)
     result = run_training(dataset, config)
     _write_records(args.metrics, result.records + [result.summary])
     ckpt.save_checkpoint(args.checkpoint, result.model, result.book,
@@ -176,15 +176,17 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    dataset = _load_dataset(args)
     bits_list = [int(tok) for tok in args.bits_list.split(",") if tok]
     if not bits_list:
         raise ConfigError("--bits-list must name at least one code length")
-    rows = []
-    records = []
+    configs = []
     for bits in bits_list:
         args.bits = bits
-        config = _config_from_args(args)
+        configs.append(_config_from_args(args))
+    dataset = _load_dataset(args)
+    rows = []
+    records = []
+    for config in configs:
         results, aggregate = run_repeats(dataset, config, args.repeats)
         rows.append(aggregate)
         for res in results:

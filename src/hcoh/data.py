@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
-from .fileio import atomic_write, labels_from_u32, labels_to_u32
+from .fileio import atomic_write, check_labels, labels_from_u32, labels_to_u32
 from .learner import TrainBatch
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -38,12 +38,13 @@ NORM_MODES = ("unit255", "zscore", "none")
 @dataclass
 class Dataset:
     features: np.ndarray  # (n, d) float64
-    labels: np.ndarray    # (n,) int64
+    labels: np.ndarray    # (n,) int64, each in [0, 0xFFFFFFFF) or -1
     name: str = ""
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        self.labels = np.atleast_1d(np.asarray(self.labels, dtype=np.int64))
+        self.labels = np.atleast_1d(
+            check_labels(self.labels, f"dataset {self.name!r}"))
         if self.features.shape[0] != self.labels.shape[0]:
             raise DimensionError(
                 f"{self.features.shape[0]} feature rows but "

@@ -6,6 +6,8 @@ behind.  Label ids are stored as little-endian u32 in code-set files,
 checkpoints and label files alike.  The top value 0xFFFFFFFF is reserved
 for "unknown" and reads back as -1; any other id outside
 [0, 0xFFFFFFFF) cannot be stored and is rejected instead of wrapped.
+A ``Dataset`` checks its labels by the same rule when it is built, so an
+id that no file can hold fails before any training.
 """
 
 import os
@@ -40,19 +42,27 @@ def atomic_write(path, chunks) -> None:
         raise
 
 
-def labels_to_u32(labels, path) -> np.ndarray:
-    """Label ids as a little-endian u32 array, -1 stored as 0xFFFFFFFF.
+def check_labels(labels, where) -> np.ndarray:
+    """Label ids as an int64 array, each one checked to fit a u32 id.
 
-    Raises FormatError, naming ``path``, for any other id outside
-    [0, 0xFFFFFFFF).
+    Raises FormatError, naming ``where``, for any id outside
+    [0, 0xFFFFFFFF) other than the unknown label -1.
     """
     labels = np.asarray(labels, dtype=np.int64)
     bad = (labels < UNKNOWN_LABEL) | (labels >= UNKNOWN_LABEL_U32)
     if bad.any():
         raise FormatError(
-            f"{path}: label {int(labels[bad][0])} cannot be stored; ids must "
+            f"{where}: label {int(labels[bad][0])} cannot be stored; ids must "
             f"lie in [0, {UNKNOWN_LABEL_U32}) or be {UNKNOWN_LABEL} (unknown)")
-    return labels.astype("<u4")
+    return labels
+
+
+def labels_to_u32(labels, path) -> np.ndarray:
+    """Label ids as a little-endian u32 array, -1 stored as 0xFFFFFFFF.
+
+    Raises FormatError as :func:`check_labels` does.
+    """
+    return check_labels(labels, path).astype("<u4")
 
 
 def labels_from_u32(raw: np.ndarray) -> np.ndarray:

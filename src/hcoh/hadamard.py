@@ -6,20 +6,21 @@ arithmetic.  Columns of such a matrix make good per-class target codes:
 any two distinct classes sit at the maximal possible Hamming separation
 (n/2 differing positions).
 
-We build orders 2**k by Sylvester's recursion
+Sylvester's recursion builds orders 2**k,
 
     H_1 = [1],   H_2m = [[H_m,  H_m],
                          [H_m, -H_m]]
 
-which is equivalent to entry(i, j) = (-1)**popcount(i & j) with 0-based
-indices.  Beware the superficially similar closed form
-(-1)**((i-1)*(j-1)) with ordinary multiplication: it is wrong for
-order >= 4 (rows 1 and 3 come out identical), so it is not used here.
+and is equivalent to entry(i, j) = (-1)**popcount(i & j) with 0-based
+indices.  The codebook never builds the matrix: it computes each column
+from that closed form, in O(order), when a label needs it.  Beware the
+superficially similar (-1)**((i-1)*(j-1)) with ordinary multiplication:
+it is wrong for order >= 4 (rows 1 and 3 come out identical).
 
 The codebook hands columns out to class labels as they first appear in a
-stream: each new label draws a uniformly random unused column from a
-seeded generator, so runs are reproducible and no label count has to be
-fixed up front beyond the matrix order itself.
+stream: the k-th new label gets the k-th column of a permutation drawn
+from a seeded generator, so runs are reproducible and no label count has
+to be fixed up front beyond the order itself.
 """
 
 from dataclasses import dataclass, field
@@ -28,8 +29,9 @@ import numpy as np
 
 from .errors import CodebookExhaustedError, InvalidOrderError, UnknownLabelError
 
-# Hard cap on the dense matrix order; an order-2**20 matrix of int8 would
-# need ~1 TB.  Callers with smaller memory budgets can pass a lower cap.
+# Largest codebook order.  The matrix is never stored, but the LSH reducer
+# that maps codewords to r bits holds an order x r float64 projection:
+# 8 MiB per code bit at 2**20 rows, i.e. 256 MiB at 32 bits.
 MAX_ORDER = 2**20
 
 
@@ -51,16 +53,26 @@ def codeword_order(r: int, known_labels: int = 0) -> int:
     return order
 
 
-def build_hadamard(order: int, max_order: int = MAX_ORDER) -> np.ndarray:
+def _check_order(order: int) -> None:
+    if order < 1 or order & (order - 1) != 0:
+        raise InvalidOrderError(f"order must be a power of two, got {order}")
+    if order > MAX_ORDER:
+        raise InvalidOrderError(f"order {order} exceeds the cap {MAX_ORDER}")
+
+
+def _column(order: int, j: int) -> np.ndarray:
+    """Column ``j`` of the Sylvester matrix: (-1)**popcount(i & j) over i."""
+    parity = np.bitwise_count(np.arange(order) & j) & 1
+    return np.where(parity, -1, 1).astype(np.int8)
+
+
+def build_hadamard(order: int) -> np.ndarray:
     """Sylvester-construction Hadamard matrix of the given power-of-two order.
 
     Returns an (order, order) int8 array with entries in {-1,+1} satisfying
-    H @ H.T == order * I exactly.
+    H @ H.T == order * I exactly: the dense reference for tests and demos.
     """
-    if order < 1 or order & (order - 1) != 0:
-        raise InvalidOrderError(f"order must be a power of two, got {order}")
-    if order > max_order:
-        raise InvalidOrderError(f"order {order} exceeds the cap {max_order}")
+    _check_order(order)
     h = np.array([[1]], dtype=np.int8)
     while h.shape[0] < order:
         h = np.block([[h, h], [h, -h]])
@@ -69,53 +81,43 @@ def build_hadamard(order: int, max_order: int = MAX_ORDER) -> np.ndarray:
 
 @dataclass
 class HadamardCodebook:
-    """An order x order sign matrix plus a dynamic label -> column map.
+    """A dynamic label -> column map onto an order x order Sylvester matrix.
 
-    New labels draw columns without replacement from a permutation fixed
-    by ``seed`` (Fisher-Yates via the PCG64 generator), so the same seed
-    and the same label-arrival sequence always reproduce the same
-    assignment.  Assignment is injective; columns are never reused.
+    The k-th label to arrive takes column ``_draw[k]`` of a permutation
+    fixed by ``seed`` (PCG64), so the assignment holds exactly the columns
+    ``_draw[:len(assignment)]`` and no column is ever reused.
     """
 
     order: int
     seed: int
-    matrix: np.ndarray
     assignment: dict = field(default_factory=dict)
     _draw: np.ndarray = None
-    _used: set = field(default_factory=set)
-    _cursor: int = 0
 
     @classmethod
-    def create(cls, order: int, seed: int, max_order: int = MAX_ORDER) -> "HadamardCodebook":
-        matrix = build_hadamard(order, max_order=max_order)
+    def create(cls, order: int, seed: int) -> "HadamardCodebook":
+        _check_order(order)
         draw = np.random.default_rng(seed).permutation(order)
-        return cls(order=order, seed=seed, matrix=matrix, _draw=draw)
+        return cls(order=order, seed=seed, _draw=draw)
 
     @classmethod
-    def restore(cls, order: int, seed: int, assignment: dict,
-                max_order: int = MAX_ORDER) -> "HadamardCodebook":
+    def restore(cls, order: int, seed: int, assignment: dict) -> "HadamardCodebook":
         """Rebuild a codebook persisted as (order, seed, assignment pairs).
 
-        The matrix and the draw order are recomputed from their seeds; the
-        recorded assignment is replayed so future draws skip used columns.
+        The draw order is recomputed from the seed.  The k recorded columns
+        must be exactly the first k draws; anything else raises
+        InvalidOrderError.
         """
-        book = cls.create(order, seed, max_order=max_order)
-        for label, column in assignment.items():
-            if not 0 <= column < order:
-                raise InvalidOrderError(
-                    f"assigned column {column} out of range for order {order}")
-            if column in book._used:
-                raise InvalidOrderError(f"column {column} assigned twice")
-            book.assignment[int(label)] = int(column)
-            book._used.add(int(column))
+        book = cls.create(order, seed)
+        prefix = book._draw[:len(assignment)].tolist()
+        if sorted(assignment.values()) != sorted(prefix):
+            raise InvalidOrderError(
+                f"the {len(assignment)} assigned columns are not the first "
+                f"{len(assignment)} draws of seed {seed} at order {order}")
+        book.assignment = {int(k): int(v) for k, v in assignment.items()}
         return book
 
-    @property
-    def free_columns(self) -> set:
-        return set(range(self.order)) - self._used
-
     def assign_label(self, label: int) -> int:
-        """Column index for ``label``, drawing a fresh column on first sight.
+        """Column index for ``label``, drawing the next column on first sight.
 
         Idempotent per label.  Raises CodebookExhaustedError when a new
         label arrives after all columns have been handed out.
@@ -123,16 +125,12 @@ class HadamardCodebook:
         label = int(label)
         if label in self.assignment:
             return self.assignment[label]
-        while self._cursor < self.order and int(self._draw[self._cursor]) in self._used:
-            self._cursor += 1
-        if self._cursor >= self.order:
+        if len(self.assignment) >= self.order:
             raise CodebookExhaustedError(
                 f"all {self.order} codewords assigned; cannot admit label {label}. "
                 f"Rebuild with a larger declared label bound (see --max-labels).")
-        column = int(self._draw[self._cursor])
-        self._cursor += 1
+        column = int(self._draw[len(self.assignment)])
         self.assignment[label] = column
-        self._used.add(column)
         return column
 
     def codeword(self, label: int) -> np.ndarray:
@@ -140,4 +138,4 @@ class HadamardCodebook:
         label = int(label)
         if label not in self.assignment:
             raise UnknownLabelError(f"label {label} has no assigned codeword")
-        return self.matrix[:, self.assignment[label]].copy()
+        return _column(self.order, self.assignment[label])

@@ -23,7 +23,7 @@ from .codec import encode
 from .data import NORM_MODES, Dataset, SplitSpec, split, stream
 from .errors import ConfigError
 from .evaluation import evaluate, map_curve_auc
-from .hadamard import HadamardCodebook, codeword_order
+from .hadamard import MAX_ORDER, HadamardCodebook, codeword_order
 from .learner import GRADIENT_FACTORS, TargetCodeTable, init_model, train_stream
 from .lsh import LshReducer
 
@@ -78,6 +78,11 @@ class RunConfig:
                 f"gradient must be one of {GRADIENT_FACTORS}, got {self.gradient!r}")
         if self.max_labels < 1:
             raise ConfigError(f"max_labels must be >= 1, got {self.max_labels}")
+        order = codeword_order(self.bits, self.max_labels)
+        if order > MAX_ORDER:
+            raise ConfigError(
+                f"codebook order {order} for {self.bits} bits and "
+                f"{self.max_labels} labels exceeds the cap {MAX_ORDER}")
         if self.k_prec < 1:
             raise ConfigError(f"k_prec must be >= 1, got {self.k_prec}")
         if self.k_map is not None and self.k_map < 1:

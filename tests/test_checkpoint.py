@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hcoh import FormatError, HadamardCodebook, LshReducer, init_model
+from hcoh import (FormatError, HadamardCodebook, InvalidOrderError, LshReducer,
+                  init_model)
 from hcoh.checkpoint import load_checkpoint, save_checkpoint
 
 
@@ -74,6 +75,18 @@ class TestCorruption:
         save_checkpoint(path, *make_state())
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(FormatError, match="bytes"):
+            load_checkpoint(path)
+
+    def test_assignment_off_the_draw_prefix_rejected(self, tmp_path):
+        model, book, reducer = make_state()
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, model, book, reducer)
+        spare = next(c for c in range(book.order)
+                     if c not in book.assignment.values())
+        blob = bytearray(path.read_bytes())
+        blob[-21:-17] = spare.to_bytes(4, "little")  # the last pair's column
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InvalidOrderError, match="first 3 draws"):
             load_checkpoint(path)
 
     def test_no_partial_file_left_on_failed_write(self, tmp_path):

@@ -77,6 +77,16 @@ class TestTrain:
                                **{"--bits": "2", "--max-labels": "2"}))
         assert code == 2
 
+    def test_order_above_cap_exit_config_before_loading(self, dense_blobs,
+                                                        tmp_path, capsys):
+        # The feature file does not exist: exit 2 rather than 3 shows the
+        # order was rejected before any data was read.
+        code = main(train_args(dense_blobs, tmp_path,
+                               **{"--max-labels": str(2**21),
+                                  "--features": str(tmp_path / "nope.feat")}))
+        assert code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
     def test_missing_feature_file_exit_data(self, dense_blobs, tmp_path):
         code = main(train_args(dense_blobs, tmp_path,
                                **{"--features": str(tmp_path / "nope.feat")}))
@@ -188,6 +198,14 @@ class TestBenchmarkAndCurve:
         aggregates = [r for r in records if r["record"] == "aggregate"]
         assert [a["bits"] for a in aggregates] == [8, 16]
         assert all(len(a["map_per_repeat"]) == 2 for a in aggregates)
+
+    def test_benchmark_checks_every_order_before_loading(self, tmp_path, capsys):
+        code = main(["benchmark", "--dataset", "dense",
+                     "--features", str(tmp_path / "nope.feat"),
+                     "--labels", str(tmp_path / "nope.lab"),
+                     "--bits-list", f"8,{2**21}"])
+        assert code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_curve_csv_extraction(self, dense_blobs, tmp_path):
         main(train_args(dense_blobs, tmp_path))

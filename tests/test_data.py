@@ -140,6 +140,18 @@ class TestDenseFormat:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestDataset:
+    def test_storable_labels_accepted(self):
+        ds = Dataset(np.zeros((3, 2)), [-1, 0, 2**32 - 2])
+        assert ds.labels.dtype == np.int64
+        assert np.array_equal(ds.labels, [-1, 0, 2**32 - 2])
+
+    @pytest.mark.parametrize("label", [-5, -2, 2**32 - 1, 2**32 + 5])
+    def test_unstorable_label_rejected(self, label):
+        with pytest.raises(FormatError, match=f"dataset 'x': label {label}"):
+            Dataset(np.zeros((2, 2)), [0, label], "x")
+
+
 def synthetic(n_classes=10, per_class=70, dim=6, seed=0):
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(n_classes), per_class)

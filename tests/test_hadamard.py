@@ -59,8 +59,6 @@ class TestBuildHadamard:
     def test_rejects_orders_above_cap(self):
         with pytest.raises(InvalidOrderError):
             build_hadamard(2**21)
-        with pytest.raises(InvalidOrderError):
-            build_hadamard(64, max_order=32)
 
 
 class TestAssignment:
@@ -79,8 +77,9 @@ class TestAssignment:
         book = HadamardCodebook.create(16, seed=3)
         for k, label in enumerate(range(100, 108)):
             book.assign_label(label)
-            assert len(book.free_columns) == 16 - (k + 1)
-            assert set(book.assignment.values()) | book.free_columns == set(range(16))
+            columns = set(book.assignment.values())
+            assert len(columns) == k + 1
+            assert columns <= set(range(16))
 
     def test_injective_over_all_labels(self):
         book = HadamardCodebook.create(32, seed=9)
@@ -111,13 +110,54 @@ class TestAssignment:
         for label in range(6, 12):
             assert original.assign_label(label) == restored.assign_label(label)
 
+    def test_column_sequence_is_pinned(self):
+        # The draws of these seeds, as the dense-matrix codebook made them;
+        # checkpoints written by it restore only if they stay the same.
+        book = HadamardCodebook.create(16, seed=5)
+        assert [book.assign_label(label) for label in range(16)] == [
+            7, 3, 11, 1, 15, 9, 10, 2, 4, 12, 6, 0, 13, 5, 14, 8]
+        book = HadamardCodebook.create(1024, seed=7)
+        assert [book.assign_label(label) for label in range(12)] == [
+            482, 233, 215, 915, 1009, 90, 656, 71, 805, 685, 776, 500]
+
+    @pytest.mark.parametrize("columns", [
+        [3, 11],          # the first two draws (7, 3) skip 7
+        [7, 7],           # a column assigned twice
+        [7, 3, 16],       # 16 is out of range for order 16
+        list(range(17)),  # more labels than columns
+    ])
+    def test_restore_rejects_non_prefix(self, columns):
+        assignment = dict(enumerate(columns))
+        with pytest.raises(InvalidOrderError):
+            HadamardCodebook.restore(16, 5, assignment)
+
+    def test_restore_accepts_prefix_in_any_label_order(self):
+        book = HadamardCodebook.restore(16, 5, {40: 11, 10: 7, 20: 3})
+        assert book.assign_label(50) == 1
+
+    def test_create_rejects_order_above_cap(self):
+        with pytest.raises(InvalidOrderError):
+            HadamardCodebook.create(2**21, seed=0)
+
 
 class TestCodeword:
     def test_first_sylvester_column_is_all_ones(self):
         book = HadamardCodebook.create(2, seed=0)
-        book.assignment[7] = 0
-        book._used.add(0)
-        assert np.array_equal(book.codeword(7), [1, 1])
+        for label in (7, 8):
+            book.assign_label(label)
+        first = next(label for label, column in book.assignment.items()
+                     if column == 0)
+        assert np.array_equal(book.codeword(first), [1, 1])
+
+    @pytest.mark.parametrize("order", [2**k for k in range(1, 11)])
+    def test_every_column_matches_the_dense_matrix(self, order):
+        h = build_hadamard(order)
+        book = HadamardCodebook.create(order, seed=order)
+        for label in range(order):
+            column = book.assign_label(label)
+            word = book.codeword(label)
+            assert word.dtype == np.int8
+            assert np.array_equal(word, h[:, column])
 
     def test_distinct_labels_orthogonal(self):
         book = HadamardCodebook.create(16, seed=2)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hcoh import ConfigError, RunConfig, derive_seeds, run_repeats, run_training
+from hcoh import (ConfigError, Dataset, FormatError, RunConfig, derive_seeds,
+                  run_repeats, run_training)
+from hcoh import pipeline
 from tests.conftest import blob_dataset
 
 
@@ -35,13 +37,28 @@ class TestRunConfigValidation:
         dict(norm="l2"), dict(gradient="nonsense"),
         dict(max_labels=0), dict(k_prec=0), dict(k_map=0),
         dict(seed=-1), dict(repeat=-1),
+        dict(max_labels=2**20 + 1), dict(bits=2**21),  # order above the cap
     ])
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):
             blob_config(**bad).validate()
 
+    def test_order_at_cap_accepted(self):
+        blob_config(max_labels=2**20).validate()
+
 
 class TestRunTraining:
+    def test_unstorable_label_rejected_before_training(self, blobs,
+                                                       monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "split",
+                            lambda *args: calls.append(args))
+        labels = blobs.labels.copy()
+        labels[7] = -5
+        with pytest.raises(FormatError, match="label -5"):
+            run_training(Dataset(blobs.features, labels, "bad"), blob_config())
+        assert calls == []
+
     def test_learns_separable_blobs(self, blobs):
         result = run_training(blobs, blob_config(milestones=(250, 500, 1000)))
         assert result.summary["final_map"] > 0.95
