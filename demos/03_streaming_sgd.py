@@ -5,8 +5,8 @@ Run from the repo root:  python demos/03_streaming_sgd.py
 
 import numpy as np
 
-from hcoh import (HadamardCodebook, LshReducer, TargetCodeTable, TrainBatch,
-                  encode, evaluate, init_model, loss, train_stream)
+from hcoh import (HadamardCodebook, LshReducer, TargetCodeTable, encode,
+                  evaluate, init_model, loss, train_stream)
 
 rng = np.random.default_rng(0)
 
@@ -24,15 +24,15 @@ table = TargetCodeTable(out_dim=16)
 model = init_model(d=16, r=16, eta=0.2, seed=3)
 
 # One instance per round, single pass, loss sampled along the way.
-batches = (TrainBatch(features[i:i + 1], labels[i:i + 1])
-           for i in range(1500))
-probe = TrainBatch(features[1500:], labels[1500:])
+batches = ((features[i:i + 1], labels[i:i + 1]) for i in range(1500))
+probe_features, probe_labels = features[1500:], labels[1500:]
 
 
 def report(seen, snapshot):
-    targets = np.stack([table.target_for(y, book, reducer) for y in probe.labels])
+    targets = np.stack([table.target_for(y, book, reducer)
+                        for y in probe_labels])
     print(f"  after {seen:>5} instances: held-out loss "
-          f"{loss(snapshot, probe, targets):8.3f}")
+          f"{loss(snapshot, probe_features, targets):8.3f}")
 
 
 print("streaming 1500 single-instance rounds:")
@@ -40,7 +40,7 @@ model, _ = train_stream(model, batches, book, reducer, table,
                         milestones=(1, 50, 250, 750, 1500), hook=report)
 
 # Hash the held-out instances and retrieve against them.
-codes = encode(model, probe.features, probe.labels)
+codes = encode(model, probe_features, probe_labels)
 result = evaluate(codes, codes, k_prec=50)
 print(f"self-retrieval on {len(codes)} held-out codes: "
       f"mAP {result.map:.4f}, P@50 {result.precision_at_k:.4f}")

@@ -18,8 +18,8 @@ from .errors import (CodebookExhaustedError, ConfigError, DimensionError,
 from .evaluation import (EvalReport, MapCurve, average_precision, evaluate,
                          map_curve_auc, precision_at_k, rank)
 from .hadamard import HadamardCodebook, build_hadamard, codeword_order
-from .learner import (HashModel, TrainBatch, init_model, loss, relaxed_codes,
-                      sgd_step, train_stream)
+from .learner import (HashModel, init_model, loss, relaxed_codes, sgd_step,
+                      train_stream)
 from .lsh import LshReducer, TargetCodeTable, sign_pm1
 from .pipeline import RunConfig, Seeds, TrainResult, derive_seeds, run_repeats, run_training
 

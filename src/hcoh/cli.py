@@ -148,10 +148,6 @@ def _cmd_train(args) -> int:
 def _cmd_encode(args) -> int:
     model, _book, _reducer = ckpt.load_checkpoint(args.checkpoint)
     features = data.load_dense(args.features, args.labels)
-    if features.features.shape[1] != model.feature_dim:
-        raise DimensionError(
-            f"feature dim {features.features.shape[1]} does not match "
-            f"checkpoint dim {model.feature_dim}")
     codes = codec.encode(model, features.features, features.labels)
     codec.save_code_set(args.out, codes)
     print(f"encoded {len(codes)} instances at {codes.length} bits -> {args.out}")

@@ -114,15 +114,25 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
     """Hash feature rows through the model into a packed code set.
 
     Labels are carried alongside the codes for retrieval evaluation; pass
-    None to fill with -1 when they are unknown.
+    None to fill with -1 when they are unknown.  Raises ValueError if any
+    pre-activation W.T x + b is NaN or infinite, as a non-finite feature
+    makes every entry of its row.
     """
-    u = np.asarray(features, dtype=np.float64)
-    if u.ndim != 2 or u.shape[1] != model.feature_dim:
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != model.feature_dim:
         raise DimensionError(
-            f"features have shape {u.shape}, expected (n, {model.feature_dim})")
-    bits = (u @ model.weights + model.bias >= 0).astype(np.uint8)
+            f"features have shape {features.shape}, expected "
+            f"(n, {model.feature_dim})")
+    with np.errstate(invalid="ignore", over="ignore"):  # checked below
+        u = features @ model.weights + model.bias
+    bad = ~np.isfinite(u).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"{bad.sum()} feature rows give a non-finite pre-activation "
+            f"(first row {bad.argmax()}); features must be finite")
+    bits = (u >= 0).astype(np.uint8)
     if labels is None:
-        labels = np.full(u.shape[0], UNKNOWN_LABEL, dtype=np.int64)
+        labels = np.full(features.shape[0], UNKNOWN_LABEL, dtype=np.int64)
     labels = np.atleast_1d(np.asarray(labels))
     return BinaryCodeSet(words=pack_bits(bits), labels=labels,
                          length=model.code_length)

@@ -15,7 +15,8 @@ The benchmark split takes a seeded per-class sample as the query (test)
 set, leaves the remainder as the retrieval database, and draws the
 training subset uniformly from the retrieval set (train is a subset of
 retrieval, not disjoint from it).  Training data is then streamed in a
-seeded random order, single pass, in batches of a fixed size.
+seeded random order, single pass, in batches of a fixed size, as
+(features, labels) array pairs.
 """
 
 import gzip
@@ -26,7 +27,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
 from .fileio import atomic_write, check_labels, labels_from_u32, labels_to_u32
-from .learner import TrainBatch
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -205,14 +205,18 @@ def split(dataset: Dataset, spec: SplitSpec):
 
 
 def stream(train: Dataset, batch_size: int, seed: int):
-    """Yield TrainBatch chunks of a seeded permutation of ``train``.
+    """Yield (features, labels) chunks of a seeded permutation of ``train``.
 
-    Single pass: every instance appears exactly once.  The final batch
-    may be smaller than ``batch_size``.
+    Single pass: every instance appears exactly once.  The final chunk
+    may be smaller than ``batch_size``.  Before the first chunk, every
+    training feature is checked once: a NaN or infinite value raises
+    ValueError, so no SGD step runs on a stream that holds one.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    if not np.isfinite(train.features).all():
+        raise ValueError(f"dataset {train.name!r} holds non-finite feature values")
     order = np.random.default_rng(seed).permutation(len(train))
     for lo in range(0, len(order), batch_size):
         chunk = order[lo:lo + batch_size]
-        yield TrainBatch(train.features[chunk], train.labels[chunk])
+        yield train.features[chunk], train.labels[chunk]

@@ -20,9 +20,12 @@ comparison runs.  The constant 2 from the squared norm stays inside the
 gradient rather than being folded into eta, so quoted learning rates
 mean what they say.
 
-Batches of size one are the intended streaming mode; larger n averages
-the per-instance gradients, so duplicating an instance changes nothing
-and instance order within a batch never matters.
+A batch is an (n, d) block of feature rows.  Blocks of one row are the
+intended streaming mode; larger n averages the per-instance gradients,
+so repeating every row of a block the same number of times changes
+nothing and row order within a block never matters.  Feature values are
+not checked for finiteness here: ``data.stream`` checks the training
+rows once, and a non-finite update still stops with NumericFailureError.
 """
 
 from dataclasses import dataclass
@@ -34,29 +37,6 @@ from .hadamard import HadamardCodebook
 from .lsh import LshReducer, TargetCodeTable
 
 GRADIENT_FACTORS = ("exact", "sigmoid")
-
-
-@dataclass
-class TrainBatch:
-    """One round of streaming input: n feature rows with their labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        self.labels = np.atleast_1d(np.asarray(self.labels))
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise DimensionError(
-                f"{self.features.shape[0]} feature rows but "
-                f"{self.labels.shape[0]} labels")
-        if self.features.shape[0] < 1:
-            raise DimensionError("batch must contain at least one instance")
-        if not np.isfinite(self.features).all():
-            raise ValueError("batch contains non-finite feature values")
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass
@@ -106,39 +86,44 @@ def relaxed_codes(model: HashModel, features: np.ndarray) -> np.ndarray:
     return _activations(model, features)
 
 
-def loss(model: HashModel, batch: TrainBatch, targets: np.ndarray) -> float:
-    """Batch-mean squared error between relaxed codes and target codes."""
+def _residual(model: HashModel, features: np.ndarray, targets: np.ndarray):
+    """(features, a, a - t) for a non-empty (n, d) block and (n, r) targets."""
+    features = np.asarray(features, dtype=np.float64)
+    a = _activations(model, features)
+    if a.shape[0] < 1:
+        raise DimensionError("a batch must hold at least one feature row")
     targets = np.asarray(targets, dtype=np.float64)
-    a = _activations(model, batch.features)
     if targets.shape != a.shape:
         raise DimensionError(
             f"targets have shape {targets.shape}, expected {a.shape}")
-    diff = a - targets
-    return float((diff * diff).sum() / len(batch))
+    return features, a, a - targets
 
 
-def sgd_step(model: HashModel, batch: TrainBatch, targets: np.ndarray,
+def loss(model: HashModel, features: np.ndarray, targets: np.ndarray) -> float:
+    """Batch-mean squared error between relaxed codes and target codes."""
+    features, _a, diff = _residual(model, features, targets)
+    return float((diff * diff).sum() / features.shape[0])
+
+
+def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
              gradient: str = "exact") -> HashModel:
     """One in-place gradient step on ``model``; increments the round counter.
 
+    ``features`` is an (n, d) block and ``targets`` its (n, r) codes.
     ``gradient="exact"`` uses the tanh derivative 1 - a^2; ``"sigmoid"``
     uses (1 - a) * a instead (see module docstring).
     """
     if gradient not in GRADIENT_FACTORS:
         raise ValueError(f"gradient must be one of {GRADIENT_FACTORS}")
-    targets = np.asarray(targets, dtype=np.float64)
-    a = _activations(model, batch.features)
-    if targets.shape != a.shape:
-        raise DimensionError(
-            f"targets have shape {targets.shape}, expected {a.shape}")
+    features, a, diff = _residual(model, features, targets)
     if gradient == "exact":
         factor = 1.0 - a * a
     else:
         factor = (1.0 - a) * a
-    n = len(batch)
-    err = (a - targets) * factor
+    n = features.shape[0]
+    err = diff * factor
     with np.errstate(invalid="ignore", over="ignore"):  # guard below reports
-        grad_w = (2.0 / n) * (batch.features.T @ err)
+        grad_w = (2.0 / n) * (features.T @ err)
         grad_b = (2.0 / n) * err.sum(axis=0)
         model.weights -= model.eta * grad_w
         model.bias -= model.eta * grad_b
@@ -153,7 +138,7 @@ def sgd_step(model: HashModel, batch: TrainBatch, targets: np.ndarray,
 def train_stream(model: HashModel, batches, book: HadamardCodebook,
                  reducer: LshReducer, table: TargetCodeTable = None,
                  milestones=(), hook=None, gradient: str = "exact"):
-    """Consume an ordered stream of TrainBatch, one SGD step per batch.
+    """Consume an ordered stream of (features, labels) batches, one SGD step each.
 
     Each batch's labels are resolved to target codes through the codebook
     and reducer (cached in ``table``), then applied with :func:`sgd_step`.
@@ -168,12 +153,12 @@ def train_stream(model: HashModel, batches, book: HadamardCodebook,
     next_ms = 0
     seen = 0
     snapshots = []
-    for batch in batches:
+    for features, labels in batches:
         targets = np.stack(
-            [table.target_for(label, book, reducer) for label in batch.labels]
+            [table.target_for(label, book, reducer) for label in labels]
         ).astype(np.float64)
-        sgd_step(model, batch, targets, gradient=gradient)
-        seen += len(batch)
+        sgd_step(model, features, targets, gradient=gradient)
+        seen += len(labels)
         if next_ms < len(milestones) and seen >= milestones[next_ms]:
             while next_ms < len(milestones) and milestones[next_ms] <= seen:
                 next_ms += 1

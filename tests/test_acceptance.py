@@ -68,11 +68,11 @@ def _fd_gradients(weights, bias, x, target, step=1e-6):
     return grad_w, grad_b
 
 
-def _analytic_gradients(model, batch, target, gradient):
+def _analytic_gradients(model, x, target, gradient):
     probe = model.copy()
     probe.eta = 1.0
     w0, b0 = probe.weights.copy(), probe.bias.copy()
-    hcoh.sgd_step(probe, batch, target, gradient=gradient)
+    hcoh.sgd_step(probe, x, target, gradient=gradient)
     return w0 - probe.weights, b0 - probe.bias
 
 
@@ -84,13 +84,12 @@ def test_c2_gradient_oracle():
         d = int(rng.integers(1, 9))
         r = int(rng.integers(1, 9))
         model = hcoh.init_model(d, r, eta=0.1, seed=int(rng.integers(2**32)))
-        batch = hcoh.TrainBatch(rng.standard_normal((1, d)), [0])
+        x = rng.standard_normal((1, d))
         target = rng.choice([-1.0, 1.0], size=(1, r))
-        fd_w, fd_b = _fd_gradients(model.weights, model.bias,
-                                   batch.features, target)
+        fd_w, fd_b = _fd_gradients(model.weights, model.bias, x, target)
         scale = max(np.linalg.norm(fd_w) + np.linalg.norm(fd_b), 1e-12)
         for which, sink in (("exact", exact_errors), ("sigmoid", sigmoid_errors)):
-            gw, gb = _analytic_gradients(model, batch, target, which)
+            gw, gb = _analytic_gradients(model, x, target, which)
             sink.append((np.linalg.norm(gw - fd_w) + np.linalg.norm(gb - fd_b))
                         / scale)
     elapsed = time.monotonic() - started

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hcoh import pack_bits, save_code_set, save_dense, save_labels
+from hcoh import (Dataset, SplitSpec, derive_seeds, load_dense, load_labels,
+                  pack_bits, save_code_set, save_dense, save_labels, split)
 from hcoh.cli import main
 from hcoh.codec import BinaryCodeSet, hamming, load_code_set
 from tests.conftest import blob_dataset
@@ -138,6 +139,54 @@ class TestEncode:
         assert code == 3
         err = capsys.readouterr().err
         assert "11" in err and "8" in err
+
+
+class TestNonFiniteFeatures:
+    @pytest.fixture()
+    def rows(self, dense_blobs):
+        """Row indices of the (test, retrieval, train) split of train_args."""
+        labels = load_labels(dense_blobs / "blobs.lab")
+        tagged = Dataset(np.arange(labels.size, dtype=float)[:, None], labels)
+        spec = SplitSpec(25, 400, derive_seeds(5).split)
+        return [part.features[:, 0].astype(int) for part in split(tagged, spec)]
+
+    @staticmethod
+    def poisoned(dense_blobs, tmp_path, row, value=np.nan):
+        ds = load_dense(dense_blobs / "blobs.feat", dense_blobs / "blobs.lab")
+        ds.features[row, 3] = value
+        save_dense(tmp_path / "bad.feat", ds.features)
+        return tmp_path / "bad.feat"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_training_row_exit_data_without_output(self, dense_blobs, tmp_path,
+                                                   rows, capsys, value):
+        _test, _retrieval, train = rows
+        feats = self.poisoned(dense_blobs, tmp_path, train[0], value)
+        assert main(train_args(dense_blobs, tmp_path, **{"--features": feats})) == 3
+        assert "'train' holds non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "model.hcoh").exists()
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("part", ["test", "retrieval"])
+    def test_evaluated_row_exit_data_without_output(self, dense_blobs, tmp_path,
+                                                    rows, capsys, part):
+        test, retrieval, train = rows
+        row = test[0] if part == "test" else np.setdiff1d(retrieval, train)[0]
+        feats = self.poisoned(dense_blobs, tmp_path, row)
+        assert main(train_args(dense_blobs, tmp_path, **{"--features": feats})) == 3
+        assert "non-finite pre-activation" in capsys.readouterr().err
+        assert not (tmp_path / "model.hcoh").exists()
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_encode_exit_data_without_output(self, dense_blobs, tmp_path):
+        assert main(train_args(dense_blobs, tmp_path)) == 0
+        out = tmp_path / "x.hcode"
+        code = main(["encode", "--checkpoint", str(tmp_path / "model.hcoh"),
+                     "--features", str(self.poisoned(dense_blobs, tmp_path, 17)),
+                     "--labels", str(dense_blobs / "blobs.lab"),
+                     "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
 
 
 class TestEvaluate:

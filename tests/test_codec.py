@@ -81,6 +81,20 @@ class TestEncode:
         codes = encode(model, np.zeros((3, 3)), labels=[7, 8, 9])
         assert np.array_equal(codes.labels, [7, 8, 9])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        model = init_model(3, 4, eta=0.1, seed=5)
+        feats = np.ones((5, 3))
+        feats[3, 1] = bad
+        with pytest.raises(ValueError, match=r"1 feature rows .*first row 3"):
+            encode(model, feats)
+
+    def test_overflowing_pre_activation_rejected(self):
+        # Finite features; only the second row's product with W overflows.
+        model = HashModel(np.array([[1e308], [1e308]]), np.zeros(1), eta=0.1)
+        with pytest.raises(ValueError, match=r"1 feature rows .*first row 1"):
+            encode(model, np.array([[1.0, -1.0], [1.0, 1.0]]))
+
 
 class TestHamming:
     def test_self_distance_zero(self):

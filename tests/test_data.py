@@ -210,25 +210,34 @@ class TestStream:
         ds = synthetic(n_classes=3, per_class=40)
         batches = list(stream(ds, 1, seed=0))
         assert len(batches) == 120
-        rows = np.vstack([b.features for b in batches])
+        rows = np.vstack([feats for feats, _labels in batches])
         assert {tuple(r) for r in rows} == {tuple(r) for r in ds.features}
 
     def test_concatenation_is_a_permutation(self):
         ds = synthetic(n_classes=3, per_class=10)
         batches = list(stream(ds, 7, seed=3))
-        labels = np.concatenate([b.labels for b in batches])
+        labels = np.concatenate([chunk for _feats, chunk in batches])
         assert sorted(labels) == sorted(ds.labels)
-        assert len(batches[-1]) == 30 - 7 * 4  # final partial chunk
+        last_feats, last_labels = batches[-1]  # the final partial chunk
+        assert len(last_feats) == len(last_labels) == 30 - 7 * 4
 
     def test_same_seed_same_order(self):
         ds = synthetic(n_classes=3, per_class=10)
-        a = np.vstack([b.features for b in stream(ds, 4, seed=9)])
-        b = np.vstack([b.features for b in stream(ds, 4, seed=9)])
+        a = np.vstack([feats for feats, _labels in stream(ds, 4, seed=9)])
+        b = np.vstack([feats for feats, _labels in stream(ds, 4, seed=9)])
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_zero_batch(self):
         with pytest.raises(ConfigError):
             list(stream(synthetic(), 0, seed=0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_before_first_chunk(self, bad):
+        ds = synthetic(n_classes=3, per_class=10)
+        ds.features[17, 2] = bad
+        chunks = stream(ds, 1, seed=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            next(chunks)
 
 
 def test_normalize_rejects_unknown_mode():

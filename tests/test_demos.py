@@ -25,3 +25,4 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("hcoh-demo-*")), "demo left its temp dir"

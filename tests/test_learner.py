@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hcoh import (DimensionError, HadamardCodebook, HashModel, LshReducer,
-                  NumericFailureError, TargetCodeTable, TrainBatch, init_model,
-                  loss, relaxed_codes, sgd_step, train_stream)
+                  NumericFailureError, TargetCodeTable, init_model, loss,
+                  relaxed_codes, sgd_step, train_stream)
 
 
 def reference_loss(weights, bias, features, targets):
@@ -32,12 +32,12 @@ def fd_gradients(weights, bias, features, targets, step=1e-6):
     return grad_w, grad_b
 
 
-def step_gradients(model, batch, targets, gradient="exact"):
+def step_gradients(model, features, targets, gradient="exact"):
     """Recover the analytic gradient from one eta=1 update."""
     probe = model.copy()
     probe.eta = 1.0
     w_before, b_before = probe.weights.copy(), probe.bias.copy()
-    sgd_step(probe, batch, targets, gradient=gradient)
+    sgd_step(probe, features, targets, gradient=gradient)
     return w_before - probe.weights, b_before - probe.bias
 
 
@@ -46,9 +46,9 @@ def random_problem(rng, d_max=8, r_max=8):
     r = int(rng.integers(1, r_max + 1))
     n = int(rng.integers(1, 4))
     model = init_model(d, r, eta=0.1, seed=int(rng.integers(0, 2**32)))
-    batch = TrainBatch(rng.standard_normal((n, d)), rng.integers(0, 3, n))
+    features = rng.standard_normal((n, d))
     targets = rng.choice([-1.0, 1.0], size=(n, r))
-    return model, batch, targets
+    return model, features, targets
 
 
 class TestInitModel:
@@ -97,23 +97,26 @@ class TestLoss:
     def test_zero_model_against_sign_targets_gives_code_length(self):
         r = 7
         model = HashModel(np.zeros((3, r)), np.zeros(r), eta=0.1)
-        batch = TrainBatch(np.ones((2, 3)), [0, 1])
         targets = np.ones((2, r))
-        assert loss(model, batch, targets) == pytest.approx(r)
+        assert loss(model, np.ones((2, 3)), targets) == pytest.approx(r)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            model, batch, targets = random_problem(rng)
-            assert loss(model, batch, targets) >= 0.0
+            model, features, targets = random_problem(rng)
+            assert loss(model, features, targets) >= 0.0
 
     def test_duplicating_the_batch_leaves_loss_unchanged(self):
         rng = np.random.default_rng(6)
-        model, batch, targets = random_problem(rng)
-        doubled = TrainBatch(np.vstack([batch.features, batch.features]),
-                             np.concatenate([batch.labels, batch.labels]))
+        model, features, targets = random_problem(rng)
+        doubled = np.vstack([features, features])
         assert loss(model, doubled, np.vstack([targets, targets])) == pytest.approx(
-            loss(model, batch, targets), rel=1e-12)
+            loss(model, features, targets), rel=1e-12)
+
+    def test_empty_block_rejected(self):
+        model = init_model(3, 2, eta=0.1, seed=0)
+        with pytest.raises(DimensionError, match="at least one"):
+            loss(model, np.zeros((0, 3)), np.zeros((0, 2)))
 
 
 class TestSgdStep:
@@ -121,8 +124,7 @@ class TestSgdStep:
         model = init_model(4, 3, eta=0.1, seed=0)
         model.eta = 0.0
         w, b = model.weights.copy(), model.bias.copy()
-        batch = TrainBatch(np.ones((1, 4)), [0])
-        sgd_step(model, batch, np.ones((1, 3)))
+        sgd_step(model, np.ones((1, 4)), np.ones((1, 3)))
         assert np.array_equal(model.weights, w)
         assert np.array_equal(model.bias, b)
         assert model.round == 1
@@ -131,49 +133,54 @@ class TestSgdStep:
         # d=1, r=1, W=0, b=0, x=1, target=+1, eta=0.5:
         # a=0, factor=1, err=-1, grad_W = grad_b = -2, so W=b=1.0.
         model = HashModel(np.zeros((1, 1)), np.zeros(1), eta=0.5)
-        batch = TrainBatch(np.array([[1.0]]), [0])
-        sgd_step(model, batch, np.array([[1.0]]))
+        sgd_step(model, np.array([[1.0]]), np.array([[1.0]]))
         assert model.weights[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert model.bias[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_small_steps_never_increase_loss(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            model, batch, targets = random_problem(rng)
+            model, features, targets = random_problem(rng)
             model.eta = 1e-4
-            before = loss(model, batch, targets)
-            sgd_step(model, batch, targets)
-            assert loss(model, batch, targets) <= before
+            before = loss(model, features, targets)
+            sgd_step(model, features, targets)
+            assert loss(model, features, targets) <= before
 
     def test_batch_permutation_leaves_update_invariant(self):
         rng = np.random.default_rng(8)
         feats = rng.standard_normal((5, 6))
-        labels = np.arange(5)
         targets = rng.choice([-1.0, 1.0], size=(5, 4))
         perm = rng.permutation(5)
         a = init_model(6, 4, eta=0.3, seed=1)
         b = a.copy()
-        sgd_step(a, TrainBatch(feats, labels), targets)
-        sgd_step(b, TrainBatch(feats[perm], labels[perm]), targets[perm])
+        sgd_step(a, feats, targets)
+        sgd_step(b, feats[perm], targets[perm])
         np.testing.assert_allclose(a.weights, b.weights, atol=1e-12)
         np.testing.assert_allclose(a.bias, b.bias, atol=1e-12)
 
     def test_nonfinite_parameters_abort_with_round_index(self):
         model = HashModel(np.array([[np.inf]]), np.zeros(1), eta=0.1, round=41)
-        batch = TrainBatch(np.array([[1.0]]), [0])
         with pytest.raises(NumericFailureError) as err:
-            sgd_step(model, batch, np.array([[1.0]]))
+            sgd_step(model, np.array([[1.0]]), np.array([[1.0]]))
         assert err.value.round_index == 42
+
+    def test_empty_block_rejected_without_a_step(self):
+        model = init_model(3, 2, eta=0.1, seed=0)
+        w = model.weights.copy()
+        with pytest.raises(DimensionError, match="at least one"):
+            sgd_step(model, np.zeros((0, 3)), np.zeros((0, 2)))
+        assert np.array_equal(model.weights, w)
+        assert model.round == 0
 
 
 class TestGradientOracle:
     def test_exact_factor_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            model, batch, targets = random_problem(rng)
-            grad_w, grad_b = step_gradients(model, batch, targets)
+            model, features, targets = random_problem(rng)
+            grad_w, grad_b = step_gradients(model, features, targets)
             fd_w, fd_b = fd_gradients(model.weights, model.bias,
-                                      batch.features, targets)
+                                      features, targets)
             num = np.linalg.norm(grad_w - fd_w) + np.linalg.norm(grad_b - fd_b)
             den = max(np.linalg.norm(fd_w) + np.linalg.norm(fd_b), 1e-12)
             assert num / den < 1e-5
@@ -182,11 +189,11 @@ class TestGradientOracle:
         rng = np.random.default_rng(12)
         failures = 0
         for _ in range(25):
-            model, batch, targets = random_problem(rng)
-            grad_w, grad_b = step_gradients(model, batch, targets,
+            model, features, targets = random_problem(rng)
+            grad_w, grad_b = step_gradients(model, features, targets,
                                             gradient="sigmoid")
             fd_w, fd_b = fd_gradients(model.weights, model.bias,
-                                      batch.features, targets)
+                                      features, targets)
             num = np.linalg.norm(grad_w - fd_w) + np.linalg.norm(grad_b - fd_b)
             den = max(np.linalg.norm(fd_w) + np.linalg.norm(fd_b), 1e-12)
             if num / den > 1e-3:
@@ -213,7 +220,7 @@ class TestTrainStream:
         book, reducer = self._handles()
         model = init_model(5, 8, eta=0.2, seed=0)
         rng = np.random.default_rng(0)
-        batches = [TrainBatch(rng.standard_normal((1, 5)), [int(rng.integers(4))])
+        batches = [(rng.standard_normal((1, 5)), [int(rng.integers(4))])
                    for _ in range(37)]
         final, _ = train_stream(model, batches, book, reducer)
         assert final.round == 37
@@ -226,8 +233,7 @@ class TestTrainStream:
         def run():
             book, reducer = self._handles()
             model = init_model(5, 8, eta=0.2, seed=0)
-            batches = [TrainBatch(feats[i:i + 1], labels[i:i + 1])
-                       for i in range(50)]
+            batches = [(feats[i:i + 1], labels[i:i + 1]) for i in range(50)]
             final, _ = train_stream(model, batches, book, reducer)
             return final
 
@@ -237,7 +243,7 @@ class TestTrainStream:
         book, reducer = self._handles()
         model = init_model(3, 8, eta=0.2, seed=0)
         rng = np.random.default_rng(2)
-        batches = [TrainBatch(rng.standard_normal((3, 3)), rng.integers(0, 4, 3))
+        batches = [(rng.standard_normal((3, 3)), rng.integers(0, 4, 3))
                    for _ in range(10)]  # 30 instances in steps of 3
         seen_at = []
         final, snaps = train_stream(model, batches, book, reducer,
@@ -252,7 +258,7 @@ class TestTrainStream:
         book = HadamardCodebook.create(2, seed=0)
         reducer = LshReducer.create(2, 2, seed=0)
         model = init_model(3, 2, eta=0.2, seed=0)
-        batches = [TrainBatch(np.ones((1, 3)), [label]) for label in range(3)]
+        batches = [(np.ones((1, 3)), [label]) for label in range(3)]
         from hcoh import CodebookExhaustedError
         with pytest.raises(CodebookExhaustedError):
             train_stream(model, batches, book, reducer)
