@@ -28,16 +28,16 @@ batches = ((features[i:i + 1], labels[i:i + 1]) for i in range(1500))
 probe_features, probe_labels = features[1500:], labels[1500:]
 
 
-def report(seen, snapshot):
+def report(seen, current):
     targets = np.stack([table.target_for(y, book, reducer)
                         for y in probe_labels])
     print(f"  after {seen:>5} instances: held-out loss "
-          f"{loss(snapshot, probe_features, targets):8.3f}")
+          f"{loss(current, probe_features, targets):8.3f}")
 
 
 print("streaming 1500 single-instance rounds:")
-model, _ = train_stream(model, batches, book, reducer, table,
-                        milestones=(1, 50, 250, 750, 1500), hook=report)
+model = train_stream(model, batches, book, reducer, table,
+                     milestones=(1, 50, 250, 750, 1500), hook=report)
 
 # Hash the held-out instances and retrieve against them.
 codes = encode(model, probe_features, probe_labels)

@@ -15,7 +15,7 @@ from .data import (Dataset, SplitSpec, load_dense, load_idx, load_labels,
 from .errors import (CodebookExhaustedError, ConfigError, DimensionError,
                      FormatError, HcohError, InvalidOrderError,
                      NumericFailureError, UndefinedAPError, UnknownLabelError)
-from .evaluation import (EvalReport, MapCurve, average_precision, evaluate,
+from .evaluation import (EvalReport, average_precision, evaluate,
                          map_curve_auc, precision_at_k, rank)
 from .hadamard import HadamardCodebook, build_hadamard, codeword_order
 from .learner import (HashModel, init_model, loss, relaxed_codes, sgd_step,

@@ -2,9 +2,7 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error (missing or
 malformed files, mismatched shapes), 4 numeric failure during training.
-Metric streams are JSON lines; tables go to stdout.  The environment
-variable HCOH_NUM_THREADS caps evaluation parallelism (default 1,
-sequential).
+Metric streams are JSON lines; tables go to stdout.
 """
 
 import argparse
@@ -35,14 +33,6 @@ MNIST_FILES = {
     "test_images": "t10k-images-idx3-ubyte",
     "test_labels": "t10k-labels-idx1-ubyte",
 }
-
-
-def _n_threads() -> int:
-    raw = os.environ.get("HCOH_NUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"HCOH_NUM_THREADS must be an integer, got {raw!r}")
 
 
 def _find_mnist_file(directory: Path, stem: str) -> Path:
@@ -94,7 +84,6 @@ def _config_from_args(args, repeat: int = 0) -> RunConfig:
         test_per_class=args.test_per_class, train_subset=args.train_size,
         k_prec=args.k_prec, k_map=args.k_map,
         gradient="sigmoid" if args.paper_gradient else "exact",
-        n_threads=_n_threads(),
     ).validate()
 
 
@@ -157,8 +146,7 @@ def _cmd_encode(args) -> int:
 def _cmd_evaluate(args) -> int:
     queries = codec.load_code_set(args.queries)
     database = codec.load_code_set(args.database)
-    report = evaluate(queries, database, k_prec=args.k_prec, k_map=args.k_map,
-                      n_threads=_n_threads())
+    report = evaluate(queries, database, k_prec=args.k_prec, k_map=args.k_map)
     record = report.to_record()
     print(json.dumps(record, sort_keys=True))
     print(f"{'metric':<18}{'value':>10}")

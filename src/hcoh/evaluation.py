@@ -20,11 +20,12 @@ sort, linear in the database size, and being stable it keeps the tie
 rule: by distance, then by database index.  Each query's row of that
 ranking is then scored by :func:`average_precision` and
 :func:`precision_at_k`; only full AP gathers the whole ranked relevance
-list, the cut-off metrics gather their top K.
+list, the cut-off metrics gather their top K.  Blocks run one after
+another in the calling thread, and per-query results stay in query
+order, so each mean is reduced over the same array for any block size.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,31 +109,9 @@ class EvalReport:
         return rec
 
 
-def _score_chunk(queries, database, lo, hi, k_prec, k_map,
-                 ap_full, ap_cut, prec, scored):
-    distances = _hamming_distances(queries.words[lo:hi], database.words,
-                                   database.length)
-    rankings = np.argsort(distances, axis=1, kind="stable")
-    for row, qi in enumerate(range(lo, hi)):
-        relevance = database.labels == queries.labels[qi]
-        if not relevance.any():
-            continue
-        scored[qi] = True
-        ap_full[qi] = average_precision(rankings[row], relevance)
-        if k_map is not None:
-            ap_cut[qi] = average_precision(rankings[row], relevance,
-                                           cutoff=k_map)
-        prec[qi] = precision_at_k(rankings[row], relevance, k_prec)
-
-
 def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
-             k_map: int = None, n_threads: int = 1) -> EvalReport:
-    """Score every query against the database; aggregate means.
-
-    ``n_threads`` > 1 ranks query chunks on a thread pool; per-query
-    results land in preallocated slots, so the report is identical
-    whatever the execution order.
-    """
+             k_map: int = None) -> EvalReport:
+    """Score every query against the database; aggregate means."""
     if queries.length != database.length:
         raise DimensionError(
             f"code lengths differ: queries {queries.length}, "
@@ -147,19 +126,25 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
     prec = np.zeros(n_q)
     scored = np.zeros(n_q, dtype=bool)
 
-    bounds = [(lo, min(lo + _QUERY_CHUNK, n_q))
-              for lo in range(0, n_q, _QUERY_CHUNK)]
-    args = (queries, database)
-    out = (ap_full, ap_cut, prec, scored)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [pool.submit(_score_chunk, *args, lo, hi, k_prec, k_map, *out)
-                       for lo, hi in bounds]
-            for fut in futures:
-                fut.result()
-    else:
-        for lo, hi in bounds:
-            _score_chunk(*args, lo, hi, k_prec, k_map, *out)
+    for lo in range(0, n_q, _QUERY_CHUNK):
+        hi = min(lo + _QUERY_CHUNK, n_q)
+        rankings = np.argsort(
+            _hamming_distances(queries.words[lo:hi], database.words,
+                               database.length),
+            axis=1, kind="stable")
+        for row, qi in enumerate(range(lo, hi)):
+            relevance = database.labels == queries.labels[qi]
+            if not relevance.any():
+                continue
+            scored[qi] = True
+            ap_full[qi] = average_precision(rankings[row], relevance)
+            if k_map is not None:
+                ap_cut[qi] = average_precision(rankings[row], relevance,
+                                               cutoff=k_map)
+            prec[qi] = precision_at_k(rankings[row], relevance, k_prec)
+        # Free this block's int64 rankings (64 x n) before the next block
+        # allocates its own, so only one block is held at a time.
+        del rankings
 
     n_scored = int(scored.sum())
     if n_scored == 0:
@@ -177,17 +162,6 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
         report.map_at_k = float(ap_cut[scored].mean())
         report.k_map = k_map
     return report
-
-
-@dataclass
-class MapCurve:
-    """mAP sampled at increasing training-instance counts, plus its AUC."""
-
-    points: list
-    auc: float = field(init=False)
-
-    def __post_init__(self):
-        self.auc = map_curve_auc(self.points)
 
 
 def map_curve_auc(points) -> float:

@@ -137,33 +137,31 @@ def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
 
 def train_stream(model: HashModel, batches, book: HadamardCodebook,
                  reducer: LshReducer, table: TargetCodeTable = None,
-                 milestones=(), hook=None, gradient: str = "exact"):
+                 milestones=(), hook=None, gradient: str = "exact") -> HashModel:
     """Consume an ordered stream of (features, labels) batches, one SGD step each.
 
     Each batch's labels are resolved to target codes through the codebook
     and reducer (cached in ``table``), then applied with :func:`sgd_step`.
-    Whenever the cumulative instance count crosses the next milestone a
-    snapshot (instances_seen, model copy) is recorded and, if given,
-    ``hook(instances_seen, snapshot)`` is invoked.  Returns the final
-    model and the list of snapshots.
+    Whenever the cumulative instance count crosses the next milestone,
+    ``hook(instances_seen, model)`` is called, if given, with the live
+    model; a hook that keeps the model past its call must copy it.
+    Returns the trained model, which is ``model`` updated in place.
     """
     if table is None:
         table = TargetCodeTable(out_dim=model.code_length)
     milestones = sorted(int(m) for m in milestones)
     next_ms = 0
     seen = 0
-    snapshots = []
     for features, labels in batches:
-        targets = np.stack(
-            [table.target_for(label, book, reducer) for label in labels]
-        ).astype(np.float64)
+        # np.array, unlike np.stack, lets an empty batch reach sgd_step.
+        targets = np.array(
+            [table.target_for(label, book, reducer) for label in labels],
+            dtype=np.float64)
         sgd_step(model, features, targets, gradient=gradient)
         seen += len(labels)
         if next_ms < len(milestones) and seen >= milestones[next_ms]:
             while next_ms < len(milestones) and milestones[next_ms] <= seen:
                 next_ms += 1
-            snap = model.copy()
-            snapshots.append((seen, snap))
             if hook is not None:
-                hook(seen, snap)
-    return model, snapshots
+                hook(seen, model)
+    return model

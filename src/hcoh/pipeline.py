@@ -54,7 +54,6 @@ class RunConfig:
     k_prec: int = 500
     k_map: int = None
     gradient: str = "exact"
-    n_threads: int = 1
 
     def validate(self):
         if self.bits < 1:
@@ -106,13 +105,17 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
 
     Emits one checkpoint record per milestone crossing (plus a final one
     when the stream ends past the last milestone) and a closing summary
-    record carrying the curve AUC.
+    record carrying the curve AUC.  Raises ConfigError before any
+    training when ``k_prec`` exceeds the retrieval set.
     """
     config.validate()
     seeds = derive_seeds(config.seed, config.repeat)
     test, retrieval, train = split(
         dataset, SplitSpec(config.test_per_class, config.train_subset,
                            seeds.split))
+    if config.k_prec > len(retrieval):
+        raise ConfigError(
+            f"k_prec {config.k_prec} exceeds retrieval size {len(retrieval)}")
     order = codeword_order(config.bits, config.max_labels)
     book = HadamardCodebook.create(order, seeds.codebook)
     reducer = LshReducer.create(order, config.bits, seeds.reducer)
@@ -124,11 +127,11 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
 
     records = []
 
-    def check_in(instances_seen, snapshot):
-        queries = encode(snapshot, test.features, test.labels)
-        database = encode(snapshot, retrieval.features, retrieval.labels)
+    def check_in(instances_seen, model):
+        queries = encode(model, test.features, test.labels)
+        database = encode(model, retrieval.features, retrieval.labels)
         report = evaluate(queries, database, k_prec=config.k_prec,
-                          k_map=config.k_map, n_threads=config.n_threads)
+                          k_map=config.k_map)
         records.append({"record": "checkpoint",
                         "instances_seen": instances_seen,
                         **report.to_record()})
@@ -136,9 +139,9 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
                  report.map, config.k_prec, report.precision_at_k)
 
     batches = stream(train, config.batch_size, seeds.stream)
-    model, _ = train_stream(model, batches, book, reducer, table,
-                            milestones=config.milestones, hook=check_in,
-                            gradient=config.gradient)
+    train_stream(model, batches, book, reducer, table,
+                 milestones=config.milestones, hook=check_in,
+                 gradient=config.gradient)
     if not records or records[-1]["instances_seen"] < len(train):
         check_in(len(train), model)
 

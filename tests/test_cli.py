@@ -88,6 +88,15 @@ class TestTrain:
         assert code == 2
         assert "exceeds the cap" in capsys.readouterr().err
 
+    def test_oversized_k_prec_exit_config_without_output(self, dense_blobs,
+                                                         tmp_path, capsys):
+        # 600 items less 25 test items per class leave 500 to retrieve.
+        code = main(train_args(dense_blobs, tmp_path, **{"--k-prec": "501"}))
+        assert code == 2
+        assert "k_prec 501 exceeds retrieval size 500" in capsys.readouterr().err
+        assert not (tmp_path / "model.hcoh").exists()
+        assert not (tmp_path / "metrics.jsonl").exists()
+
     def test_missing_feature_file_exit_data(self, dense_blobs, tmp_path):
         code = main(train_args(dense_blobs, tmp_path,
                                **{"--features": str(tmp_path / "nope.feat")}))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hcoh import (BinaryCodeSet, DimensionError, MapCurve, UndefinedAPError,
+from hcoh import (BinaryCodeSet, DimensionError, UndefinedAPError,
                   average_precision, evaluate, map_curve_auc, pack_bits,
                   precision_at_k, rank)
 
@@ -205,18 +205,6 @@ class TestEvaluate:
             maps.append(evaluate(queries, database, k_prec=100).map)
         assert all(0.08 <= m <= 0.13 for m in maps)
 
-    def test_threaded_evaluation_is_identical(self):
-        rng = np.random.default_rng(6)
-        for r in (24, 300):
-            database, _ = random_set(rng, 300, r, n_classes=4)
-            queries, _ = random_set(rng, 150, r, n_classes=4)
-            seq = evaluate(queries, database, k_prec=20, k_map=50, n_threads=1)
-            par = evaluate(queries, database, k_prec=20, k_map=50, n_threads=4)
-            assert np.array_equal(seq.per_query_ap, par.per_query_ap)
-            assert seq.map == par.map
-            assert seq.precision_at_k == par.precision_at_k
-            assert seq.map_at_k == par.map_at_k
-
     def test_non_positive_map_cutoff_rejected(self):
         code_set = make_set([[0, 1], [1, 1]], [0, 0])
         with pytest.raises(ValueError, match="k_map"):
@@ -240,22 +228,27 @@ class TestRankingKernel:
     """Chunked radix ranking in ``evaluate`` against the brute-force oracle.
 
     The lengths straddle the one-word/two-word and the uint8/uint16
-    distance-dtype boundaries; 70 queries make two query chunks.
+    distance-dtype boundaries; 70 queries make two query chunks, and
+    150 make three, the last one ragged.
     """
 
-    @pytest.mark.parametrize("k_map", [None, 9])
-    @pytest.mark.parametrize("r", [1, 63, 64, 65, 255, 256, 300])
-    def test_matches_oracle(self, r, k_map):
+    CASES = ([(r, k_map, 70, 120) for k_map in (None, 9)
+              for r in (1, 63, 64, 65, 255, 256, 300)]
+             + [(300, 50, 150, 300)])
+
+    @pytest.mark.parametrize("r, k_map, n_q, n_db", CASES,
+                             ids=[f"{c[0]}-{c[1]}" for c in CASES])
+    def test_matches_oracle(self, r, k_map, n_q, n_db):
         rng = np.random.default_rng(r)
-        db_bits = clustered_bits(rng, 120, r, pool=6)
-        q_bits = clustered_bits(rng, 70, r, pool=6)
-        db_labels = rng.integers(0, 3, 120)
-        q_labels = rng.integers(0, 4, 70)  # label 3 has no relevant item
+        db_bits = clustered_bits(rng, n_db, r, pool=6)
+        q_bits = clustered_bits(rng, n_q, r, pool=6)
+        db_labels = rng.integers(0, 3, n_db)
+        q_labels = rng.integers(0, 4, n_q)  # label 3 has no relevant item
         database, queries = make_set(db_bits, db_labels), make_set(q_bits, q_labels)
         report = evaluate(queries, database, k_prec=15, k_map=k_map)
 
         expected = oracle_scores(q_bits, q_labels, db_bits, db_labels, 15, k_map)
-        assert report.n_skipped == 70 - len(expected)
+        assert report.n_skipped == n_q - len(expected)
         np.testing.assert_allclose(report.per_query_ap,
                                    [e[0] for e in expected], rtol=0, atol=1e-12)
         assert report.precision_at_k == pytest.approx(
@@ -268,7 +261,7 @@ class TestRankingKernel:
         # Bit-identical to the per-query reference functions.
         per_query = [average_precision(rank(queries.code(qi), database),
                                        db_labels == q_labels[qi])
-                     for qi in range(70) if (db_labels == q_labels[qi]).any()]
+                     for qi in range(n_q) if (db_labels == q_labels[qi]).any()]
         assert np.array_equal(report.per_query_ap, per_query)
 
     def test_all_tied_database_ranks_by_index(self):
@@ -307,7 +300,3 @@ class TestMapCurveAuc:
     def test_non_increasing_x_rejected(self):
         with pytest.raises(ValueError):
             map_curve_auc([(0, 0.1), (0, 0.2)])
-
-    def test_map_curve_carries_auc(self):
-        curve = MapCurve([(0, 0.0), (10, 1.0)])
-        assert curve.auc == pytest.approx(0.5)

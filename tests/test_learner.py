@@ -211,10 +211,16 @@ class TestTrainStream:
         book, reducer = self._handles()
         model = init_model(5, 8, eta=0.2, seed=0)
         w = model.weights.copy()
-        final, snaps = train_stream(model, [], book, reducer)
+        final = train_stream(model, [], book, reducer)
         assert np.array_equal(final.weights, w)
         assert final.round == 0
-        assert snaps == []
+
+    def test_empty_batch_rejected_without_a_step(self):
+        book, reducer = self._handles()
+        model = init_model(5, 8, eta=0.2, seed=0)
+        with pytest.raises(DimensionError, match="at least one feature row"):
+            train_stream(model, [(np.zeros((0, 5)), [])], book, reducer)
+        assert model.round == 0
 
     def test_round_counts_batches(self):
         book, reducer = self._handles()
@@ -222,7 +228,7 @@ class TestTrainStream:
         rng = np.random.default_rng(0)
         batches = [(rng.standard_normal((1, 5)), [int(rng.integers(4))])
                    for _ in range(37)]
-        final, _ = train_stream(model, batches, book, reducer)
+        final = train_stream(model, batches, book, reducer)
         assert final.round == 37
 
     def test_repeat_run_is_bitwise_identical(self):
@@ -234,8 +240,7 @@ class TestTrainStream:
             book, reducer = self._handles()
             model = init_model(5, 8, eta=0.2, seed=0)
             batches = [(feats[i:i + 1], labels[i:i + 1]) for i in range(50)]
-            final, _ = train_stream(model, batches, book, reducer)
-            return final
+            return train_stream(model, batches, book, reducer)
 
         assert np.array_equal(run().weights, run().weights)
 
@@ -245,14 +250,14 @@ class TestTrainStream:
         rng = np.random.default_rng(2)
         batches = [(rng.standard_normal((3, 3)), rng.integers(0, 4, 3))
                    for _ in range(10)]  # 30 instances in steps of 3
-        seen_at = []
-        final, snaps = train_stream(model, batches, book, reducer,
-                                    milestones=(5, 12, 30),
-                                    hook=lambda seen, m: seen_at.append(seen))
-        assert seen_at == [6, 12, 30]
-        assert [s for s, _ in snaps] == [6, 12, 30]
-        # snapshots are frozen copies, not views of the live model
-        assert snaps[0][1].round < final.round
+        calls = []
+        final = train_stream(model, batches, book, reducer,
+                             milestones=(5, 12, 30),
+                             hook=lambda seen, m: calls.append((seen, m, m.round)))
+        assert [seen for seen, _, _ in calls] == [6, 12, 30]
+        # the hook sees the live model, as it stands at each crossing
+        assert [rnd for _, _, rnd in calls] == [2, 4, 10]
+        assert all(m is final for _, m, _ in calls)
 
     def test_propagates_codebook_exhaustion(self):
         book = HadamardCodebook.create(2, seed=0)

@@ -3,7 +3,7 @@ import pytest
 
 from hcoh import (ConfigError, Dataset, FormatError, RunConfig, derive_seeds,
                   run_repeats, run_training)
-from hcoh import pipeline
+from hcoh import learner, pipeline
 from tests.conftest import blob_dataset
 
 
@@ -58,6 +58,20 @@ class TestRunTraining:
         with pytest.raises(FormatError, match="label -5"):
             run_training(Dataset(blobs.features, labels, "bad"), blob_config())
         assert calls == []
+
+    def test_oversized_k_prec_rejected_before_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(learner, "sgd_step",
+                            lambda *args, **kwargs: calls.append(args))
+        config = blob_config(train_subset=2000, k_prec=5000)
+        with pytest.raises(ConfigError, match="k_prec 5000 exceeds retrieval "
+                                               "size 2200"):
+            run_training(blob_dataset(seed=11), config)
+        assert calls == []
+
+    def test_k_prec_equal_to_retrieval_size_accepted(self, blobs):
+        result = run_training(blobs, blob_config(train_subset=100, k_prec=2200))
+        assert result.records[-1]["k_prec"] == 2200
 
     def test_learns_separable_blobs(self, blobs):
         result = run_training(blobs, blob_config(milestones=(250, 500, 1000)))
