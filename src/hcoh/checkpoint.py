@@ -21,7 +21,9 @@ Neither the codebook matrix nor the projection is stored.  The codebook
 is rebuilt from (order, seed) and computes each column on demand; its
 seed fixes the column draw order, and ``HadamardCodebook.restore``
 accepts the recorded assignment only if it holds exactly the first k
-draws.  The projection is regenerated from (dims, seed).  This keeps
+draws.  W and b must be finite: ``sgd_step`` checks only the rows of W a
+sparse step touches, so a non-finite weight read from a file would pass
+unnoticed.  The projection is regenerated from (dims, seed).  This keeps
 checkpoints small and loads deterministic.  Writes go to a temp file
 followed by an atomic rename, so a crashed run never leaves a partial
 checkpoint behind.
@@ -90,6 +92,8 @@ def load_checkpoint(path):
     off += d * r * 8
     bias = np.frombuffer(data, dtype="<f8", count=r, offset=off)
     off += r * 8
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise FormatError(f"{path}: non-finite weights or bias")
     order, book_seed = struct.unpack_from("<IQ", data, off); off += 12
     n_assigned, = struct.unpack_from("<I", data, off); off += 4
     need = off + n_assigned * 8 + 17

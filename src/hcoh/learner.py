@@ -26,6 +26,17 @@ so repeating every row of a block the same number of times changes
 nothing and row order within a block never matters.  Feature values are
 not checked for finiteness here: ``data.stream`` checks the training
 rows once, and a non-finite update still stops with NumericFailureError.
+
+A one-row step on a row with fewer non-zero than zero entries (pixel
+rows are mostly zeros) updates only the rows of W that the non-zero
+features select: grad_W is exactly zero on every other row.  Each
+updated entry is computed as x_i * e_j, then scaled by 2/n, then by eta,
+then subtracted, the same operations the dense x.T @ E update performs
+with an inner dimension of one, so both paths give bit-identical
+parameters.  The finiteness guard then checks only those rows of W, plus
+b; the untouched rows are finite because W is finite when a step starts
+(``init_model`` draws it and ``load_checkpoint`` rejects a non-finite
+one).
 """
 
 from dataclasses import dataclass
@@ -112,6 +123,13 @@ def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
     ``features`` is an (n, d) block and ``targets`` its (n, r) codes.
     ``gradient="exact"`` uses the tanh derivative 1 - a^2; ``"sigmoid"``
     uses (1 - a) * a instead (see module docstring).
+
+    A single row with fewer than d/2 non-zero features takes the sparse
+    path: only the rows of W at its non-zero features are updated and
+    checked.  Every other block takes the dense path, which updates and
+    checks all of W.  Both paths check b and give bit-identical results.
+    Raises NumericFailureError, carrying the new round index, when a
+    checked parameter is not finite after the update.
     """
     if gradient not in GRADIENT_FACTORS:
         raise ValueError(f"gradient must be one of {GRADIENT_FACTORS}")
@@ -120,15 +138,22 @@ def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
         factor = 1.0 - a * a
     else:
         factor = (1.0 - a) * a
-    n = features.shape[0]
+    n, d = features.shape
     err = diff * factor
+    x = features[0]
+    sparse = n == 1 and 2 * np.count_nonzero(x) < d
     with np.errstate(invalid="ignore", over="ignore"):  # guard below reports
-        grad_w = (2.0 / n) * (features.T @ err)
-        grad_b = (2.0 / n) * err.sum(axis=0)
-        model.weights -= model.eta * grad_w
-        model.bias -= model.eta * grad_b
+        if sparse:
+            nz = np.flatnonzero(x)
+            touched = model.weights[nz]
+            touched -= model.eta * ((2.0 / n) * (x[nz, None] * err))
+            model.weights[nz] = touched
+        else:
+            model.weights -= model.eta * ((2.0 / n) * (features.T @ err))
+            touched = model.weights
+        model.bias -= model.eta * ((2.0 / n) * err.sum(axis=0))
     model.round += 1
-    if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+    if not (np.isfinite(touched).all() and np.isfinite(model.bias).all()):
         raise NumericFailureError(
             f"non-finite parameters after update at round {model.round}",
             round_index=model.round)

@@ -15,7 +15,7 @@ configuration.
 
 import logging
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class TrainResult:
     book: object
     reducer: object
     seeds: Seeds
-    curve: list = field(default_factory=list)
 
 
 def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
@@ -156,7 +155,7 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
                "repeat": config.repeat, "codeword_order": order,
                "reducer": "identity" if reducer.is_identity else "gaussian"}
     return TrainResult(records=records, summary=summary, model=model,
-                       book=book, reducer=reducer, seeds=seeds, curve=curve)
+                       book=book, reducer=reducer, seeds=seeds)
 
 
 def run_repeats(dataset: Dataset, config: RunConfig, repeats: int):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcoh import Dataset
+from hcoh import Dataset, NumericFailureError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,3 +52,47 @@ def blob_dataset(n_classes=4, dim=16, per_class=600, spread=5.0, noise=1.0,
 @pytest.fixture
 def blobs():
     return blob_dataset()
+
+
+def sparse_pixel_dataset(n_classes=4, side=28, per_class=300, seed=13,
+                         name="sparse-pixels"):
+    """MNIST-shaped rows: side*side pixels, about 82% zeros, values k/255.
+
+    Each class has a fixed fifth of the pixels; a row lights each of its
+    class's pixels with probability 0.3 and each other pixel with 0.15,
+    so the classes overlap and mAP still climbs over a 1,000-row stream.
+    """
+    rng = np.random.default_rng(seed)
+    dim = side * side
+    masks = rng.random((n_classes, dim)) < 0.2
+    labels = np.repeat(np.arange(n_classes), per_class)
+    lit = np.where(masks[labels], rng.random((len(labels), dim)) < 0.3,
+                   rng.random((len(labels), dim)) < 0.15)
+    pixels = rng.integers(1, 256, size=lit.shape) * lit
+    return Dataset(pixels / 255.0, labels, name)
+
+
+@pytest.fixture
+def sparse_pixels():
+    return sparse_pixel_dataset()
+
+
+def dense_sgd_step(model, features, targets, gradient="exact"):
+    """The dense update W - eta*((2/n)*(x.T @ e)), restated as an oracle.
+
+    Same signature and in-place effect as ``hcoh.sgd_step``, but it
+    always updates and checks every entry of W.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    a = np.tanh(features @ model.weights + model.bias)
+    factor = 1.0 - a * a if gradient == "exact" else (1.0 - a) * a
+    err = (a - targets) * factor
+    n = features.shape[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        model.weights -= model.eta * ((2.0 / n) * (features.T @ err))
+        model.bias -= model.eta * ((2.0 / n) * err.sum(axis=0))
+    model.round += 1
+    if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+        raise NumericFailureError("non-finite parameters",
+                                  round_index=model.round)
+    return model

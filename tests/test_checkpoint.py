@@ -89,6 +89,19 @@ class TestCorruption:
         with pytest.raises(InvalidOrderError, match="first 3 draws"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("what, value", [("weight", np.nan),
+                                             ("bias", np.inf)])
+    def test_non_finite_parameter_rejected(self, tmp_path, what, value):
+        model, book, reducer = make_state()
+        if what == "weight":
+            model.weights[3, 5] = value
+        else:
+            model.bias[2] = value
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, model, book, reducer)
+        with pytest.raises(FormatError, match="model.hcoh: non-finite"):
+            load_checkpoint(path)
+
     def test_no_partial_file_left_on_failed_write(self, tmp_path):
         model, book, reducer = make_state()
         target = tmp_path / "sub" / "model.hcoh"  # parent does not exist

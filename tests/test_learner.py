@@ -4,6 +4,7 @@ import pytest
 from hcoh import (DimensionError, HadamardCodebook, HashModel, LshReducer,
                   NumericFailureError, TargetCodeTable, init_model, loss,
                   relaxed_codes, sgd_step, train_stream)
+from tests.conftest import dense_sgd_step
 
 
 def reference_loss(weights, bias, features, targets):
@@ -171,6 +172,79 @@ class TestSgdStep:
             sgd_step(model, np.zeros((0, 3)), np.zeros((0, 2)))
         assert np.array_equal(model.weights, w)
         assert model.round == 0
+
+
+def pixel_rows(rng, n, d=784, density=0.25):
+    """(n, d) rows of k/255 values with about ``density`` of them non-zero."""
+    lit = rng.random((n, d)) < density
+    return rng.integers(1, 256, size=(n, d)) * lit / 255.0
+
+
+class TestSparseStep:
+    """One-row steps on mostly-zero rows update only the rows of W they touch."""
+
+    @pytest.mark.parametrize("gradient", ["exact", "sigmoid"])
+    @pytest.mark.parametrize("r", [32, 128])
+    def test_matches_dense_reference_every_step(self, r, gradient):
+        rng = np.random.default_rng(r)
+        rows = pixel_rows(rng, 1000)
+        assert ((rows != 0).sum(axis=1) * 2 < rows.shape[1]).all()
+        codes = rng.choice([-1.0, 1.0], size=(10, r))
+        model = init_model(rows.shape[1], r, eta=0.2, seed=r + 1)
+        reference = model.copy()
+        for i, label in enumerate(rng.integers(0, 10, len(rows))):
+            x, t = rows[i:i + 1], codes[label:label + 1]
+            sgd_step(model, x, t, gradient=gradient)
+            dense_sgd_step(reference, x, t, gradient=gradient)
+            assert np.array_equal(model.weights, reference.weights), i
+            assert np.array_equal(model.bias, reference.bias), i
+        assert model.round == reference.round == len(rows)
+
+    def test_all_zero_row_moves_only_the_bias(self):
+        model = init_model(20, 8, eta=0.2, seed=0)
+        w, b = model.weights.tobytes(), model.bias.copy()
+        sgd_step(model, np.zeros((1, 20)), np.ones((1, 8)))
+        assert model.weights.tobytes() == w
+        assert not np.array_equal(model.bias, b)
+        assert model.round == 1
+
+    def test_touched_row_overflow_aborts_with_round_index(self):
+        # x has one lit pixel of 4.0 and e = -1 in every bit: the W update
+        # eta * 2 * 4 overflows, the bias update eta * 2 does not.
+        model = HashModel(np.zeros((6, 3)), np.zeros(3), eta=5e307, round=41)
+        x = np.zeros((1, 6))
+        x[0, 2] = 4.0
+        with pytest.raises(NumericFailureError) as err:
+            sgd_step(model, x, np.ones((1, 3)))
+        assert err.value.round_index == 42
+        assert np.isfinite(model.bias).all()
+
+    @pytest.mark.parametrize("lit, untouched_kept", [(2, True), (3, False)])
+    def test_path_rule_is_fewer_than_half_non_zero(self, lit, untouched_kept):
+        # An infinite rate makes the dense update eta * 0 = NaN on the rows
+        # a zero feature selects; the sparse update never computes them.
+        model = init_model(6, 3, eta=np.inf, seed=0)
+        before = model.weights.copy()
+        x = np.zeros((1, 6))
+        x[0, :lit] = 0.5
+        with pytest.raises(NumericFailureError):
+            sgd_step(model, x, np.ones((1, 3)))
+        kept = np.array_equal(model.weights[lit:], before[lit:])
+        assert kept == untouched_kept
+
+    @pytest.mark.parametrize("gradient", ["exact", "sigmoid"])
+    @pytest.mark.parametrize("n, density", [(1, 1.0), (1, 0.75), (7, 0.25)])
+    def test_dense_rows_and_blocks_match_reference(self, n, density, gradient):
+        rng = np.random.default_rng(n)
+        model = init_model(784, 32, eta=0.2, seed=5)
+        reference = model.copy()
+        for _ in range(50):
+            x = pixel_rows(rng, n, density=density)
+            t = rng.choice([-1.0, 1.0], size=(n, 32))
+            sgd_step(model, x, t, gradient=gradient)
+            dense_sgd_step(reference, x, t, gradient=gradient)
+            assert np.array_equal(model.weights, reference.weights)
+            assert np.array_equal(model.bias, reference.bias)
 
 
 class TestGradientOracle:

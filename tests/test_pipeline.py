@@ -4,7 +4,7 @@ import pytest
 from hcoh import (ConfigError, Dataset, FormatError, RunConfig, derive_seeds,
                   run_repeats, run_training)
 from hcoh import learner, pipeline
-from tests.conftest import blob_dataset
+from tests.conftest import blob_dataset, dense_sgd_step
 
 
 def blob_config(**overrides):
@@ -118,6 +118,23 @@ class TestRunTraining:
         result = run_training(blobs, blob_config(k_map=50))
         assert result.records[-1]["k_map"] == 50
         assert 0.0 <= result.records[-1]["map_at_k"] <= 1.0
+
+
+    @pytest.mark.parametrize("gradient", ["exact", "sigmoid"])
+    def test_sparse_rows_match_dense_update_bytes(self, sparse_pixels,
+                                                  monkeypatch, gradient):
+        features = sparse_pixels.features
+        assert ((features != 0).sum(axis=1) * 2 < features.shape[1]).all()
+        config = blob_config(bits=32, milestones=(250, 500, 1000),
+                             gradient=gradient)
+        sparse = run_training(sparse_pixels, config)
+        monkeypatch.setattr(learner, "sgd_step", dense_sgd_step)
+        dense = run_training(sparse_pixels, config)
+        assert sparse.records == dense.records
+        assert sparse.summary == dense.summary
+        assert sparse.model.weights.tobytes() == dense.model.weights.tobytes()
+        assert sparse.model.bias.tobytes() == dense.model.bias.tobytes()
+        assert sparse.model.round == dense.model.round == 1000
 
 
 class TestRunRepeats:
