@@ -11,7 +11,8 @@ from .codec import (BinaryCode, BinaryCodeSet, encode, hamming,
                     hamming_to_set, load_code_set, pack_bits, save_code_set,
                     unpack_bits)
 from .data import (Dataset, SplitSpec, load_dense, load_idx, load_labels,
-                   normalize, save_dense, save_labels, split, stream)
+                   normalize, save_dense, save_labels, split, split_indices,
+                   stream)
 from .errors import (CodebookExhaustedError, ConfigError, DimensionError,
                      FormatError, HcohError, InvalidOrderError,
                      NumericFailureError, UndefinedAPError, UnknownLabelError)

@@ -12,8 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checkpoint as ckpt
 from . import codec, data
 from .errors import (CodebookExhaustedError, ConfigError, DimensionError,
@@ -43,17 +41,20 @@ def _find_mnist_file(directory: Path, stem: str) -> Path:
 
 
 def load_mnist_dir(directory, norm: str = "unit255") -> data.Dataset:
-    """All 70K MNIST instances: train and test IDX pairs concatenated."""
+    """All 70K MNIST instances: the train IDX pair's rows, then the test pair's.
+
+    Each of the two image files is normalised on its own, straight into
+    its rows of the one float64 feature matrix: with ``norm="zscore"``
+    the train rows are standardized by the train file's per-pixel mean
+    and std, and the test rows by the test file's.
+    """
     directory = Path(directory)
-    train = data.load_idx(_find_mnist_file(directory, MNIST_FILES["train_images"]),
-                          _find_mnist_file(directory, MNIST_FILES["train_labels"]),
-                          norm=norm)
-    test = data.load_idx(_find_mnist_file(directory, MNIST_FILES["test_images"]),
-                         _find_mnist_file(directory, MNIST_FILES["test_labels"]),
-                         norm=norm)
-    return data.Dataset(np.vstack([train.features, test.features]),
-                        np.concatenate([train.labels, test.labels]),
-                        name="mnist")
+    train, test = ((_find_mnist_file(directory, MNIST_FILES[f"{part}_images"]),
+                    _find_mnist_file(directory, MNIST_FILES[f"{part}_labels"]))
+                   for part in ("train", "test"))
+    dataset = data.load_idx(*train, norm=norm, extra_pairs=[test])
+    dataset.name = "mnist"
+    return dataset
 
 
 def _load_dataset(args) -> data.Dataset:

@@ -109,6 +109,10 @@ class BinaryCodeSet:
     def code(self, index: int) -> BinaryCode:
         return BinaryCode(self.words[index].copy(), self.length)
 
+    def take(self, indices: np.ndarray) -> "BinaryCodeSet":
+        return BinaryCodeSet(self.words[indices], self.labels[indices],
+                             self.length)
+
 
 def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet:
     """Hash feature rows through the model into a packed code set.
@@ -116,7 +120,9 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
     Labels are carried alongside the codes for retrieval evaluation; pass
     None to fill with -1 when they are unknown.  Raises ValueError if any
     pre-activation W.T x + b is NaN or infinite, as a non-finite feature
-    makes every entry of its row.
+    makes every entry of its row; the message names the first such row
+    as an index into ``features`` (a whole-dataset row index when
+    ``run_training`` hashes at a milestone).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.feature_dim:

@@ -4,19 +4,23 @@ Two on-disk feature carriers are supported (byte layouts in FORMATS.md):
 
 * IDX, the MNIST container: big-endian dims, ubyte payload.  Pixels are
   scaled to [0, 1] by default (``norm="unit255"``); ``"zscore"``
-  standardizes each feature over the loaded set and ``"none"`` keeps raw
+  standardizes each feature over the loaded file and ``"none"`` keeps raw
   values.  Gzipped files (.gz) are read transparently.
 * HCOHFEAT, a minimal dense float32 matrix with a little-endian header,
   for precomputed features of any provenance; stored values pass through
   unchanged.  Labels ride in a bare u32 array file, 0xFFFFFFFF standing
   for the unknown label -1.
 
-The benchmark split takes a seeded per-class sample as the query (test)
-set, leaves the remainder as the retrieval database, and draws the
-training subset uniformly from the retrieval set (train is a subset of
-retrieval, not disjoint from it).  Training data is then streamed in a
-seeded random order, single pass, in batches of a fixed size, as
-(features, labels) array pairs.
+A loaded dataset holds one float64 feature matrix, and training and
+evaluation index into it instead of copying it.  The benchmark split
+takes a seeded per-class sample as the query (test) set, leaves the
+remainder as the retrieval database, and draws the training subset
+uniformly from the retrieval set (train is a subset of retrieval, not
+disjoint from it); ``split_indices`` returns the three parts as row
+indices, and only ``split`` copies them into Datasets of their own.
+Training data is then streamed in a seeded random order, single pass,
+in batches of a fixed size, as (features, labels) array pairs gathered
+from the parent dataset one chunk at a time.
 """
 
 import gzip
@@ -93,31 +97,66 @@ def _parse_idx(data: bytes, path, expect_magic: int):
     return payload.reshape(dims)
 
 
-def normalize(features: np.ndarray, norm: str) -> np.ndarray:
-    """Apply one of the NORM_MODES to raw-pixel features."""
+def normalize(features: np.ndarray, norm: str, out: np.ndarray = None) -> np.ndarray:
+    """Apply one of the NORM_MODES to raw-pixel features.
+
+    The result is written into ``out``, a float64 array of the features'
+    shape, or into a new one when ``out`` is None; the features are cast
+    into it once and scaled there in place, with no other array of their
+    size.  ``"zscore"`` uses the mean and standard deviation of these
+    rows alone.
+    """
     if norm not in NORM_MODES:
         raise ConfigError(f"norm must be one of {NORM_MODES}, got {norm!r}")
-    features = np.asarray(features, dtype=np.float64)
+    if out is None:
+        out = np.empty(np.shape(features), dtype=np.float64)
+    out[...] = features
     if norm == "unit255":
-        return features / 255.0
-    if norm == "zscore":
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
+        out /= 255.0
+    elif norm == "zscore":
+        mean = out.mean(axis=0)
+        std = out.std(axis=0)
         std[std == 0] = 1.0
-        return (features - mean) / std
-    return features
+        out -= mean
+        out /= std
+    return out
 
 
-def load_idx(image_path, label_path, norm: str = "unit255") -> Dataset:
-    """Load an IDX image/label file pair into a flat-feature Dataset."""
+def _read_idx(image_path, label_path):
+    """(flat uint8 images, int64 labels) of one IDX file pair."""
     images = _parse_idx(_read_file(image_path), image_path, IDX_IMAGE_MAGIC)
     labels = _parse_idx(_read_file(label_path), label_path, IDX_LABEL_MAGIC)
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
             f"count mismatch: {images.shape[0]} images in {image_path} but "
             f"{labels.shape[0]} labels in {label_path}")
-    flat = images.reshape(images.shape[0], -1)
-    return Dataset(normalize(flat, norm), labels.astype(np.int64), name="idx")
+    return images.reshape(images.shape[0], -1), labels.astype(np.int64)
+
+
+def load_idx(image_path, label_path, norm: str = "unit255",
+             extra_pairs=()) -> Dataset:
+    """Load IDX image/label file pairs into one flat-feature Dataset.
+
+    The rows of each (image, label) pair in ``extra_pairs`` follow those
+    of the first pair, in order.  The float64 feature matrix is allocated
+    once and every image file is normalised straight into its own rows,
+    so ``"zscore"`` standardizes each file with its own statistics.
+    """
+    pairs = [(image_path, label_path), *extra_pairs]
+    parts = [_read_idx(images, labels) for images, labels in pairs]
+    dims = [images.shape[1] for images, _labels in parts]
+    if len(set(dims)) > 1:
+        raise DimensionError(
+            f"image files {[str(p[0]) for p in pairs]} hold {dims} pixels "
+            f"per image; they must agree")
+    features = np.empty((sum(len(labels) for _images, labels in parts), dims[0]),
+                        dtype=np.float64)
+    lo = 0
+    for images, _labels in parts:
+        normalize(images, norm, out=features[lo:lo + len(images)])
+        lo += len(images)
+    return Dataset(features, np.concatenate([labels for _images, labels in parts]),
+                   name="idx")
 
 
 def load_dense(feature_path, label_path) -> Dataset:
@@ -167,12 +206,13 @@ def save_labels(path, labels: np.ndarray) -> None:
     atomic_write(path, [labels_to_u32(labels, path).tobytes()])
 
 
-def split(dataset: Dataset, spec: SplitSpec):
-    """Seeded (test, retrieval, train) split per the benchmark protocol.
+def split_indices(dataset: Dataset, spec: SplitSpec):
+    """Sorted row indices of the seeded (test, retrieval, train) split.
 
     Test draws ``test_per_class`` instances from every class without
     replacement; retrieval is everything else; train is a uniform subset
-    of retrieval of size ``train_subset``.
+    of retrieval of size ``train_subset``.  Test and retrieval together
+    are every row of ``dataset``.
     """
     rng = np.random.default_rng(spec.seed)
     classes = np.unique(dataset.labels)
@@ -199,24 +239,43 @@ def split(dataset: Dataset, spec: SplitSpec):
             f"{retrieval_idx.shape[0]}")
     train_idx = np.sort(rng.choice(retrieval_idx, size=spec.train_subset,
                                    replace=False))
-    return (dataset.take(test_idx, "test"),
-            dataset.take(retrieval_idx, "retrieval"),
-            dataset.take(train_idx, "train"))
+    return test_idx, retrieval_idx, train_idx
 
 
-def stream(train: Dataset, batch_size: int, seed: int):
-    """Yield (features, labels) chunks of a seeded permutation of ``train``.
+def split(dataset: Dataset, spec: SplitSpec):
+    """The :func:`split_indices` parts copied into (test, retrieval, train)."""
+    return tuple(dataset.take(idx, name) for idx, name in
+                 zip(split_indices(dataset, spec), ("test", "retrieval", "train")))
 
-    Single pass: every instance appears exactly once.  The final chunk
-    may be smaller than ``batch_size``.  Before the first chunk, every
-    training feature is checked once: a NaN or infinite value raises
-    ValueError, so no SGD step runs on a stream that holds one.
+
+# Rows gathered per block by stream's finiteness check: 1,024 rows of 784
+# float64 features is a 6.4 MB temporary.
+CHECK_ROWS = 1024
+
+
+def stream(dataset: Dataset, batch_size: int, seed: int, indices=None):
+    """Yield (features, labels) chunks of a seeded permutation of training rows.
+
+    The training rows are ``dataset`` rows ``indices``, or every row when
+    ``indices`` is None; each chunk is gathered from ``dataset`` as it is
+    yielded, so no copy of the training set is made.  Single pass: every
+    instance appears exactly once.  The final chunk may be smaller than
+    ``batch_size``.  Before the first chunk, every training row is
+    checked once, in blocks of CHECK_ROWS rows: a NaN or infinite value
+    raises ValueError naming its dataset row, so no SGD step runs on a
+    stream that holds one.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    if not np.isfinite(train.features).all():
-        raise ValueError(f"dataset {train.name!r} holds non-finite feature values")
-    order = np.random.default_rng(seed).permutation(len(train))
+    rows = np.arange(len(dataset)) if indices is None else np.asarray(indices)
+    for lo in range(0, len(rows), CHECK_ROWS):
+        block = rows[lo:lo + CHECK_ROWS]
+        finite = np.isfinite(dataset.features[block]).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"split 'train' holds non-finite feature values (row "
+                f"{block[finite.argmin()]} of dataset {dataset.name!r})")
+    order = np.random.default_rng(seed).permutation(len(rows))
     for lo in range(0, len(order), batch_size):
-        chunk = order[lo:lo + batch_size]
-        yield train.features[chunk], train.labels[chunk]
+        chunk = rows[order[lo:lo + batch_size]]
+        yield dataset.features[chunk], dataset.labels[chunk]

@@ -145,8 +145,13 @@ def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
     with np.errstate(invalid="ignore", over="ignore"):  # guard below reports
         if sparse:
             nz = np.flatnonzero(x)
+            # eta * ((2/n) * (x_i * e_j)) in one buffer, scaled in place:
+            # the same multiplies per entry, without two more k x r arrays.
+            step = x[nz, None] * err
+            step *= 2.0 / n
+            step *= model.eta
             touched = model.weights[nz]
-            touched -= model.eta * ((2.0 / n) * (x[nz, None] * err))
+            touched -= step
             model.weights[nz] = touched
         else:
             model.weights -= model.eta * ((2.0 / n) * (features.T @ err))

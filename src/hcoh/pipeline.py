@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import encode
-from .data import NORM_MODES, Dataset, SplitSpec, split, stream
+from .data import NORM_MODES, Dataset, SplitSpec, split_indices, stream
 from .errors import ConfigError
 from .evaluation import evaluate, map_curve_auc
 from .hadamard import MAX_ORDER, HadamardCodebook, codeword_order
@@ -106,43 +106,48 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
     when the stream ends past the last milestone) and a closing summary
     record carrying the curve AUC.  Raises ConfigError before any
     training when ``k_prec`` exceeds the retrieval set.
+
+    The split is kept as row indices into ``dataset``: the stream
+    gathers its chunks from it, and each evaluation hashes every row
+    once (test and retrieval together are the whole dataset) and takes
+    the query and database codes by index.  A non-finite feature row
+    therefore raises ValueError naming its row in ``dataset``.
     """
     config.validate()
     seeds = derive_seeds(config.seed, config.repeat)
-    test, retrieval, train = split(
+    test_idx, retrieval_idx, train_idx = split_indices(
         dataset, SplitSpec(config.test_per_class, config.train_subset,
                            seeds.split))
-    if config.k_prec > len(retrieval):
+    if config.k_prec > len(retrieval_idx):
         raise ConfigError(
-            f"k_prec {config.k_prec} exceeds retrieval size {len(retrieval)}")
+            f"k_prec {config.k_prec} exceeds retrieval size {len(retrieval_idx)}")
     order = codeword_order(config.bits, config.max_labels)
     book = HadamardCodebook.create(order, seeds.codebook)
     reducer = LshReducer.create(order, config.bits, seeds.reducer)
     log.info("codeword order %d for %d bits (%s reducer)", order, config.bits,
              "identity" if reducer.is_identity else "gaussian")
-    model = init_model(train.features.shape[1], config.bits, config.eta,
+    model = init_model(dataset.features.shape[1], config.bits, config.eta,
                        seeds.model)
     table = TargetCodeTable(out_dim=config.bits)
 
     records = []
 
     def check_in(instances_seen, model):
-        queries = encode(model, test.features, test.labels)
-        database = encode(model, retrieval.features, retrieval.labels)
-        report = evaluate(queries, database, k_prec=config.k_prec,
-                          k_map=config.k_map)
+        codes = encode(model, dataset.features, dataset.labels)
+        report = evaluate(codes.take(test_idx), codes.take(retrieval_idx),
+                          k_prec=config.k_prec, k_map=config.k_map)
         records.append({"record": "checkpoint",
                         "instances_seen": instances_seen,
                         **report.to_record()})
         log.info("instances=%d mAP=%.4f P@%d=%.4f", instances_seen,
                  report.map, config.k_prec, report.precision_at_k)
 
-    batches = stream(train, config.batch_size, seeds.stream)
+    batches = stream(dataset, config.batch_size, seeds.stream, train_idx)
     train_stream(model, batches, book, reducer, table,
                  milestones=config.milestones, hook=check_in,
                  gradient=config.gradient)
-    if not records or records[-1]["instances_seen"] < len(train):
-        check_in(len(train), model)
+    if not records or records[-1]["instances_seen"] < len(train_idx):
+        check_in(len(train_idx), model)
 
     curve = [(rec["instances_seen"], rec["map"]) for rec in records]
     auc = map_curve_auc(curve) if len(curve) >= 2 else None

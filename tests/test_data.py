@@ -4,9 +4,11 @@ import struct
 import numpy as np
 import pytest
 
-from hcoh import (ConfigError, Dataset, FormatError, SplitSpec, load_dense,
-                  load_idx, load_labels, normalize, save_dense, save_labels,
-                  split, stream)
+from hcoh import (ConfigError, Dataset, DimensionError, FormatError, SplitSpec,
+                  load_dense, load_idx, load_labels, normalize, save_dense,
+                  save_labels, split, split_indices, stream)
+from hcoh.data import CHECK_ROWS
+from hcoh.cli import MNIST_FILES, load_mnist_dir
 
 
 def idx_image_bytes(pixels):
@@ -84,6 +86,68 @@ class TestLoadIdx:
     def test_unknown_norm_rejected(self, idx_pair):
         with pytest.raises(ConfigError):
             load_idx(*idx_pair, norm="l2")
+
+
+def reference_normalize(pixels, norm):
+    """The out-of-place formulas, restated: a new array per operation."""
+    features = np.asarray(pixels, dtype=np.float64)
+    if norm == "unit255":
+        return features / 255.0
+    if norm == "zscore":
+        mean = features.mean(axis=0)
+        std = features.std(axis=0)
+        std[std == 0] = 1.0
+        return (features - mean) / std
+    return features
+
+
+class TestLoadMnistDir:
+    @pytest.fixture
+    def mnist_files(self, tmp_path):
+        """Tiny train and test IDX pairs under the MNIST file names.
+
+        The two files have different pixel ranges, so per-file z-score
+        statistics differ from pooled ones, and pixel (0, 0) is constant
+        in both, so a zero std is replaced by one.
+        """
+        rng = np.random.default_rng(4)
+        train = rng.integers(0, 256, size=(40, 5, 5), dtype=np.uint8)
+        test = rng.integers(0, 128, size=(12, 5, 5), dtype=np.uint8)
+        train[:, 0, 0] = test[:, 0, 0] = 9
+        labels = {"train": rng.integers(0, 10, 40), "test": rng.integers(0, 10, 12)}
+        for part, pixels in (("train", train), ("test", test)):
+            (tmp_path / MNIST_FILES[f"{part}_images"]).write_bytes(
+                idx_image_bytes(pixels))
+            (tmp_path / MNIST_FILES[f"{part}_labels"]).write_bytes(
+                idx_label_bytes(labels[part]))
+        return tmp_path, (train, test), labels
+
+    @pytest.mark.parametrize("norm", ["unit255", "zscore", "none"])
+    def test_bit_equal_to_per_file_normalise_and_vstack(self, mnist_files, norm):
+        directory, (train, test), labels = mnist_files
+        ds = load_mnist_dir(directory, norm=norm)
+        expected = np.vstack([reference_normalize(train.reshape(40, -1), norm),
+                              reference_normalize(test.reshape(12, -1), norm)])
+        assert ds.features.dtype == np.float64
+        assert ds.features.tobytes() == expected.tobytes()
+        assert np.array_equal(ds.labels,
+                              np.concatenate([labels["train"], labels["test"]]))
+        assert ds.name == "mnist"
+
+    @pytest.mark.parametrize("norm", ["unit255", "zscore", "none"])
+    def test_single_pair_matches_reference(self, mnist_files, norm):
+        directory, (train, _test), _labels = mnist_files
+        ds = load_idx(directory / MNIST_FILES["train_images"],
+                      directory / MNIST_FILES["train_labels"], norm=norm)
+        assert (ds.features.tobytes()
+                == reference_normalize(train.reshape(40, -1), norm).tobytes())
+
+    def test_pixel_count_mismatch_rejected(self, mnist_files):
+        directory, _pixels, _labels = mnist_files
+        (directory / MNIST_FILES["test_images"]).write_bytes(
+            idx_image_bytes(np.zeros((12, 4, 4), dtype=np.uint8)))
+        with pytest.raises(DimensionError, match=r"\[25, 16\] pixels"):
+            load_mnist_dir(directory)
 
 
 class TestDenseFormat:
@@ -181,6 +245,19 @@ class TestSplit:
         retrieval_rows = {tuple(row) for row in retrieval.features}
         assert all(tuple(row) in retrieval_rows for row in train.features)
 
+    def test_split_is_take_of_split_indices(self):
+        ds = synthetic()
+        spec = SplitSpec(10, 200, seed=4)
+        indices = split_indices(ds, spec)
+        for part, idx in zip(split(ds, spec), indices):
+            assert np.array_equal(idx, np.sort(idx))
+            expected = ds.take(idx)
+            assert part.features.tobytes() == expected.features.tobytes()
+            assert np.array_equal(part.labels, expected.labels)
+        test_idx, retrieval_idx, _train_idx = indices
+        assert np.array_equal(np.sort(np.concatenate([test_idx, retrieval_idx])),
+                              np.arange(len(ds)))
+
     def test_same_seed_same_indices(self):
         ds = synthetic()
         a = split(ds, SplitSpec(10, 200, seed=5))
@@ -238,6 +315,32 @@ class TestStream:
         chunks = stream(ds, 1, seed=0)
         with pytest.raises(ValueError, match="non-finite"):
             next(chunks)
+
+
+    @pytest.mark.parametrize("batch_size", [1, 7])
+    def test_indices_yield_the_batches_of_the_taken_rows(self, batch_size):
+        ds = synthetic(n_classes=5, per_class=40)
+        train_idx = split_indices(ds, SplitSpec(4, 90, seed=6))[2]
+        direct = list(stream(ds, batch_size, seed=2, indices=train_idx))
+        taken = list(stream(ds.take(train_idx), batch_size, seed=2))
+        order = train_idx[np.random.default_rng(2).permutation(90)]
+        assert len(direct) == len(taken) == -(-90 // batch_size)
+        for i, ((feats, labels), (ref_feats, ref_labels)) in enumerate(
+                zip(direct, taken)):
+            rows = order[i * batch_size:(i + 1) * batch_size]
+            assert feats.tobytes() == ref_feats.tobytes() == ds.features[rows].tobytes()
+            assert np.array_equal(labels, ref_labels)
+            assert np.array_equal(labels, ds.labels[rows])
+
+    def test_finiteness_check_covers_only_the_training_rows(self):
+        rows = 3 * CHECK_ROWS
+        ds = Dataset(np.zeros((rows, 3)), np.zeros(rows, dtype=np.int64), "big")
+        bad = rows - 5  # in the last check block
+        ds.features[bad, 1] = np.nan
+        kept = np.flatnonzero(np.arange(rows) != bad)
+        assert len(list(stream(ds, 64, seed=0, indices=kept))) == -(-(rows - 1) // 64)
+        with pytest.raises(ValueError, match=rf"row {bad} of dataset 'big'"):
+            next(stream(ds, 64, seed=0, indices=np.arange(1, rows, 2)))
 
 
 def test_normalize_rejects_unknown_mode():

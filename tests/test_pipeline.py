@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hcoh import (ConfigError, Dataset, FormatError, RunConfig, derive_seeds,
-                  run_repeats, run_training)
+from hcoh import (ConfigError, Dataset, FormatError, RunConfig, SplitSpec,
+                  derive_seeds, encode, evaluate, run_repeats, run_training,
+                  split, split_indices)
 from hcoh import learner, pipeline
-from tests.conftest import blob_dataset, dense_sgd_step
+from tests.conftest import blob_dataset, dense_sgd_step, sparse_pixel_dataset
 
 
 def blob_config(**overrides):
@@ -51,7 +54,7 @@ class TestRunTraining:
     def test_unstorable_label_rejected_before_training(self, blobs,
                                                        monkeypatch):
         calls = []
-        monkeypatch.setattr(pipeline, "split",
+        monkeypatch.setattr(pipeline, "split_indices",
                             lambda *args: calls.append(args))
         labels = blobs.labels.copy()
         labels[7] = -5
@@ -135,6 +138,45 @@ class TestRunTraining:
         assert sparse.model.weights.tobytes() == dense.model.weights.tobytes()
         assert sparse.model.bias.tobytes() == dense.model.bias.tobytes()
         assert sparse.model.round == dense.model.round == 1000
+
+    @pytest.mark.parametrize("make", [blob_dataset, sparse_pixel_dataset])
+    def test_final_record_matches_separately_encoded_split(self, make):
+        dataset = make()
+        config = blob_config(bits=32, milestones=(500,))
+        result = run_training(dataset, config)
+        test, retrieval, _train = split(dataset, SplitSpec(
+            config.test_per_class, config.train_subset, result.seeds.split))
+        report = evaluate(encode(result.model, test.features, test.labels),
+                          encode(result.model, retrieval.features,
+                                 retrieval.labels),
+                          k_prec=config.k_prec)
+        assert result.records[-1] == {"record": "checkpoint",
+                                      "instances_seen": 1000,
+                                      **report.to_record()}
+
+    def test_non_finite_retrieval_row_named_by_dataset_index(self, blobs):
+        config = blob_config()
+        _test, retrieval_idx, train_idx = split_indices(blobs, SplitSpec(
+            config.test_per_class, config.train_subset,
+            derive_seeds(config.seed).split))
+        row = np.setdiff1d(retrieval_idx, train_idx)[-1]
+        blobs.features[row, 2] = np.nan
+        with pytest.raises(ValueError, match=rf"\(first row {row}\)"):
+            run_training(blobs, config)
+
+    def test_peak_memory_stays_below_one_feature_matrix(self):
+        rng = np.random.default_rng(8)
+        labels = np.repeat(np.arange(10), 600)
+        dataset = Dataset(rng.random((labels.size, 256)), labels, "wide")
+        config = blob_config(bits=32, max_labels=10, test_per_class=20,
+                             train_subset=2000, milestones=(1000,))
+        tracemalloc.start()
+        try:
+            run_training(dataset, config)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dataset.features.nbytes
 
 
 class TestRunRepeats:
