@@ -21,12 +21,11 @@ Neither the codebook matrix nor the projection is stored.  The codebook
 is rebuilt from (order, seed) and computes each column on demand; its
 seed fixes the column draw order, and ``HadamardCodebook.restore``
 accepts the recorded assignment only if it holds exactly the first k
-draws.  W and b must be finite: ``sgd_step`` checks only the rows of W a
-sparse step touches, so a non-finite weight read from a file would pass
-unnoticed.  The projection is regenerated from (dims, seed).  This keeps
-checkpoints small and loads deterministic.  Writes go to a temp file
-followed by an atomic rename, so a crashed run never leaves a partial
-checkpoint behind.
+draws.  W and b must be finite, so a file cannot hand training or
+encoding a NaN or infinite parameter.  The projection is regenerated
+from (dims, seed).  This keeps checkpoints small and loads
+deterministic.  Writes go to a temp file followed by an atomic rename,
+so a crashed run never leaves a partial checkpoint behind.
 """
 
 import struct

@@ -130,7 +130,8 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
             f"features have shape {features.shape}, expected "
             f"(n, {model.feature_dim})")
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
-        u = features @ model.weights + model.bias
+        u = features @ model.weights
+        u += model.bias     # in place: no second (n, r) array
     bad = ~np.isfinite(u).all(axis=1)
     if bad.any():
         raise ValueError(

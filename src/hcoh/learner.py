@@ -20,23 +20,38 @@ comparison runs.  The constant 2 from the squared norm stays inside the
 gradient rather than being folded into eta, so quoted learning rates
 mean what they say.
 
-A batch is an (n, d) block of feature rows.  Blocks of one row are the
+A step is an (n, d) block of feature rows.  Steps of one row are the
 intended streaming mode; larger n averages the per-instance gradients,
-so repeating every row of a block the same number of times changes
-nothing and row order within a block never matters.  Feature values are
+so repeating every row of a step the same number of times changes
+nothing and row order within a step never matters.  Feature values are
 not checked for finiteness here: ``data.stream`` checks the training
 rows once, and a non-finite update still stops with NumericFailureError.
 
-A one-row step on a row with fewer non-zero than zero entries (pixel
-rows are mostly zeros) updates only the rows of W that the non-zero
-features select: grad_W is exactly zero on every other row.  Each
-updated entry is computed as x_i * e_j, then scaled by 2/n, then by eta,
-then subtracted, the same operations the dense x.T @ E update performs
-with an inner dimension of one, so both paths give bit-identical
-parameters.  The finiteness guard then checks only those rows of W, plus
-b; the untouched rows are finite because W is finite when a step starts
-(``init_model`` draws it and ``load_checkpoint`` rejects a non-finite
-one).
+Consecutive steps of n rows each run as one block of k steps.  With
+W_0, b_0 the parameters at the block's start, step t's pre-activations
+are
+
+    U_t = X_t W_0 + b_0 - eta (2/n) sum_{s<t} (X_t X_s.T + 1) E_s
+    E_t = (tanh(U_t) - T_t) * factor
+
+which is the per-step loop's U_t = X_t W_t + b_t with W_t and b_t
+expanded.  So a block costs one forward GEMM, one Gram matrix X X.T and
+an r-sized recurrence per step; W and b then take one update each,
+W -= eta (2/n) X.T E and b -= eta (2/n) sum_rows(E).  This is exact
+arithmetic with a different rounding from the per-step loop (the tests
+hold it to 1e-10 relative at small eta).  A block of one step is the
+plain dense update, byte for byte.
+
+``train_stream`` ends a block after BLOCK_ROWS rows, at every milestone
+crossing (so its hook sees the model at the exact instance count), at
+the end of the stream, and before a step with a different row count.
+A block's steps are never applied to W one at a time, so when a block
+leaves W or b non-finite it is replayed one step at a time from its
+starting W and b, and NumericFailureError names the first failing
+round (should every replayed step stay finite, the replay's result
+stands).  Every step updates and checks all of W: there is no separate
+sparse-row update, since a block already spreads the cost of the dense
+products over its steps.
 """
 
 from dataclasses import dataclass
@@ -48,6 +63,7 @@ from .hadamard import HadamardCodebook
 from .lsh import LshReducer, TargetCodeTable
 
 GRADIENT_FACTORS = ("exact", "sigmoid")
+BLOCK_ROWS = 128   # rows of training steps that train_stream runs as one block
 
 
 @dataclass
@@ -83,82 +99,106 @@ def init_model(d: int, r: int, eta: float, seed: int) -> HashModel:
     return HashModel(weights=weights, bias=bias, eta=float(eta))
 
 
-def _activations(model: HashModel, features: np.ndarray) -> np.ndarray:
+def _checked_features(model: HashModel, features) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.feature_dim:
         raise DimensionError(
             f"features have shape {features.shape}, expected "
             f"(n, {model.feature_dim})")
-    return np.tanh(features @ model.weights + model.bias)
+    return features
 
 
 def relaxed_codes(model: HashModel, features: np.ndarray) -> np.ndarray:
     """tanh(W.T x + b) per instance; an (n, r) matrix with entries in (-1, 1)."""
-    return _activations(model, features)
+    return np.tanh(_checked_features(model, features) @ model.weights
+                   + model.bias)
 
 
-def _residual(model: HashModel, features: np.ndarray, targets: np.ndarray):
-    """(features, a, a - t) for a non-empty (n, d) block and (n, r) targets."""
-    features = np.asarray(features, dtype=np.float64)
-    a = _activations(model, features)
-    if a.shape[0] < 1:
+def _checked_block(model: HashModel, features, targets):
+    """(features, targets) as float64, checked to be (n, d) and (n, r), n >= 1."""
+    features = _checked_features(model, features)
+    if features.shape[0] < 1:
         raise DimensionError("a batch must hold at least one feature row")
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != a.shape:
+    if targets.shape != (features.shape[0], model.code_length):
         raise DimensionError(
-            f"targets have shape {targets.shape}, expected {a.shape}")
-    return features, a, a - targets
+            f"targets have shape {targets.shape}, expected "
+            f"{(features.shape[0], model.code_length)}")
+    return features, targets
 
 
 def loss(model: HashModel, features: np.ndarray, targets: np.ndarray) -> float:
     """Batch-mean squared error between relaxed codes and target codes."""
-    features, _a, diff = _residual(model, features, targets)
+    features, targets = _checked_block(model, features, targets)
+    diff = relaxed_codes(model, features) - targets
     return float((diff * diff).sum() / features.shape[0])
 
 
+def _update(model: HashModel, features: np.ndarray, targets: np.ndarray,
+            gradient: str, n: int) -> None:
+    """Apply the block of len(features) // n steps of n rows, unchecked."""
+    u = features @ model.weights
+    u += model.bias
+    if len(u) > n:
+        # Row block t, columns < t: how the errors of earlier steps moved
+        # step t's pre-activations through W and b.
+        gram = features @ features.T
+        gram += 1.0
+        gram *= model.eta * (2.0 / n)
+    err = np.empty_like(u)
+    for lo in range(0, len(u), n):
+        hi = lo + n
+        if lo:
+            u[lo:hi] -= gram[lo:hi, :lo] @ err[:lo]
+        a = np.tanh(u[lo:hi])
+        factor = 1.0 - a * a if gradient == "exact" else (1.0 - a) * a
+        np.multiply(a - targets[lo:hi], factor, out=err[lo:hi])
+    model.weights -= model.eta * ((2.0 / n) * (features.T @ err))
+    model.bias -= model.eta * ((2.0 / n) * err.sum(axis=0))
+    model.round += len(u) // n
+
+
+def _finite(model: HashModel) -> bool:
+    return bool(np.isfinite(model.weights).all()
+                and np.isfinite(model.bias).all())
+
+
 def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
-             gradient: str = "exact") -> HashModel:
-    """One in-place gradient step on ``model``; increments the round counter.
+             gradient: str = "exact", step_rows: int = None) -> HashModel:
+    """In-place gradient steps on ``model``; adds their count to the round.
 
-    ``features`` is an (n, d) block and ``targets`` its (n, r) codes.
-    ``gradient="exact"`` uses the tanh derivative 1 - a^2; ``"sigmoid"``
-    uses (1 - a) * a instead (see module docstring).
+    ``features`` is an (N, d) block and ``targets`` its (N, r) codes.
+    With ``step_rows=None`` this is one step over all N rows; otherwise
+    each run of ``step_rows`` consecutive rows is one step, and the steps
+    run as one block (see module docstring).  ``gradient="exact"`` uses
+    the tanh derivative 1 - a^2; ``"sigmoid"`` uses (1 - a) * a instead.
 
-    A single row with fewer than d/2 non-zero features takes the sparse
-    path: only the rows of W at its non-zero features are updated and
-    checked.  Every other block takes the dense path, which updates and
-    checks all of W.  Both paths check b and give bit-identical results.
-    Raises NumericFailureError, carrying the new round index, when a
-    checked parameter is not finite after the update.
+    Raises NumericFailureError, carrying the round index of the first
+    step that leaves W or b non-finite, with the steps before it applied.
     """
     if gradient not in GRADIENT_FACTORS:
         raise ValueError(f"gradient must be one of {GRADIENT_FACTORS}")
-    features, a, diff = _residual(model, features, targets)
-    if gradient == "exact":
-        factor = 1.0 - a * a
-    else:
-        factor = (1.0 - a) * a
-    n, d = features.shape
-    err = diff * factor
-    x = features[0]
-    sparse = n == 1 and 2 * np.count_nonzero(x) < d
-    with np.errstate(invalid="ignore", over="ignore"):  # guard below reports
-        if sparse:
-            nz = np.flatnonzero(x)
-            # eta * ((2/n) * (x_i * e_j)) in one buffer, scaled in place:
-            # the same multiplies per entry, without two more k x r arrays.
-            step = x[nz, None] * err
-            step *= 2.0 / n
-            step *= model.eta
-            touched = model.weights[nz]
-            touched -= step
-            model.weights[nz] = touched
-        else:
-            model.weights -= model.eta * ((2.0 / n) * (features.T @ err))
-            touched = model.weights
-        model.bias -= model.eta * ((2.0 / n) * err.sum(axis=0))
-    model.round += 1
-    if not (np.isfinite(touched).all() and np.isfinite(model.bias).all()):
+    features, targets = _checked_block(model, features, targets)
+    n = len(features) if step_rows is None else step_rows
+    if n < 1 or len(features) % n:
+        raise DimensionError(
+            f"{len(features)} rows do not split into steps of {n} rows")
+    blocked = len(features) > n
+    if blocked:
+        start = model.weights.copy(), model.bias.copy(), model.round
+    with np.errstate(invalid="ignore", over="ignore"):  # checked below
+        _update(model, features, targets, gradient, n)
+        finite = _finite(model)
+        if blocked and not finite:
+            # One step at a time from the block's start, to the failing one.
+            model.weights[...], model.bias[...], model.round = start
+            for lo in range(0, len(features), n):
+                _update(model, features[lo:lo + n], targets[lo:lo + n],
+                        gradient, n)
+                finite = _finite(model)
+                if not finite:
+                    break
+    if not finite:
         raise NumericFailureError(
             f"non-finite parameters after update at round {model.round}",
             round_index=model.round)
@@ -171,27 +211,45 @@ def train_stream(model: HashModel, batches, book: HadamardCodebook,
     """Consume an ordered stream of (features, labels) batches, one SGD step each.
 
     Each batch's labels are resolved to target codes through the codebook
-    and reducer (cached in ``table``), then applied with :func:`sgd_step`.
-    Whenever the cumulative instance count crosses the next milestone,
-    ``hook(instances_seen, model)`` is called, if given, with the live
-    model; a hook that keeps the model past its call must copy it.
-    Returns the trained model, which is ``model`` updated in place.
+    and reducer (cached in ``table``).  Consecutive steps run in blocks
+    through :func:`sgd_step`, up to BLOCK_ROWS rows of equal-sized steps
+    each (see module docstring).  Whenever the cumulative instance count
+    crosses the next milestone, ``hook(instances_seen, model)`` is called,
+    if given, with the live model after exactly that many instances; a
+    hook that keeps the model past its call must copy it.  A batch whose
+    labels cannot be resolved raises before the steps waiting in its
+    block are applied.  Returns the trained model, which is ``model``
+    updated in place.
     """
     if table is None:
         table = TargetCodeTable(out_dim=model.code_length)
     milestones = sorted(int(m) for m in milestones)
     next_ms = 0
     seen = 0
+    block = []      # (features, targets) per step, all with the same rows
+
+    def run_block():
+        if block:
+            features, targets = zip(*block)
+            sgd_step(model, np.concatenate(features), np.concatenate(targets),
+                     gradient=gradient, step_rows=len(targets[0]))
+            block.clear()
+
     for features, labels in batches:
         # np.array, unlike np.stack, lets an empty batch reach sgd_step.
         targets = np.array(
             [table.target_for(label, book, reducer) for label in labels],
             dtype=np.float64)
-        sgd_step(model, features, targets, gradient=gradient)
+        if block and (len(targets) != len(block[0][1])
+                      or len(targets) * (len(block) + 1) > BLOCK_ROWS):
+            run_block()
+        block.append((features, targets))
         seen += len(labels)
         if next_ms < len(milestones) and seen >= milestones[next_ms]:
             while next_ms < len(milestones) and milestones[next_ms] <= seen:
                 next_ms += 1
+            run_block()
             if hook is not None:
                 hook(seen, model)
+    run_block()
     return model

@@ -78,10 +78,10 @@ def sparse_pixels():
 
 
 def dense_sgd_step(model, features, targets, gradient="exact"):
-    """The dense update W - eta*((2/n)*(x.T @ e)), restated as an oracle.
+    """One dense step W - eta*((2/n)*(x.T @ e)), restated as the per-step oracle.
 
-    Same signature and in-place effect as ``hcoh.sgd_step``, but it
-    always updates and checks every entry of W.
+    Same in-place effect as ``hcoh.sgd_step`` with ``step_rows=None``:
+    one step over every row, which updates and checks every entry of W.
     """
     features = np.asarray(features, dtype=np.float64)
     a = np.tanh(features @ model.weights + model.bias)
@@ -96,3 +96,16 @@ def dense_sgd_step(model, features, targets, gradient="exact"):
         raise NumericFailureError("non-finite parameters",
                                   round_index=model.round)
     return model
+
+
+def per_step_sgd(model, features, targets, gradient="exact", step_rows=None):
+    """``hcoh.sgd_step``'s signature, run as a loop of :func:`dense_sgd_step`."""
+    n = len(features) if step_rows is None else step_rows
+    for lo in range(0, len(features), n):
+        dense_sgd_step(model, features[lo:lo + n], targets[lo:lo + n], gradient)
+    return model
+
+
+def relative_error(value, reference, start):
+    """|value - reference| relative to how far the reference moved from start."""
+    return np.linalg.norm(value - reference) / np.linalg.norm(reference - start)

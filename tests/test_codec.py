@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,18 @@ class TestEncode:
         model = HashModel(np.array([[1e308], [1e308]]), np.zeros(1), eta=0.1)
         with pytest.raises(ValueError, match=r"1 feature rows .*first row 1"):
             encode(model, np.array([[1.0, -1.0], [1.0, 1.0]]))
+
+
+    def test_peak_memory_holds_one_pre_activation_array(self):
+        model = init_model(16, 128, eta=0.1, seed=5)
+        feats = np.random.default_rng(6).standard_normal((20_000, 16))
+        tracemalloc.start()
+        try:
+            encode(model, feats)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * feats.shape[0] * model.code_length * 8
 
 
 class TestHamming:

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from hcoh import (DimensionError, HadamardCodebook, HashModel, LshReducer,
-                  NumericFailureError, TargetCodeTable, init_model, loss,
-                  relaxed_codes, sgd_step, train_stream)
-from tests.conftest import dense_sgd_step
+                  NumericFailureError, TargetCodeTable, init_model, learner,
+                  loss, relaxed_codes, sgd_step, train_stream)
+from hcoh.learner import BLOCK_ROWS
+from tests.conftest import dense_sgd_step, per_step_sgd, relative_error
+
+# Blocked steps round differently from the per-step loop; at small eta
+# the two agree to this relative error (measured about 3e-14).
+BLOCK_TOLERANCE = 1e-10
 
 
 def reference_loss(weights, bias, features, targets):
@@ -181,7 +186,7 @@ def pixel_rows(rng, n, d=784, density=0.25):
 
 
 class TestSparseStep:
-    """One-row steps on mostly-zero rows update only the rows of W they touch."""
+    """One-step calls on pixel rows give the dense oracle's bytes."""
 
     @pytest.mark.parametrize("gradient", ["exact", "sigmoid"])
     @pytest.mark.parametrize("r", [32, 128])
@@ -219,19 +224,6 @@ class TestSparseStep:
         assert err.value.round_index == 42
         assert np.isfinite(model.bias).all()
 
-    @pytest.mark.parametrize("lit, untouched_kept", [(2, True), (3, False)])
-    def test_path_rule_is_fewer_than_half_non_zero(self, lit, untouched_kept):
-        # An infinite rate makes the dense update eta * 0 = NaN on the rows
-        # a zero feature selects; the sparse update never computes them.
-        model = init_model(6, 3, eta=np.inf, seed=0)
-        before = model.weights.copy()
-        x = np.zeros((1, 6))
-        x[0, :lit] = 0.5
-        with pytest.raises(NumericFailureError):
-            sgd_step(model, x, np.ones((1, 3)))
-        kept = np.array_equal(model.weights[lit:], before[lit:])
-        assert kept == untouched_kept
-
     @pytest.mark.parametrize("gradient", ["exact", "sigmoid"])
     @pytest.mark.parametrize("n, density", [(1, 1.0), (1, 0.75), (7, 0.25)])
     def test_dense_rows_and_blocks_match_reference(self, n, density, gradient):
@@ -245,6 +237,63 @@ class TestSparseStep:
             dense_sgd_step(reference, x, t, gradient=gradient)
             assert np.array_equal(model.weights, reference.weights)
             assert np.array_equal(model.bias, reference.bias)
+
+
+class TestBlockedStep:
+    """Multi-step calls against a loop of dense single steps."""
+
+    @pytest.mark.parametrize("gradient", ["exact", "sigmoid"])
+    @pytest.mark.parametrize("step_rows", [1, 7])
+    @pytest.mark.parametrize("r", [32, 128])
+    def test_matches_per_step_oracle(self, r, step_rows, gradient):
+        rng = np.random.default_rng(r + step_rows)
+        rows = pixel_rows(rng, 2000)
+        rows = rows[:len(rows) // step_rows * step_rows]
+        codes = rng.choice([-1.0, 1.0], size=(10, r))
+        targets = codes[rng.integers(0, 10, len(rows))]
+        model = init_model(rows.shape[1], r, eta=0.01, seed=r + 1)
+        start, reference = model.copy(), model.copy()
+        block = BLOCK_ROWS // step_rows * step_rows
+        for lo in range(0, len(rows), block):
+            x, t = rows[lo:lo + block], targets[lo:lo + block]
+            sgd_step(model, x, t, gradient=gradient, step_rows=step_rows)
+            per_step_sgd(reference, x, t, gradient=gradient,
+                         step_rows=step_rows)
+        assert model.round == reference.round == len(rows) // step_rows
+        assert relative_error(model.weights, reference.weights,
+                              start.weights) <= BLOCK_TOLERANCE
+        assert relative_error(model.bias, reference.bias,
+                              start.bias) <= BLOCK_TOLERANCE
+
+    @pytest.mark.parametrize("step_rows", [1, 3])
+    def test_overflow_names_the_failing_step(self, step_rows):
+        # Steps 1-4 have zero features and targets equal to a = 0, so they
+        # change nothing.  Step 5 lights one pixel of 8.0 against +1
+        # targets: its W update eta * (2/n) * 8 overflows, its bias update
+        # eta * (2/n) * n does not.
+        model = HashModel(np.zeros((6, 3)), np.zeros(3), eta=5e307, round=41)
+        x = np.zeros((10 * step_rows, 6))
+        t = np.zeros((10 * step_rows, 3))
+        x[4 * step_rows, 2] = 8.0
+        t[4 * step_rows:5 * step_rows] = 1.0
+        reference = model.copy()
+        with pytest.raises(NumericFailureError) as err:
+            sgd_step(model, x, t, step_rows=step_rows)
+        assert err.value.round_index == model.round == 41 + 5
+        with pytest.raises(NumericFailureError):
+            per_step_sgd(reference, x, t, step_rows=step_rows)
+        # the replay leaves the state the per-step loop stops in
+        assert reference.round == model.round
+        assert np.array_equal(model.weights, reference.weights, equal_nan=True)
+        assert np.array_equal(model.bias, reference.bias)
+
+    @pytest.mark.parametrize("step_rows", [0, 3])
+    def test_rows_must_split_into_steps(self, step_rows):
+        model = init_model(4, 2, eta=0.1, seed=0)
+        with pytest.raises(DimensionError, match="steps of"):
+            sgd_step(model, np.ones((7, 4)), np.ones((7, 2)),
+                     step_rows=step_rows)
+        assert model.round == 0
 
 
 class TestGradientOracle:
@@ -332,6 +381,78 @@ class TestTrainStream:
         # the hook sees the live model, as it stands at each crossing
         assert [rnd for _, _, rnd in calls] == [2, 4, 10]
         assert all(m is final for _, m, _ in calls)
+
+    @staticmethod
+    def _per_step_snapshots(model, batches, book, reducer, milestones):
+        """The stream as a loop of dense steps: (seen, round, W) at crossings."""
+        table = TargetCodeTable(out_dim=model.code_length)
+        seen, snapshots = 0, []
+        for features, labels in batches:
+            targets = np.array([table.target_for(label, book, reducer)
+                                for label in labels])
+            dense_sgd_step(model, features, targets)
+            seen += len(labels)
+            if any(seen - len(labels) < m <= seen for m in milestones):
+                snapshots.append((seen, model.round, model.weights.copy()))
+        return snapshots
+
+    @pytest.mark.parametrize("batch", [1, 7, BLOCK_ROWS, 200])
+    def test_blocks_match_per_step_oracle_at_milestones(self, batch,
+                                                        monkeypatch):
+        # 999 rows leave a ragged last chunk for every batch size here, and
+        # the milestones fall inside 128-row blocks.
+        rng = np.random.default_rng(batch)
+        rows = pixel_rows(rng, 999)
+        labels = rng.integers(0, 10, len(rows))
+        batches = [(rows[lo:lo + batch], labels[lo:lo + batch])
+                   for lo in range(0, len(rows), batch)]
+        milestones = (50, 333, 700, len(rows))
+        start = init_model(rows.shape[1], 32, eta=0.01, seed=9)
+        expected = self._per_step_snapshots(
+            start.copy(), batches, *self._handles(32, 32), milestones)
+        calls, real = [], learner.sgd_step
+
+        def counted(model, features, targets, **kwargs):
+            calls.append((len(features), kwargs["step_rows"]))
+            return real(model, features, targets, **kwargs)
+
+        monkeypatch.setattr(learner, "sgd_step", counted)
+        seen = []
+        final = train_stream(start.copy(), batches, *self._handles(32, 32),
+                             milestones=milestones,
+                             hook=lambda n, m: seen.append(
+                                 (n, m.round, m.weights.copy())))
+        assert [s[:2] for s in seen] == [s[:2] for s in expected]
+        assert final.round == len(batches)
+        for (_n, _rnd, weights), (_, _, reference) in zip(seen, expected):
+            assert relative_error(weights, reference,
+                                  start.weights) <= BLOCK_TOLERANCE
+        assert sum(rows for rows, _ in calls) == len(rows)
+        assert all(rows <= max(batch, BLOCK_ROWS) for rows, _ in calls)
+        if batch >= BLOCK_ROWS:
+            # one step per call, the dense update byte for byte
+            assert all(rows == step for rows, step in calls)
+            assert final.weights.tobytes() == seen[-1][2].tobytes()
+            assert final.weights.tobytes() == expected[-1][2].tobytes()
+
+    def test_one_sgd_step_call_per_block(self, monkeypatch):
+        # The benchmark's traced runs time one span per sgd_step call and
+        # need at least one; a 300-row stream cut at (100, 200) runs as at
+        # most ceil(300 / BLOCK_ROWS) + 2 blocks.
+        calls, real = [], learner.sgd_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "sgd_step", counted)
+        rng = np.random.default_rng(5)
+        batches = [(rng.standard_normal((1, 5)), [int(rng.integers(4))])
+                   for _ in range(300)]
+        model = init_model(5, 8, eta=0.2, seed=0)
+        train_stream(model, batches, *self._handles(), milestones=(100, 200))
+        assert 1 < len(calls) <= -(-300 // BLOCK_ROWS) + 2
+        assert model.round == 300
 
     def test_propagates_codebook_exhaustion(self):
         book = HadamardCodebook.create(2, seed=0)
