@@ -16,7 +16,7 @@ db_bits = [[0, 0, 0, 0],
 database = BinaryCodeSet(pack_bits(db_bits), labels=[0, 1, 0, 1], length=4)
 queries = BinaryCodeSet(pack_bits([[0, 0, 0, 0]]), labels=[0], length=4)
 
-ranking = rank(queries.code(0), database)
+ranking = rank(queries, database)[0]
 print("ranking by ascending distance:", ranking.tolist())
 
 # The query's class appears at ranks 1 and 3, so

@@ -7,9 +7,8 @@ SGD under a tanh relaxation.  Retrieval quality is measured by Hamming
 ranking (mAP, Precision@K, and the AUC of mAP-vs-instances curves).
 """
 
-from .codec import (BinaryCode, BinaryCodeSet, encode, hamming,
-                    hamming_to_set, load_code_set, pack_bits, save_code_set,
-                    unpack_bits)
+from .codec import (BinaryCodeSet, encode, load_code_set, pack_bits,
+                    save_code_set, unpack_bits)
 from .data import (Dataset, SplitSpec, load_dense, load_idx, load_labels,
                    normalize, save_dense, save_labels, split, split_indices,
                    stream)

@@ -14,9 +14,8 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import codec, data
-from .errors import (CodebookExhaustedError, ConfigError, DimensionError,
-                     FormatError, HcohError, NumericFailureError,
-                     UndefinedAPError)
+from .errors import (CodebookExhaustedError, ConfigError, HcohError,
+                     NumericFailureError)
 from .evaluation import evaluate
 from .fileio import atomic_write
 from .pipeline import RunConfig, run_repeats, run_training
@@ -81,7 +80,7 @@ def _config_from_args(args, repeat: int = 0) -> RunConfig:
         bits=args.bits, eta=args.eta, batch_size=args.batch_size,
         seed=args.seed, repeat=repeat,
         milestones=_parse_milestones(args.milestones),
-        norm=args.norm, max_labels=args.max_labels,
+        max_labels=args.max_labels,
         test_per_class=args.test_per_class, train_subset=args.train_size,
         k_prec=args.k_prec, k_map=args.k_map,
         gradient="sigmoid" if args.paper_gradient else "exact",
@@ -265,8 +264,7 @@ def main(argv=None) -> int:
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FormatError, DimensionError, UndefinedAPError, FileNotFoundError,
-            IsADirectoryError, ValueError) as exc:
+    except (FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except HcohError as exc:

@@ -1,16 +1,18 @@
-"""Bit-packed binary codes, fast Hamming distance, and code-set files.
+"""Bit-packed code sets, their Hamming-distance kernel, and code-set files.
 
 Codes are produced by thresholding the linear model at zero:
 
     bit_j(x) = 1  iff  (W.T x + b)_j >= 0
 
 (the >= makes sign(0) a set bit, matching the +1 convention used for
-target codes).  An r-bit code is stored LSB-first in ceil(r/64) uint64
-words; unused bits in the last word are always zero, so two codes are
-equal exactly when their words are equal.  Hamming distance is XOR plus
-popcount over the words, computed in one place, ``_hamming_distances``,
-which returns the narrowest unsigned dtype that holds every distance in
-[0, r]; numpy's stable argsort is a radix sort on such rows.
+target codes).  Codes live only in a :class:`BinaryCodeSet`: row i holds
+one r-bit code LSB-first in ceil(r/64) uint64 words, and unused bits in
+the last word are always zero, so two codes are equal exactly when their
+words are equal.  Hamming distance is XOR plus popcount over the words,
+computed in one place, the private ``_hamming_distances``, which returns
+the narrowest unsigned dtype that holds every distance in [0, r]; numpy's
+stable argsort is a radix sort on such rows.  Within the package,
+``evaluation.rank`` is its one caller.
 
 Code-set file layout (little-endian throughout):
 
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import DimensionError, FormatError
 from .fileio import (UNKNOWN_LABEL, atomic_write, labels_from_u32,
                      labels_to_u32)
-from .learner import HashModel
+from .learner import HashModel, _checked_features
 
 WORD_BITS = 64
 CODE_MAGIC = b"HCOHCODE"
@@ -68,18 +70,6 @@ def _mask_padding(words: np.ndarray, length: int) -> np.ndarray:
 
 
 @dataclass
-class BinaryCode:
-    """A single r-bit code: ceil(r/64) uint64 words plus the bit length."""
-
-    words: np.ndarray
-    length: int
-
-    def __post_init__(self):
-        self.words = _mask_padding(
-            np.array(self.words, dtype=np.uint64, ndmin=1), self.length)
-
-
-@dataclass
 class BinaryCodeSet:
     """n equal-length codes with their labels, packed row-per-instance.
 
@@ -106,9 +96,6 @@ class BinaryCodeSet:
     def __len__(self) -> int:
         return self.words.shape[0]
 
-    def code(self, index: int) -> BinaryCode:
-        return BinaryCode(self.words[index].copy(), self.length)
-
     def take(self, indices: np.ndarray) -> "BinaryCodeSet":
         return BinaryCodeSet(self.words[indices], self.labels[indices],
                              self.length)
@@ -124,11 +111,7 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
     as an index into ``features`` (a whole-dataset row index when
     ``run_training`` hashes at a milestone).
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.feature_dim:
-        raise DimensionError(
-            f"features have shape {features.shape}, expected "
-            f"(n, {model.feature_dim})")
+    features = _checked_features(model, features)
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
         u = features @ model.weights
         u += model.bias     # in place: no second (n, r) array
@@ -160,33 +143,15 @@ def _hamming_distances(queries: np.ndarray, database: np.ndarray,
     ``queries`` (q, w) and ``database`` (n, w) hold packed ``length``-bit
     codes as in :class:`BinaryCodeSet`.  Returns a (q, n) array of uint8
     when ``length`` < 256, uint16 when ``length`` < 65,536, else uint32.
-    The temporary XOR block is q * n * w words.  The callers check that
-    both sides have the same code length, which this does not.
+    The temporary XOR block is q * n * w words.  The caller,
+    ``evaluation.rank``, checks that both sides have the same code
+    length, which this does not.
     """
     if queries.shape[1] == 1:
         # bitwise_count of one word is already uint8, and length <= 64.
         return np.bitwise_count(queries ^ database[:, 0])
     xor = queries[:, None, :] ^ database[None, :, :]
     return np.bitwise_count(xor).sum(axis=2, dtype=_distance_dtype(length))
-
-
-def hamming(a: BinaryCode, b: BinaryCode) -> int:
-    """Number of differing bit positions between two equal-length codes."""
-    if a.length != b.length:
-        raise DimensionError(f"code lengths differ: {a.length} vs {b.length}")
-    return int(_hamming_distances(a.words[None], b.words[None], a.length)[0, 0])
-
-
-def hamming_to_set(query: BinaryCode, database: BinaryCodeSet) -> np.ndarray:
-    """Hamming distance from one code to every code in a set.
-
-    Returns uint8 when the code length is below 256 bits, uint16 below
-    65,536, else uint32.
-    """
-    if query.length != database.length:
-        raise DimensionError(
-            f"code lengths differ: {query.length} vs {database.length}")
-    return _hamming_distances(query.words[None], database.words, query.length)[0]
 
 
 def save_code_set(path, code_set: BinaryCodeSet) -> None:

@@ -11,35 +11,44 @@ with R the number of relevant items, clipped to the cutoff K when one is
 given (so AP@K <= 1 always).  Queries with no relevant item in the
 database are skipped and counted, not scored as zero.
 
-:func:`evaluate` ranks a block of queries at a time.  The block's
-distances come from ``hcoh.codec._hamming_distances`` in the narrowest
-unsigned dtype that holds the code length (uint8 below 256 bits, uint16
-below 65,536), and one ``argsort(kind="stable")`` over the block orders
+:func:`rank` orders a set of queries against a database in one call.
+The distances come from ``hcoh.codec._hamming_distances`` in the
+narrowest unsigned dtype that holds the code length (uint8 below 256
+bits, uint16 below 65,536), and one ``argsort(kind="stable")`` orders
 every row.  On 8- and 16-bit integers numpy's stable sort is a radix
 sort, linear in the database size, and being stable it keeps the tie
-rule: by distance, then by database index.  Each query's row of that
-ranking is then scored by :func:`average_precision` and
-:func:`precision_at_k`; only full AP gathers the whole ranked relevance
-list, the cut-off metrics gather their top K.  Blocks run one after
-another in the calling thread, and per-query results stay in query
-order, so each mean is reduced over the same array for any block size.
+rule: by distance, then by database index.  :func:`evaluate` ranks
+through :func:`rank`, 64 queries at a time, and scores each query's row
+by :func:`average_precision` and :func:`precision_at_k`; only full AP
+gathers the whole ranked relevance list, the cut-off metrics gather
+their top K.  Blocks run one after another in the calling thread, and
+per-query results stay in query order, so each mean is reduced over the
+same array for any block size.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (BinaryCode, BinaryCodeSet, _hamming_distances,
-                    hamming_to_set)
+from .codec import BinaryCodeSet, _hamming_distances
 from .errors import DimensionError, UndefinedAPError
 
 _QUERY_CHUNK = 64  # queries ranked per distance-matrix block
 
 
-def rank(query: BinaryCode, database: BinaryCodeSet) -> np.ndarray:
-    """Database indices by ascending Hamming distance, ties by index."""
-    distances = hamming_to_set(query, database)
-    return np.argsort(distances, kind="stable")
+def rank(queries: BinaryCodeSet, database: BinaryCodeSet) -> np.ndarray:
+    """Database indices by ascending Hamming distance, ties by index.
+
+    Returns a (q, n) int64 array whose row i ranks the database for
+    query i.  Raises DimensionError if the code lengths differ.
+    """
+    if queries.length != database.length:
+        raise DimensionError(
+            f"code lengths differ: queries {queries.length}, "
+            f"database {database.length}")
+    distances = _hamming_distances(queries.words, database.words,
+                                   database.length)
+    return np.argsort(distances, axis=1, kind="stable")
 
 
 def average_precision(ranking: np.ndarray, relevance: np.ndarray,
@@ -112,10 +121,6 @@ class EvalReport:
 def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
              k_map: int = None) -> EvalReport:
     """Score every query against the database; aggregate means."""
-    if queries.length != database.length:
-        raise DimensionError(
-            f"code lengths differ: queries {queries.length}, "
-            f"database {database.length}")
     n_q, n_db = len(queries), len(database)
     if not 1 <= k_prec <= n_db:
         raise ValueError(f"k_prec must be in [1, {n_db}], got {k_prec}")
@@ -128,10 +133,7 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
 
     for lo in range(0, n_q, _QUERY_CHUNK):
         hi = min(lo + _QUERY_CHUNK, n_q)
-        rankings = np.argsort(
-            _hamming_distances(queries.words[lo:hi], database.words,
-                               database.length),
-            axis=1, kind="stable")
+        rankings = rank(queries.take(slice(lo, hi)), database)
         for row, qi in enumerate(range(lo, hi)):
             relevance = database.labels == queries.labels[qi]
             if not relevance.any():

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import encode
-from .data import NORM_MODES, Dataset, SplitSpec, split_indices, stream
+from .data import Dataset, SplitSpec, split_indices, stream
 from .errors import ConfigError
 from .evaluation import evaluate, map_curve_auc
 from .hadamard import MAX_ORDER, HadamardCodebook, codeword_order
@@ -47,7 +47,6 @@ class RunConfig:
     seed: int = 0
     repeat: int = 0
     milestones: tuple = ()
-    norm: str = "unit255"
     max_labels: int = 2
     test_per_class: int = 100
     train_subset: int = 20000
@@ -70,8 +69,6 @@ class RunConfig:
         if any(m < 1 for m in ms) or any(a >= b for a, b in zip(ms, ms[1:])):
             raise ConfigError(
                 f"milestones must be positive and strictly increasing, got {ms}")
-        if self.norm not in NORM_MODES:
-            raise ConfigError(f"norm must be one of {NORM_MODES}, got {self.norm!r}")
         if self.gradient not in GRADIENT_FACTORS:
             raise ConfigError(
                 f"gradient must be one of {GRADIENT_FACTORS}, got {self.gradient!r}")

@@ -137,10 +137,10 @@ def test_c3_map_matches_brute_force():
         k = int(rng.integers(1, n_db + 1))
         report = hcoh.evaluate(queries, database, k_prec=k)
         aps, precs = [], []
+        fast_rankings = hcoh.rank(queries, database)
         for qi in range(n_q):
             ranking = _oracle_rank(q_bits[qi], db_bits)
-            fast_ranking = hcoh.rank(queries.code(qi), database)
-            assert list(fast_ranking) == ranking
+            assert list(fast_rankings[qi]) == ranking
             relevance = [db_labels[i] == q_labels[qi] for i in range(n_db)]
             if not any(relevance):
                 continue
@@ -192,7 +192,7 @@ def _mnist_dataset():
 
 def _mnist_config(bits, **overrides):
     base = dict(bits=bits, eta=0.2, batch_size=1, seed=0, test_per_class=100,
-                train_subset=20000, k_prec=500, max_labels=10, norm="unit255")
+                train_subset=20000, k_prec=500, max_labels=10)
     base.update(overrides)
     return hcoh.RunConfig(**base)
 

@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from hcoh import (Dataset, SplitSpec, derive_seeds, load_dense, load_labels,
-                  pack_bits, save_code_set, save_dense, save_labels, split)
-from hcoh.cli import main
-from hcoh.codec import BinaryCodeSet, hamming, load_code_set
+from hcoh import (Dataset, SplitSpec, derive_seeds, encode, load_dense,
+                  load_labels, pack_bits, save_code_set, save_dense,
+                  save_labels, split)
+from hcoh.checkpoint import load_checkpoint
+from hcoh.cli import MNIST_FILES, main
+from hcoh.codec import BinaryCodeSet, load_code_set
 from tests.conftest import blob_dataset
+from tests.test_data import idx_image_bytes, idx_label_bytes
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +106,45 @@ class TestTrain:
         assert code == 3
 
 
+@pytest.fixture(scope="module")
+def idx_dir(tmp_path_factory):
+    """Small MNIST-named IDX pairs: four classes of 5x5 images whose pixels
+    have per-class means, so z-scoring changes the features' geometry."""
+    root = tmp_path_factory.mktemp("idx")
+    rng = np.random.default_rng(31)
+    for part, n in (("train", 240), ("test", 80)):
+        labels = rng.integers(0, 4, n)
+        means = rng.uniform(20, 235, size=(4, 5, 5))
+        pixels = np.clip(means[labels] + rng.normal(0, 30, (n, 5, 5)), 0, 255)
+        (root / MNIST_FILES[f"{part}_images"]).write_bytes(
+            idx_image_bytes(pixels.astype(np.uint8)))
+        (root / MNIST_FILES[f"{part}_labels"]).write_bytes(
+            idx_label_bytes(labels))
+    return root
+
+
+def idx_train_args(root, out_dir, norm):
+    return ["train", "--dataset", "mnist", "--data-dir", str(root),
+            "--norm", norm, "--bits", "8", "--seed", "3", "--max-labels", "4",
+            "--test-per-class", "5", "--train-size", "100", "--k-prec", "10",
+            "--checkpoint", str(out_dir / f"{norm}.hcoh"),
+            "--metrics", str(out_dir / f"{norm}.jsonl")]
+
+
+class TestNorm:
+    def test_norm_modes_write_different_checkpoints(self, idx_dir, tmp_path):
+        for norm in ("zscore", "unit255"):
+            assert main(idx_train_args(idx_dir, tmp_path, norm)) == 0
+        assert ((tmp_path / "zscore.hcoh").read_bytes()
+                != (tmp_path / "unit255.hcoh").read_bytes())
+
+    def test_unknown_norm_exit_config(self, idx_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(idx_train_args(idx_dir, tmp_path, "l2"))
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestEncode:
     @pytest.fixture()
     def checkpoint(self, dense_blobs, tmp_path):
@@ -117,8 +159,12 @@ class TestEncode:
                      "--out", str(out)]) == 0
         codes = load_code_set(out)
         assert len(codes) == 600
-        for i in (0, 17, 599):
-            assert hamming(codes.code(i), codes.code(i)) == 0
+        model, _book, _reducer = load_checkpoint(checkpoint)
+        blobs = load_dense(dense_blobs / "blobs.feat", dense_blobs / "blobs.lab")
+        expected = encode(model, blobs.features, blobs.labels)
+        assert codes.length == expected.length
+        assert np.array_equal(codes.words, expected.words)
+        assert np.array_equal(codes.labels, expected.labels)
 
     def test_reencode_is_byte_identical(self, dense_blobs, tmp_path, checkpoint):
         a, b = tmp_path / "a.hcode", tmp_path / "b.hcode"

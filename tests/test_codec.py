@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hcoh import (BinaryCode, BinaryCodeSet, DimensionError, FormatError,
-                  HashModel, encode, hamming, hamming_to_set, init_model,
-                  load_code_set, pack_bits, save_code_set, unpack_bits)
+from hcoh import (BinaryCodeSet, DimensionError, FormatError, HashModel,
+                  encode, init_model, load_code_set, pack_bits, rank,
+                  save_code_set, unpack_bits)
 from hcoh.codec import _hamming_distances
 
 
@@ -43,8 +43,6 @@ class TestPacking:
         dirty = np.full((2, 1), 0xFFFF_FFFF_FFFF_FFFF, dtype=np.uint64)
         code_set = BinaryCodeSet(dirty, [0, 1], length=10)
         assert (code_set.words == np.uint64(0x3FF)).all()
-        code = BinaryCode(np.array([2**63], dtype=np.uint64), 10)
-        assert code.words[0] == 0
 
 
 class TestEncode:
@@ -110,15 +108,23 @@ class TestEncode:
         assert peak < 1.6 * feats.shape[0] * model.code_length * 8
 
 
+def pair_distance(words_a, words_b, length):
+    """Hamming distance of two packed codes through the one kernel."""
+    return int(_hamming_distances(np.atleast_2d(words_a),
+                                  np.atleast_2d(words_b), length)[0, 0])
+
+
 class TestHamming:
+    """Hamming-distance properties, checked on ``_hamming_distances``."""
+
     def test_self_distance_zero(self):
-        code = BinaryCode(np.array([0xDEADBEEF], dtype=np.uint64), 64)
-        assert hamming(code, code) == 0
+        words = np.array([[0xDEADBEEF]], dtype=np.uint64)
+        assert pair_distance(words, words, 64) == 0
 
     def test_four_bit_complement(self):
-        a = BinaryCode(pack_bits([[1, 0, 1, 0]])[0], 4)
-        b = BinaryCode(pack_bits([[0, 1, 0, 1]])[0], 4)
-        assert hamming(a, b) == 4
+        a = pack_bits([[1, 0, 1, 0]])
+        b = pack_bits([[0, 1, 0, 1]])
+        assert pair_distance(a, b, 4) == 4
 
     def test_matches_naive_loop_on_many_pairs(self):
         rng = np.random.default_rng(6)
@@ -127,39 +133,38 @@ class TestHamming:
             words = pack_bits(bits)
             pairs = rng.integers(0, 200, size=(100, 2))
             for i, j in pairs:
-                fast = hamming(BinaryCode(words[i], r), BinaryCode(words[j], r))
+                fast = pair_distance(words[i], words[j], r)
                 assert fast == naive_hamming(bits[i], bits[j])
 
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=(30, 48), dtype=np.uint8)
         words = pack_bits(bits)
-        codes = [BinaryCode(words[i], 48) for i in range(30)]
+        dist = _hamming_distances(words, words, 48).astype(int)
         for _ in range(200):
-            x, y, z = (codes[k] for k in rng.integers(0, 30, 3))
-            assert hamming(x, y) == hamming(y, x)
-            assert hamming(x, z) <= hamming(x, y) + hamming(y, z)
+            x, y, z = rng.integers(0, 30, 3)
+            assert dist[x, y] == dist[y, x]
+            assert dist[x, z] <= dist[x, y] + dist[y, z]
         i, j = rng.integers(0, 30, 2)
         if not np.array_equal(bits[i], bits[j]):
-            assert hamming(codes[i], codes[j]) > 0
+            assert dist[i, j] > 0
 
     def test_length_mismatch_rejected(self):
-        a = BinaryCode(np.zeros(1, dtype=np.uint64), 8)
-        b = BinaryCode(np.zeros(1, dtype=np.uint64), 9)
-        with pytest.raises(DimensionError):
-            hamming(a, b)
+        a = BinaryCodeSet(np.zeros((1, 1), dtype=np.uint64), [0], 8)
+        b = BinaryCodeSet(np.zeros((1, 1), dtype=np.uint64), [0], 9)
+        with pytest.raises(DimensionError, match="8.*9"):
+            rank(a, b)
 
     def test_vectorized_set_distances_agree(self):
         rng = np.random.default_rng(8)
         code_set, bits = random_code_set(rng, 50, 72)
-        query = code_set.code(17)
-        fast = hamming_to_set(query, code_set)
+        fast = _hamming_distances(code_set.words[17:18], code_set.words, 72)[0]
         slow = [naive_hamming(bits[17], bits[i]) for i in range(50)]
         assert np.array_equal(fast, slow)
 
 
 class TestDistanceKernel:
-    """``_hamming_distances`` and its wrappers against the unpacked-bits loop."""
+    """``_hamming_distances`` against the unpacked-bits loop."""
 
     @pytest.mark.parametrize("r", [1, 63, 64, 65, 255, 256, 300])
     def test_matches_naive_loop(self, r):
@@ -172,12 +177,10 @@ class TestDistanceKernel:
         got = _hamming_distances(queries.words, database.words, r)
         assert got.dtype == dtype
         assert np.array_equal(got, expected)
-        for qi in range(4):
-            row = hamming_to_set(queries.code(qi), database)
+        for qi in range(4):  # one query at a time, as its own (1, w) block
+            row = _hamming_distances(queries.words[qi:qi + 1], database.words, r)
             assert row.dtype == dtype
-            assert np.array_equal(row, expected[qi])
-            assert [hamming(queries.code(qi), database.code(j))
-                    for j in range(30)] == list(expected[qi])
+            assert np.array_equal(row[0], expected[qi])
 
     @pytest.mark.parametrize("r,dtype", [(64, np.uint8), (255, np.uint8),
                                          (256, np.uint16), (65535, np.uint16),

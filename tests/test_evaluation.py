@@ -58,29 +58,29 @@ class TestRank:
     def test_exact_match_ranked_first(self):
         rng = np.random.default_rng(0)
         code_set, bits = random_set(rng, 30, 16)
-        query = code_set.code(13)
-        ranking = rank(query, code_set)
+        ranking = rank(code_set.take([13]), code_set)[0]
         assert np.array_equal(bits[ranking[0]], bits[13])
 
     def test_all_distinct_distances_sorted(self):
         bits = [[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]]
         code_set = make_set(bits, [0, 0, 0, 0])
-        ranking = rank(code_set.code(0), code_set)
+        ranking = rank(code_set.take([0]), code_set)[0]
         assert list(ranking) == [0, 1, 2, 3]
 
     def test_ties_broken_by_ascending_index(self):
         bits = [[0, 0, 1, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
         code_set = make_set(bits, [0, 0, 0, 0])
-        ranking = rank(make_set([[0, 0, 0, 0]], [0]).code(0), code_set)
+        ranking = rank(make_set([[0, 0, 0, 0]], [0]), code_set)[0]
         assert list(ranking) == [3, 1, 2, 0]
 
     def test_matches_oracle_on_random_sets(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             code_set, bits = random_set(rng, 50, int(rng.integers(3, 80)))
-            qi = int(rng.integers(0, 50))
-            assert list(rank(code_set.code(qi), code_set)) == \
-                oracle_rank(bits[qi], bits)
+            rankings = rank(code_set, code_set)
+            assert rankings.shape == (50, 50)
+            for qi in range(50):
+                assert list(rankings[qi]) == oracle_rank(bits[qi], bits)
 
 
 class TestAveragePrecision:
@@ -259,8 +259,8 @@ class TestRankingKernel:
             assert report.map_at_k == pytest.approx(
                 np.mean([e[1] for e in expected]), abs=1e-12)
         # Bit-identical to the per-query reference functions.
-        per_query = [average_precision(rank(queries.code(qi), database),
-                                       db_labels == q_labels[qi])
+        rankings = rank(queries, database)
+        per_query = [average_precision(rankings[qi], db_labels == q_labels[qi])
                      for qi in range(n_q) if (db_labels == q_labels[qi]).any()]
         assert np.array_equal(report.per_query_ap, per_query)
 
@@ -271,7 +271,7 @@ class TestRankingKernel:
         database = make_set(db_bits, db_labels)
         q_bits = rng.integers(0, 2, size=(3, 40), dtype=np.uint8)
         queries = make_set(q_bits, [0, 1, 1])
-        assert list(rank(queries.code(0), database)) == list(range(50))
+        assert list(rank(queries, database)[0]) == list(range(50))
         report = evaluate(queries, database, k_prec=10, k_map=20)
         by_index = list(range(50))
         for qi, label in enumerate([0, 1, 1]):

@@ -38,7 +38,7 @@ class TestRunConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(bits=0), dict(eta=0.0), dict(batch_size=0),
         dict(milestones=(5, 5)), dict(milestones=(0,)),
-        dict(norm="l2"), dict(gradient="nonsense"),
+        dict(gradient="nonsense"),
         dict(max_labels=0), dict(k_prec=0), dict(k_map=0),
         dict(seed=-1), dict(repeat=-1),
         dict(max_labels=2**20 + 1), dict(bits=2**21),  # order above the cap
