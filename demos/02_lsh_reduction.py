@@ -39,12 +39,12 @@ print("identical inputs distance:",
 
 # ---------------------------------------------------------------------------
 # Training reads targets through a per-label cache, so each class costs
-# one assignment + one projection, ever.
+# one assignment + one projection, ever.  A call resolves a whole block of
+# labels; the new ones are projected together as one stack of codewords.
 # ---------------------------------------------------------------------------
 book = HadamardCodebook.create(16, seed=1)
 reducer = LshReducer.create(16, 8, seed=2)
 table = TargetCodeTable(out_dim=8)
-for label in [2, 5, 2, 2, 5]:
-    table.target_for(label, book, reducer)
+table.targets([2, 5, 2, 2, 5], book, reducer)
 print("labels seen: [2, 5, 2, 2, 5] -> cached targets:", len(table))
-print("target for label 2:", table.target_for(2, book, reducer))
+print("target for label 2:", table.codes[2])

@@ -29,8 +29,7 @@ probe_features, probe_labels = features[1500:], labels[1500:]
 
 
 def report(seen, current):
-    targets = np.stack([table.target_for(y, book, reducer)
-                        for y in probe_labels])
+    targets = table.targets(probe_labels, book, reducer)
     print(f"  after {seen:>5} instances: held-out loss "
           f"{loss(current, probe_features, targets):8.3f}")
 

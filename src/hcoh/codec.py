@@ -8,11 +8,14 @@ Codes are produced by thresholding the linear model at zero:
 target codes).  Codes live only in a :class:`BinaryCodeSet`: row i holds
 one r-bit code LSB-first in ceil(r/64) uint64 words, and unused bits in
 the last word are always zero, so two codes are equal exactly when their
-words are equal.  Hamming distance is XOR plus popcount over the words,
-computed in one place, the private ``_hamming_distances``, which returns
-the narrowest unsigned dtype that holds every distance in [0, r]; numpy's
-stable argsort is a radix sort on such rows.  Within the package,
-``evaluation.rank`` is its one caller.
+words are equal.  ``encode`` hashes ENCODE_ROWS rows at a time and packs
+each block straight into the code set's words, so its float64
+pre-activations never exceed ENCODE_ROWS x r.  Hamming distance is XOR
+plus popcount over the words, computed in one place, the private
+``_hamming_distances``, which adds up the popcounts one word at a time
+in the narrowest unsigned dtype that holds every distance in [0, r];
+numpy's stable argsort is a radix sort on such rows.  Within the
+package, ``evaluation.rank`` is its one caller.
 
 Code-set file layout (little-endian throughout):
 
@@ -35,6 +38,7 @@ from .fileio import (UNKNOWN_LABEL, atomic_write, labels_from_u32,
 from .learner import HashModel, _checked_features
 
 WORD_BITS = 64
+ENCODE_ROWS = 4096  # rows per hashing block: 4 MiB of float64 at r = 128
 CODE_MAGIC = b"HCOHCODE"
 CODE_VERSION = 1
 
@@ -105,27 +109,35 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
     """Hash feature rows through the model into a packed code set.
 
     Labels are carried alongside the codes for retrieval evaluation; pass
-    None to fill with -1 when they are unknown.  Raises ValueError if any
-    pre-activation W.T x + b is NaN or infinite, as a non-finite feature
-    makes every entry of its row; the message names the first such row
-    as an index into ``features`` (a whole-dataset row index when
-    ``run_training`` hashes at a milestone).
+    None to fill with -1 when they are unknown.  Rows are hashed in
+    blocks of ENCODE_ROWS.  Raises ValueError if any pre-activation
+    W.T x + b is NaN or infinite, as a non-finite feature makes every
+    entry of its row; the message counts such rows over all blocks and
+    names the first as an index into ``features`` (a whole-dataset row
+    index when ``run_training`` hashes at a milestone).
     """
     features = _checked_features(model, features)
-    with np.errstate(invalid="ignore", over="ignore"):  # checked below
-        u = features @ model.weights
-        u += model.bias     # in place: no second (n, r) array
-    bad = ~np.isfinite(u).all(axis=1)
-    if bad.any():
+    words = np.empty((features.shape[0], words_per_code(model.code_length)),
+                     dtype=np.uint64)
+    n_bad, first_bad = 0, None
+    for lo in range(0, features.shape[0], ENCODE_ROWS):
+        with np.errstate(invalid="ignore", over="ignore"):  # checked below
+            u = features[lo:lo + ENCODE_ROWS] @ model.weights
+            u += model.bias
+        bad = ~np.isfinite(u).all(axis=1)
+        if bad.any():
+            if first_bad is None:
+                first_bad = lo + int(bad.argmax())
+            n_bad += int(bad.sum())
+        words[lo:lo + len(u)] = pack_bits(u >= 0)
+    if n_bad:
         raise ValueError(
-            f"{bad.sum()} feature rows give a non-finite pre-activation "
-            f"(first row {bad.argmax()}); features must be finite")
-    bits = (u >= 0).astype(np.uint8)
+            f"{n_bad} feature rows give a non-finite pre-activation "
+            f"(first row {first_bad}); features must be finite")
     if labels is None:
         labels = np.full(features.shape[0], UNKNOWN_LABEL, dtype=np.int64)
     labels = np.atleast_1d(np.asarray(labels))
-    return BinaryCodeSet(words=pack_bits(bits), labels=labels,
-                         length=model.code_length)
+    return BinaryCodeSet(words=words, labels=labels, length=model.code_length)
 
 
 def _distance_dtype(length: int):
@@ -143,15 +155,17 @@ def _hamming_distances(queries: np.ndarray, database: np.ndarray,
     ``queries`` (q, w) and ``database`` (n, w) hold packed ``length``-bit
     codes as in :class:`BinaryCodeSet`.  Returns a (q, n) array of uint8
     when ``length`` < 256, uint16 when ``length`` < 65,536, else uint32.
-    The temporary XOR block is q * n * w words.  The caller,
-    ``evaluation.rank``, checks that both sides have the same code
-    length, which this does not.
+    The popcounts are added one word at a time, so the temporary XOR
+    block is q * n words whatever w is.  The caller, ``evaluation.rank``,
+    checks that both sides have the same code length, which this does
+    not.
     """
-    if queries.shape[1] == 1:
-        # bitwise_count of one word is already uint8, and length <= 64.
-        return np.bitwise_count(queries ^ database[:, 0])
-    xor = queries[:, None, :] ^ database[None, :, :]
-    return np.bitwise_count(xor).sum(axis=2, dtype=_distance_dtype(length))
+    # bitwise_count of one word is uint8, already the dtype when w == 1.
+    distances = np.bitwise_count(queries[:, :1] ^ database[:, 0]).astype(
+        _distance_dtype(length), copy=False)
+    for k in range(1, queries.shape[1]):
+        distances += np.bitwise_count(queries[:, k, None] ^ database[:, k])
+    return distances
 
 
 def save_code_set(path, code_set: BinaryCodeSet) -> None:

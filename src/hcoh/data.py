@@ -19,8 +19,9 @@ uniformly from the retrieval set (train is a subset of retrieval, not
 disjoint from it); ``split_indices`` returns the three parts as row
 indices, and only ``split`` copies them into Datasets of their own.
 Training data is then streamed in a seeded random order, single pass,
-in batches of a fixed size, as (features, labels) array pairs gathered
-from the parent dataset one chunk at a time.
+in batches of a fixed size, as (features, labels) array pairs: each
+span of up to SPAN_ROWS rows is gathered from the parent dataset by one
+fancy index and yielded a batch-sized slice at a time.
 """
 
 import gzip
@@ -251,19 +252,25 @@ def split(dataset: Dataset, spec: SplitSpec):
 # Rows gathered per block by stream's finiteness check: 1,024 rows of 784
 # float64 features is a 6.4 MB temporary.
 CHECK_ROWS = 1024
+# Rows stream gathers by one fancy index, rounded down to whole batches:
+# as many as one training block holds (learner.BLOCK_ROWS); a larger span
+# only makes the gathered copy larger.
+SPAN_ROWS = 128
 
 
 def stream(dataset: Dataset, batch_size: int, seed: int, indices=None):
     """Yield (features, labels) chunks of a seeded permutation of training rows.
 
     The training rows are ``dataset`` rows ``indices``, or every row when
-    ``indices`` is None; each chunk is gathered from ``dataset`` as it is
-    yielded, so no copy of the training set is made.  Single pass: every
-    instance appears exactly once.  The final chunk may be smaller than
-    ``batch_size``.  Before the first chunk, every training row is
-    checked once, in blocks of CHECK_ROWS rows: a NaN or infinite value
-    raises ValueError naming its dataset row, so no SGD step runs on a
-    stream that holds one.
+    ``indices`` is None.  They are gathered from ``dataset`` as the stream
+    goes, SPAN_ROWS rows (or one batch, when a batch is larger) by one
+    fancy index, and each chunk is a slice of its span, so no copy of
+    the training set is made.  Single pass: every instance appears
+    exactly once.  The final chunk may be smaller than ``batch_size``.
+    Before the first chunk, every training row is checked once, in
+    blocks of CHECK_ROWS rows: a NaN or infinite value raises ValueError
+    naming its dataset row, so no SGD step runs on a stream that holds
+    one.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
@@ -276,6 +283,10 @@ def stream(dataset: Dataset, batch_size: int, seed: int, indices=None):
                 f"split 'train' holds non-finite feature values (row "
                 f"{block[finite.argmin()]} of dataset {dataset.name!r})")
     order = np.random.default_rng(seed).permutation(len(rows))
-    for lo in range(0, len(order), batch_size):
-        chunk = rows[order[lo:lo + batch_size]]
-        yield dataset.features[chunk], dataset.labels[chunk]
+    span = max(1, SPAN_ROWS // batch_size) * batch_size
+    for lo in range(0, len(order), span):
+        chunk = rows[order[lo:lo + span]]
+        features, labels = dataset.features[chunk], dataset.labels[chunk]
+        for start in range(0, len(chunk), batch_size):
+            yield (features[start:start + batch_size],
+                   labels[start:start + batch_size])

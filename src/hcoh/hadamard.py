@@ -12,8 +12,10 @@ Sylvester's recursion builds orders 2**k,
                          [H_m, -H_m]]
 
 and is equivalent to entry(i, j) = (-1)**popcount(i & j) with 0-based
-indices.  The codebook never builds the matrix: it computes each column
-from that closed form, in O(order), when a label needs it.  Beware the
+indices.  The codebook never builds the matrix: it computes columns from
+that closed form, O(order) each, when labels need them, one column for
+``codeword`` and a (k, order) stack of them for the k labels that a
+training block sees first (``lsh.TargetCodeTable.targets``).  Beware the
 superficially similar (-1)**((i-1)*(j-1)) with ordinary multiplication:
 it is wrong for order >= 4 (rows 1 and 3 come out identical).
 
@@ -60,10 +62,15 @@ def _check_order(order: int) -> None:
         raise InvalidOrderError(f"order {order} exceeds the cap {MAX_ORDER}")
 
 
-def _column(order: int, j: int) -> np.ndarray:
-    """Column ``j`` of the Sylvester matrix: (-1)**popcount(i & j) over i."""
-    parity = np.bitwise_count(np.arange(order) & j) & 1
-    return np.where(parity, -1, 1).astype(np.int8)
+def _column(order: int, columns) -> np.ndarray:
+    """Sylvester columns as int8 rows: (-1)**popcount(i & j) over i.
+
+    A single index j gives the (order,) column; an array of k indices
+    gives their (k, order) stack.
+    """
+    j = np.asarray(columns, dtype=np.uint32)[..., None]
+    parity = np.bitwise_count(np.arange(order, dtype=np.uint32) & j) & 1
+    return 1 - 2 * parity.astype(np.int8)
 
 
 def build_hadamard(order: int) -> np.ndarray:

@@ -45,13 +45,16 @@ plain dense update, byte for byte.
 ``train_stream`` ends a block after BLOCK_ROWS rows, at every milestone
 crossing (so its hook sees the model at the exact instance count), at
 the end of the stream, and before a step with a different row count.
-A block's steps are never applied to W one at a time, so when a block
-leaves W or b non-finite it is replayed one step at a time from its
-starting W and b, and NumericFailureError names the first failing
-round (should every replayed step stay finite, the replay's result
-stands).  Every step updates and checks all of W: there is no separate
-sparse-row update, since a block already spreads the cost of the dense
-products over its steps.
+It holds each step's features and labels until then, and resolves the
+whole block's labels to targets with one ``TargetCodeTable.targets``
+call before the block's ``sgd_step``.  A block's steps are never
+applied to W one at a time, so when a block leaves W or b non-finite it
+is replayed one step at a time from its starting W and b, and
+NumericFailureError names the first failing round (should every
+replayed step stay finite, the replay's result stands).  Every step
+updates and checks all of W: there is no separate sparse-row update,
+since a block already spreads the cost of the dense products over its
+steps.
 """
 
 from dataclasses import dataclass
@@ -210,40 +213,38 @@ def train_stream(model: HashModel, batches, book: HadamardCodebook,
                  milestones=(), hook=None, gradient: str = "exact") -> HashModel:
     """Consume an ordered stream of (features, labels) batches, one SGD step each.
 
-    Each batch's labels are resolved to target codes through the codebook
-    and reducer (cached in ``table``).  Consecutive steps run in blocks
-    through :func:`sgd_step`, up to BLOCK_ROWS rows of equal-sized steps
-    each (see module docstring).  Whenever the cumulative instance count
-    crosses the next milestone, ``hook(instances_seen, model)`` is called,
-    if given, with the live model after exactly that many instances; a
-    hook that keeps the model past its call must copy it.  A batch whose
-    labels cannot be resolved raises before the steps waiting in its
-    block are applied.  Returns the trained model, which is ``model``
-    updated in place.
+    Consecutive steps run in blocks through :func:`sgd_step`, up to
+    BLOCK_ROWS rows of equal-sized steps each (see module docstring).
+    A block's labels are resolved to target codes by one
+    :meth:`TargetCodeTable.targets` call on ``table`` just before its
+    steps run, so labels new to the codebook take their columns in
+    stream order.  Whenever the cumulative instance count crosses the
+    next milestone, ``hook(instances_seen, model)`` is called, if given,
+    with the live model after exactly that many instances; a hook that
+    keeps the model past its call must copy it.  A block whose labels
+    cannot be resolved raises before any of its steps is applied.
+    Returns the trained model, which is ``model`` updated in place.
     """
     if table is None:
         table = TargetCodeTable(out_dim=model.code_length)
     milestones = sorted(int(m) for m in milestones)
     next_ms = 0
     seen = 0
-    block = []      # (features, targets) per step, all with the same rows
+    block = []      # (features, labels) per step, all with the same rows
 
     def run_block():
         if block:
-            features, targets = zip(*block)
-            sgd_step(model, np.concatenate(features), np.concatenate(targets),
-                     gradient=gradient, step_rows=len(targets[0]))
+            features, labels = zip(*block)
+            targets = table.targets(np.concatenate(labels), book, reducer)
+            sgd_step(model, np.concatenate(features), targets,
+                     gradient=gradient, step_rows=len(labels[0]))
             block.clear()
 
     for features, labels in batches:
-        # np.array, unlike np.stack, lets an empty batch reach sgd_step.
-        targets = np.array(
-            [table.target_for(label, book, reducer) for label in labels],
-            dtype=np.float64)
-        if block and (len(targets) != len(block[0][1])
-                      or len(targets) * (len(block) + 1) > BLOCK_ROWS):
+        if block and (len(labels) != len(block[0][1])
+                      or len(labels) * (len(block) + 1) > BLOCK_ROWS):
             run_block()
-        block.append((features, targets))
+        block.append((features, labels))
         seen += len(labels)
         if next_ms < len(milestones) and seen >= milestones[next_ms]:
             while next_ms < len(milestones) and milestones[next_ms] <= seen:

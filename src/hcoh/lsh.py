@@ -11,6 +11,11 @@ two inputs at angle theta agree per output bit with probability
 Hamming distance 0.5 while equal codewords collide exactly.  When the
 dimensions already match the reducer is the identity and codewords pass
 through untouched.
+
+Targets are resolved a block of labels at a time: the labels a block
+sees for the first time take their codebook columns in first-sight
+order, and their codewords are reduced as one stack by one product
+rather than one projection read per label.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .hadamard import HadamardCodebook
+from .hadamard import HadamardCodebook, _column
+
+# Entries of the (k, order) codeword stack that one reduction takes: its
+# float64 copy inside the product is then at most 32 MiB, where 128 new
+# labels at MAX_ORDER would need 1 GiB.
+STACK_ENTRIES = 2**22
 
 
 def sign_pm1(values: np.ndarray) -> np.ndarray:
@@ -55,43 +65,68 @@ class LshReducer:
     def is_identity(self) -> bool:
         return self.projection is None
 
-    def reduce(self, codeword: np.ndarray) -> np.ndarray:
-        """Map a length-in_dim sign vector to a length-out_dim sign vector."""
-        codeword = np.asarray(codeword)
-        if codeword.shape != (self.in_dim,):
+    def reduce(self, codewords: np.ndarray) -> np.ndarray:
+        """Map in_dim sign vectors to out_dim sign vectors, as int8.
+
+        Takes one codeword (in_dim,) or a stack of them (k, in_dim) and
+        returns (out_dim,) or (k, out_dim) to match.
+        """
+        codewords = np.asarray(codewords)
+        if codewords.ndim not in (1, 2) or codewords.shape[-1] != self.in_dim:
             raise DimensionError(
-                f"codeword has shape {codeword.shape}, expected ({self.in_dim},)")
+                f"codewords have shape {codewords.shape}, expected "
+                f"([k,] {self.in_dim})")
         if self.projection is None:
-            return codeword.astype(np.int8)
-        return sign_pm1(self.projection.T @ codeword.astype(np.float64))
+            return codewords.astype(np.int8)
+        return sign_pm1(codewords @ self.projection)
 
 
 @dataclass
 class TargetCodeTable:
     """Per-label cache of reduced target codes.
 
-    A label's code is computed once, on first request, and never changes
-    afterwards; training touches only this table, so the per-instance
-    cost of target lookup is O(1) after the first occurrence.
+    A label's code is computed once, the first time a call sees it, and
+    never changes afterwards; ``codes`` maps each label to its read-only
+    int8 code, so a label seen before costs a dictionary lookup.
     """
 
     out_dim: int
     codes: dict = field(default_factory=dict)
 
-    def target_for(self, label: int, book: HadamardCodebook,
-                   reducer: LshReducer) -> np.ndarray:
-        label = int(label)
-        cached = self.codes.get(label)
-        if cached is not None:
-            return cached
-        book.assign_label(label)
-        code = reducer.reduce(book.codeword(label))
-        if code.shape != (self.out_dim,):
-            raise DimensionError(
-                f"reducer emitted {code.shape}, table expects ({self.out_dim},)")
-        code.setflags(write=False)
-        self.codes[label] = code
-        return code
+    def targets(self, labels, book: HadamardCodebook,
+                reducer: LshReducer) -> np.ndarray:
+        """(n, out_dim) float64 target codes of ``labels``, row for row.
+
+        The labels not yet in the table take codebook columns in the
+        order they first appear in ``labels``, and their codewords are
+        reduced in stacks of at most STACK_ENTRIES entries.  When the
+        codebook runs out mid-call, CodebookExhaustedError propagates
+        after the labels assigned before it are cached, as a label-by-
+        label loop would leave them.
+        """
+        unique, first, inverse = np.unique(np.asarray(labels, dtype=np.int64),
+                                           return_index=True,
+                                           return_inverse=True)
+        new = [label for label in unique[np.argsort(first)].tolist()
+               if label not in self.codes]
+        chunk = max(1, STACK_ENTRIES // book.order)
+        for lo in range(0, len(new), chunk):
+            part, columns = new[lo:lo + chunk], []
+            try:
+                for label in part:
+                    columns.append(book.assign_label(label))
+            finally:    # also on exhaustion: cache the labels assigned so far
+                if columns:
+                    codes = reducer.reduce(_column(book.order, columns))
+                    if codes.shape[1] != self.out_dim:
+                        raise DimensionError(
+                            f"reducer emitted {codes.shape[1]} bits, table "
+                            f"expects {self.out_dim}")
+                    codes.setflags(write=False)
+                    self.codes.update(zip(part, codes))
+        codes = np.array([self.codes[label] for label in unique.tolist()],
+                         dtype=np.float64)
+        return codes.reshape(len(unique), self.out_dim)[inverse]
 
     def __len__(self) -> int:
         return len(self.codes)

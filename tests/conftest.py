@@ -109,3 +109,21 @@ def per_step_sgd(model, features, targets, gradient="exact", step_rows=None):
 def relative_error(value, reference, start):
     """|value - reference| relative to how far the reference moved from start."""
     return np.linalg.norm(value - reference) / np.linalg.norm(reference - start)
+
+
+def per_label_targets(labels, book, reducer, codes):
+    """Target rows of ``labels`` resolved one label at a time.
+
+    The reference for ``TargetCodeTable.targets``: a label missing from
+    the dict ``codes`` takes its codebook column and is reduced on its
+    own, so CodebookExhaustedError leaves ``book`` and ``codes`` holding
+    exactly the labels before the failing one.
+    """
+    rows = []
+    for label in labels:
+        label = int(label)
+        if label not in codes:
+            book.assign_label(label)
+            codes[label] = reducer.reduce(book.codeword(label))
+        rows.append(codes[label])
+    return np.array(rows, dtype=np.float64).reshape(len(rows), reducer.out_dim)

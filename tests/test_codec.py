@@ -6,7 +6,7 @@ import pytest
 from hcoh import (BinaryCodeSet, DimensionError, FormatError, HashModel,
                   encode, init_model, load_code_set, pack_bits, rank,
                   save_code_set, unpack_bits)
-from hcoh.codec import _hamming_distances
+from hcoh.codec import ENCODE_ROWS, _hamming_distances
 
 
 def naive_hamming(bits_a, bits_b):
@@ -75,6 +75,20 @@ class TestEncode:
         model = init_model(10, 8, eta=0.1, seed=5)
         with pytest.raises(DimensionError):
             encode(model, np.zeros((2, 9)))
+
+    def test_blocks_match_sign_oracle_and_name_global_rows(self):
+        # Two full hashing blocks and a ragged third.
+        n = 2 * ENCODE_ROWS + 5
+        rng = np.random.default_rng(12)
+        model = init_model(10, 70, eta=0.1, seed=5)
+        feats = rng.standard_normal((n, 10))
+        expected = (feats @ model.weights + model.bias >= 0).astype(np.uint8)
+        assert np.array_equal(unpack_bits(encode(model, feats).words, 70),
+                              expected)
+        bad = ENCODE_ROWS + 17
+        feats[[bad, n - 1], 3] = np.nan
+        with pytest.raises(ValueError, match=rf"2 feature rows .*first row {bad}\)"):
+            encode(model, feats)
 
     def test_labels_carried_alongside(self):
         model = init_model(3, 4, eta=0.1, seed=5)
@@ -166,7 +180,7 @@ class TestHamming:
 class TestDistanceKernel:
     """``_hamming_distances`` against the unpacked-bits loop."""
 
-    @pytest.mark.parametrize("r", [1, 63, 64, 65, 255, 256, 300])
+    @pytest.mark.parametrize("r", [1, 63, 64, 65, 128, 255, 256, 300])
     def test_matches_naive_loop(self, r):
         rng = np.random.default_rng(r)
         queries, q_bits = random_code_set(rng, 4, r)

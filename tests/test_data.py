@@ -317,14 +317,16 @@ class TestStream:
             next(chunks)
 
 
-    @pytest.mark.parametrize("batch_size", [1, 7])
+    @pytest.mark.parametrize("batch_size", [1, 7, 128, 129, 200])
     def test_indices_yield_the_batches_of_the_taken_rows(self, batch_size):
+        # 170 training rows: more than one gathered span at every batch
+        # size here but 200.
         ds = synthetic(n_classes=5, per_class=40)
-        train_idx = split_indices(ds, SplitSpec(4, 90, seed=6))[2]
+        train_idx = split_indices(ds, SplitSpec(4, 170, seed=6))[2]
         direct = list(stream(ds, batch_size, seed=2, indices=train_idx))
         taken = list(stream(ds.take(train_idx), batch_size, seed=2))
-        order = train_idx[np.random.default_rng(2).permutation(90)]
-        assert len(direct) == len(taken) == -(-90 // batch_size)
+        order = train_idx[np.random.default_rng(2).permutation(170)]
+        assert len(direct) == len(taken) == -(-170 // batch_size)
         for i, ((feats, labels), (ref_feats, ref_labels)) in enumerate(
                 zip(direct, taken)):
             rows = order[i * batch_size:(i + 1) * batch_size]

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hcoh import (DimensionError, HadamardCodebook, HashModel, LshReducer,
-                  NumericFailureError, TargetCodeTable, init_model, learner,
-                  loss, relaxed_codes, sgd_step, train_stream)
+                  NumericFailureError, init_model, learner, loss,
+                  relaxed_codes, sgd_step, train_stream)
 from hcoh.learner import BLOCK_ROWS
-from tests.conftest import dense_sgd_step, per_step_sgd, relative_error
+from tests.conftest import (dense_sgd_step, per_label_targets, per_step_sgd,
+                            relative_error)
 
 # Blocked steps round differently from the per-step loop; at small eta
 # the two agree to this relative error (measured about 3e-14).
@@ -385,11 +386,10 @@ class TestTrainStream:
     @staticmethod
     def _per_step_snapshots(model, batches, book, reducer, milestones):
         """The stream as a loop of dense steps: (seen, round, W) at crossings."""
-        table = TargetCodeTable(out_dim=model.code_length)
+        codes = {}
         seen, snapshots = 0, []
         for features, labels in batches:
-            targets = np.array([table.target_for(label, book, reducer)
-                                for label in labels])
+            targets = per_label_targets(labels, book, reducer, codes)
             dense_sgd_step(model, features, targets)
             seen += len(labels)
             if any(seen - len(labels) < m <= seen for m in milestones):
@@ -462,3 +462,4 @@ class TestTrainStream:
         from hcoh import CodebookExhaustedError
         with pytest.raises(CodebookExhaustedError):
             train_stream(model, batches, book, reducer)
+        assert model.round == 0     # the failing block ran none of its steps
