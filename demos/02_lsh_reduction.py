@@ -5,7 +5,7 @@ Run from the repo root:  python demos/02_lsh_reduction.py
 
 import numpy as np
 
-from hcoh import HadamardCodebook, LshReducer, TargetCodeTable, build_hadamard
+from hcoh import HadamardCodebook, LshReducer, build_hadamard, lsh
 
 # ---------------------------------------------------------------------------
 # When the codebook order already equals the code length, nothing happens:
@@ -38,13 +38,14 @@ print("identical inputs distance:",
       int(np.sum(reducer.reduce(a) != reducer.reduce(a))))
 
 # ---------------------------------------------------------------------------
-# Training reads targets through a per-label cache, so each class costs
-# one assignment + one projection, ever.  A call resolves a whole block of
-# labels; the new ones are projected together as one stack of codewords.
+# Training reads targets from one table: the reduced code of every codebook
+# column at once, sign(H @ P), computed by a fast Walsh-Hadamard transform
+# of P on first use.  A label's target is the table row of its column.
 # ---------------------------------------------------------------------------
 book = HadamardCodebook.create(16, seed=1)
 reducer = LshReducer.create(16, 8, seed=2)
-table = TargetCodeTable(out_dim=8)
-table.targets([2, 5, 2, 2, 5], book, reducer)
-print("labels seen: [2, 5, 2, 2, 5] -> cached targets:", len(table))
-print("target for label 2:", table.codes[2])
+targets = lsh.targets([2, 5, 2, 2, 5], book, reducer)
+print("labels seen: [2, 5, 2, 2, 5] -> columns:", book.assignment)
+print("target for label 2:", targets[0].astype(int),
+      "| table row:", reducer.table[book.assignment[2]],
+      "| reduced codeword:", reducer.reduce(book.codeword(2)))

@@ -5,8 +5,8 @@ Run from the repo root:  python demos/03_streaming_sgd.py
 
 import numpy as np
 
-from hcoh import (HadamardCodebook, LshReducer, TargetCodeTable, encode,
-                  evaluate, init_model, loss, train_stream)
+from hcoh import (HadamardCodebook, LshReducer, encode, evaluate, init_model,
+                  loss, lsh, train_stream)
 
 rng = np.random.default_rng(0)
 
@@ -20,7 +20,6 @@ features, labels = features[order], labels[order]
 # 16-bit codes, 4 labels -> order-16 codebook, identity reducer.
 book = HadamardCodebook.create(16, seed=1)
 reducer = LshReducer.create(16, 16, seed=2)
-table = TargetCodeTable(out_dim=16)
 model = init_model(d=16, r=16, eta=0.2, seed=3)
 
 # One instance per round, single pass, loss sampled along the way.
@@ -29,13 +28,13 @@ probe_features, probe_labels = features[1500:], labels[1500:]
 
 
 def report(seen, current):
-    targets = table.targets(probe_labels, book, reducer)
+    targets = lsh.targets(probe_labels, book, reducer)
     print(f"  after {seen:>5} instances: held-out loss "
           f"{loss(current, probe_features, targets):8.3f}")
 
 
 print("streaming 1500 single-instance rounds:")
-model = train_stream(model, batches, book, reducer, table,
+model = train_stream(model, batches, book, reducer,
                      milestones=(1, 50, 250, 750, 1500), hook=report)
 
 # Hash the held-out instances and retrieve against them.

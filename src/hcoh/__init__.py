@@ -20,7 +20,7 @@ from .evaluation import (EvalReport, average_precision, evaluate,
 from .hadamard import HadamardCodebook, build_hadamard, codeword_order
 from .learner import (HashModel, init_model, loss, relaxed_codes, sgd_step,
                       train_stream)
-from .lsh import LshReducer, TargetCodeTable, sign_pm1
+from .lsh import LshReducer, sign_pm1
 from .pipeline import RunConfig, Seeds, TrainResult, derive_seeds, run_repeats, run_training
 
 __version__ = "0.1.0"

@@ -22,10 +22,12 @@ is rebuilt from (order, seed) and computes each column on demand; its
 seed fixes the column draw order, and ``HadamardCodebook.restore``
 accepts the recorded assignment only if it holds exactly the first k
 draws.  W and b must be finite, so a file cannot hand training or
-encoding a NaN or infinite parameter.  The projection is regenerated
-from (dims, seed).  This keeps checkpoints small and loads
-deterministic.  Writes go to a temp file followed by an atomic rename,
-so a crashed run never leaves a partial checkpoint behind.
+encoding a NaN or infinite parameter.  The reducer is restored as
+(dims, seed): its projection and target table are regenerated from them
+only when first read, so loading a checkpoint to encode draws neither.
+This keeps checkpoints small and loads deterministic.  Writes go to a
+temp file followed by an atomic rename, so a crashed run never leaves a
+partial checkpoint behind.
 """
 
 import struct

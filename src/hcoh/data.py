@@ -211,22 +211,23 @@ def split_indices(dataset: Dataset, spec: SplitSpec):
     """Sorted row indices of the seeded (test, retrieval, train) split.
 
     Test draws ``test_per_class`` instances from every class without
-    replacement; retrieval is everything else; train is a uniform subset
-    of retrieval of size ``train_subset``.  Test and retrieval together
-    are every row of ``dataset``.
+    replacement, the classes in ascending order, each from its rows in
+    ascending order (one stable argsort by label gives them all);
+    retrieval is everything else; train is a uniform subset of retrieval
+    of size ``train_subset``.  Test and retrieval together are every row
+    of ``dataset``.
     """
     rng = np.random.default_rng(spec.seed)
-    classes = np.unique(dataset.labels)
     test_idx = []
     if spec.test_per_class > 0:
-        deficient = [int(c) for c in classes
-                     if (dataset.labels == c).sum() < spec.test_per_class]
+        classes, counts = np.unique(dataset.labels, return_counts=True)
+        deficient = classes[counts < spec.test_per_class].tolist()
         if deficient:
             raise ConfigError(
                 f"classes {deficient} have fewer than "
                 f"{spec.test_per_class} instances")
-        for c in classes:
-            members = np.flatnonzero(dataset.labels == c)
+        by_class = np.argsort(dataset.labels, kind="stable")
+        for members in np.split(by_class, np.cumsum(counts))[:-1]:
             chosen = rng.choice(members, size=spec.test_per_class, replace=False)
             test_idx.append(chosen)
     test_idx = (np.sort(np.concatenate(test_idx))

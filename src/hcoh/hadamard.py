@@ -13,11 +13,13 @@ Sylvester's recursion builds orders 2**k,
 
 and is equivalent to entry(i, j) = (-1)**popcount(i & j) with 0-based
 indices.  The codebook never builds the matrix: it computes columns from
-that closed form, O(order) each, when labels need them, one column for
-``codeword`` and a (k, order) stack of them for the k labels that a
-training block sees first (``lsh.TargetCodeTable.targets``).  Beware the
-superficially similar (-1)**((i-1)*(j-1)) with ordinary multiplication:
-it is wrong for order >= 4 (rows 1 and 3 come out identical).
+that closed form, O(order) each, when labels need them: one column for
+``codeword``, and a (n, order) stack of them for a training block's n
+rows when the reducer is the identity (``lsh.targets``).  A reducer to
+fewer bits needs no column: its target table is a transform of the
+projection by the same recursion.  Beware the superficially similar
+(-1)**((i-1)*(j-1)) with ordinary multiplication: it is wrong for
+order >= 4 (rows 1 and 3 come out identical).
 
 The codebook hands columns out to class labels as they first appear in a
 stream: the k-th new label gets the k-th column of a permutation drawn
@@ -32,8 +34,9 @@ import numpy as np
 from .errors import CodebookExhaustedError, InvalidOrderError, UnknownLabelError
 
 # Largest codebook order.  The matrix is never stored, but the LSH reducer
-# that maps codewords to r bits holds an order x r float64 projection:
-# 8 MiB per code bit at 2**20 rows, i.e. 256 MiB at 32 bits.
+# that maps codewords to r bits keeps an order x r int8 target table, 32 MiB
+# at 2**20 rows and 32 bits, and builds it from a transient order x r float64
+# projection, 256 MiB there.
 MAX_ORDER = 2**20
 
 

@@ -46,24 +46,24 @@ plain dense update, byte for byte.
 crossing (so its hook sees the model at the exact instance count), at
 the end of the stream, and before a step with a different row count.
 It holds each step's features and labels until then, and resolves the
-whole block's labels to targets with one ``TargetCodeTable.targets``
-call before the block's ``sgd_step``.  A block's steps are never
-applied to W one at a time, so when a block leaves W or b non-finite it
-is replayed one step at a time from its starting W and b, and
-NumericFailureError names the first failing round (should every
-replayed step stay finite, the replay's result stands).  Every step
-updates and checks all of W: there is no separate sparse-row update,
-since a block already spreads the cost of the dense products over its
-steps.
+whole block's labels to targets with one ``lsh.targets`` call (a gather
+from the reducer's target table) before the block's ``sgd_step``.  A
+block's steps are never applied to W one at a time, so when a block
+leaves W or b non-finite it is replayed one step at a time from its
+starting W and b, and NumericFailureError names the first failing round
+(should every replayed step stay finite, the replay's result stands).
+Every step updates and checks all of W: there is no separate sparse-row
+update, since a block already spreads the cost of the dense products
+over its steps.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import lsh
 from .errors import DimensionError, NumericFailureError
 from .hadamard import HadamardCodebook
-from .lsh import LshReducer, TargetCodeTable
 
 GRADIENT_FACTORS = ("exact", "sigmoid")
 BLOCK_ROWS = 128   # rows of training steps that train_stream runs as one block
@@ -209,24 +209,22 @@ def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
 
 
 def train_stream(model: HashModel, batches, book: HadamardCodebook,
-                 reducer: LshReducer, table: TargetCodeTable = None,
-                 milestones=(), hook=None, gradient: str = "exact") -> HashModel:
+                 reducer: lsh.LshReducer, milestones=(), hook=None,
+                 gradient: str = "exact") -> HashModel:
     """Consume an ordered stream of (features, labels) batches, one SGD step each.
 
     Consecutive steps run in blocks through :func:`sgd_step`, up to
     BLOCK_ROWS rows of equal-sized steps each (see module docstring).
     A block's labels are resolved to target codes by one
-    :meth:`TargetCodeTable.targets` call on ``table`` just before its
-    steps run, so labels new to the codebook take their columns in
-    stream order.  Whenever the cumulative instance count crosses the
-    next milestone, ``hook(instances_seen, model)`` is called, if given,
-    with the live model after exactly that many instances; a hook that
-    keeps the model past its call must copy it.  A block whose labels
-    cannot be resolved raises before any of its steps is applied.
+    :func:`lsh.targets` call just before its steps run, so labels new to
+    the codebook take their columns in stream order.  Whenever the
+    cumulative instance count crosses the next milestone,
+    ``hook(instances_seen, model)`` is called, if given, with the live
+    model after exactly that many instances; a hook that keeps the model
+    past its call must copy it.  A block whose labels cannot be resolved
+    raises before any of its steps is applied.
     Returns the trained model, which is ``model`` updated in place.
     """
-    if table is None:
-        table = TargetCodeTable(out_dim=model.code_length)
     milestones = sorted(int(m) for m in milestones)
     next_ms = 0
     seen = 0
@@ -235,8 +233,8 @@ def train_stream(model: HashModel, batches, book: HadamardCodebook,
     def run_block():
         if block:
             features, labels = zip(*block)
-            targets = table.targets(np.concatenate(labels), book, reducer)
-            sgd_step(model, np.concatenate(features), targets,
+            codes = lsh.targets(np.concatenate(labels), book, reducer)
+            sgd_step(model, np.concatenate(features), codes,
                      gradient=gradient, step_rows=len(labels[0]))
             block.clear()
 

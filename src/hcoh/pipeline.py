@@ -24,7 +24,7 @@ from .data import Dataset, SplitSpec, split_indices, stream
 from .errors import ConfigError
 from .evaluation import evaluate, map_curve_auc
 from .hadamard import MAX_ORDER, HadamardCodebook, codeword_order
-from .learner import GRADIENT_FACTORS, TargetCodeTable, init_model, train_stream
+from .learner import GRADIENT_FACTORS, init_model, train_stream
 from .lsh import LshReducer
 
 log = logging.getLogger("hcoh")
@@ -125,7 +125,6 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
              "identity" if reducer.is_identity else "gaussian")
     model = init_model(dataset.features.shape[1], config.bits, config.eta,
                        seeds.model)
-    table = TargetCodeTable(out_dim=config.bits)
 
     records = []
 
@@ -140,7 +139,7 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
                  report.map, config.k_prec, report.precision_at_k)
 
     batches = stream(dataset, config.batch_size, seeds.stream, train_idx)
-    train_stream(model, batches, book, reducer, table,
+    train_stream(model, batches, book, reducer,
                  milestones=config.milestones, hook=check_in,
                  gradient=config.gradient)
     if not records or records[-1]["instances_seen"] < len(train_idx):

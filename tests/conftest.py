@@ -114,10 +114,10 @@ def relative_error(value, reference, start):
 def per_label_targets(labels, book, reducer, codes):
     """Target rows of ``labels`` resolved one label at a time.
 
-    The reference for ``TargetCodeTable.targets``: a label missing from
-    the dict ``codes`` takes its codebook column and is reduced on its
-    own, so CodebookExhaustedError leaves ``book`` and ``codes`` holding
-    exactly the labels before the failing one.
+    The reference for ``lsh.targets``: a label missing from the dict
+    ``codes`` takes its codebook column and is reduced on its own through
+    the projection, so CodebookExhaustedError leaves ``book`` and
+    ``codes`` holding exactly the labels before the failing one.
     """
     rows = []
     for label in labels:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hcoh import (FormatError, HadamardCodebook, InvalidOrderError, LshReducer,
-                  init_model)
+                  encode, init_model)
 from hcoh.checkpoint import load_checkpoint, save_checkpoint
 
 
@@ -28,6 +28,18 @@ class TestRoundTrip:
         assert loaded_model.round == 123
         assert loaded_book.assignment == book.assignment
         assert np.array_equal(loaded_reducer.projection, reducer.projection)
+
+    def test_encode_after_load_builds_no_target_table(self, tmp_path):
+        model, book, reducer = make_state(bits=8, order=1024, d=5)
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, model, book, reducer)
+        loaded_model, _, loaded_reducer = load_checkpoint(path)
+        features = np.random.default_rng(4).standard_normal((50, 5))
+        assert np.array_equal(encode(loaded_model, features).words,
+                              encode(model, features).words)
+        assert "table" not in vars(loaded_reducer)
+        assert "projection" not in vars(loaded_reducer)
+        assert np.array_equal(loaded_reducer.table, reducer.table)
 
     def test_identity_reducer_round_trip(self, tmp_path):
         model, book, _ = make_state(bits=16, order=16)

@@ -258,6 +258,21 @@ class TestSplit:
         assert np.array_equal(np.sort(np.concatenate([test_idx, retrieval_idx])),
                               np.arange(len(ds)))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_per_class_loop_oracle(self, seed):
+        # 1,000 classes of uneven sizes, at least 3 rows each, in shuffled
+        # row order, and labels that are not contiguous integers.
+        rng = np.random.default_rng(seed)
+        classes = rng.choice(5 * 1000, size=1000, replace=False)
+        labels = classes[rng.permutation(np.concatenate([
+            np.repeat(np.arange(1000), 3), rng.integers(0, 1000, 17_000)]))]
+        ds = Dataset(np.zeros((len(labels), 1)), labels)
+        spec = SplitSpec(3, 5000, seed=seed)
+        for got, expected in zip(split_indices(ds, spec),
+                                 per_class_split_indices(ds, spec)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
     def test_same_seed_same_indices(self):
         ds = synthetic()
         a = split(ds, SplitSpec(10, 200, seed=5))
@@ -280,6 +295,27 @@ class TestSplit:
         ds = synthetic()
         with pytest.raises(ConfigError, match="train_subset"):
             split(ds, SplitSpec(10, 601, seed=0))
+
+
+def per_class_split_indices(dataset, spec):
+    """``split_indices`` as one comparison of every label per class: the oracle."""
+    rng = np.random.default_rng(spec.seed)
+    classes = np.unique(dataset.labels)
+    test_idx = []
+    if spec.test_per_class > 0:
+        for c in classes:
+            members = np.flatnonzero(dataset.labels == c)
+            assert len(members) >= spec.test_per_class
+            test_idx.append(rng.choice(members, size=spec.test_per_class,
+                                       replace=False))
+    test_idx = (np.sort(np.concatenate(test_idx))
+                if test_idx else np.empty(0, dtype=np.int64))
+    mask = np.ones(len(dataset), dtype=bool)
+    mask[test_idx] = False
+    retrieval_idx = np.flatnonzero(mask)
+    train_idx = np.sort(rng.choice(retrieval_idx, size=spec.train_subset,
+                                   replace=False))
+    return test_idx, retrieval_idx, train_idx
 
 
 class TestStream:
