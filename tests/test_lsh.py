@@ -148,8 +148,13 @@ class TestTargetCodeTable:
         assert list(book.assignment) == [4, 9, 2, 7]
         assert list(book.assignment.values()) == book._draw[:4].tolist()
 
-    def test_exhaustion_mid_call_leaves_the_per_label_state(self):
+    @pytest.mark.parametrize("entries", [2**22, 16])
+    def test_exhaustion_mid_call_leaves_the_per_label_state(self, entries,
+                                                            monkeypatch):
         # Order 8 with label 3 assigned: seven of the nine new labels fit.
+        # Passes of 16 entries split the (8, 4) table's transform; 2**22
+        # takes every stage in one pass.
+        monkeypatch.setattr(lsh, "BUTTERFLY_ENTRIES", entries)
         labels = [3, 1, 3, 4, 0, 6, 2, 1, 8, 5, 7, 9]
         book = HadamardCodebook.create(8, seed=1)
         reducer = LshReducer.create(8, 4, seed=2)
