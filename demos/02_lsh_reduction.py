@@ -5,47 +5,52 @@ Run from the repo root:  python demos/02_lsh_reduction.py
 
 import numpy as np
 
-from hcoh import HadamardCodebook, LshReducer, build_hadamard, lsh
+from hcoh import HadamardCodebook, LshReducer, lsh
+
+# The order-256 Hadamard matrix, entry (i, j) = (-1)**popcount(i & j).
+idx = np.arange(256)
+h = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(int)
 
 # ---------------------------------------------------------------------------
-# When the codebook order already equals the code length, nothing happens:
-# the reducer is the identity and codewords pass through untouched.
+# A reducer from 256 to 64 bits keeps a fixed seeded Gaussian matrix P and
+# gives codeword c the target sign(P.T @ c).  H is symmetric, so the
+# targets of all 256 columns are the rows of one table, T = sign(H @ P),
+# which the reducer builds on first use by a fast Walsh-Hadamard
+# transform of P.  Compare it with the dense product.
 # ---------------------------------------------------------------------------
-identity = LshReducer.create(16, 16, seed=0)
-codeword = build_hadamard(16)[:, 3]
-print("identity reducer:", identity.is_identity,
-      "| output == input:", np.array_equal(identity.reduce(codeword), codeword))
+reducer = LshReducer.create(256, 64, seed=7)
+p = np.random.default_rng(7).standard_normal((256, 64))
+print("reducer.table == sign(H @ P):",
+      np.array_equal(reducer.table, np.where(h @ p >= 0, 1, -1)))
 
 # ---------------------------------------------------------------------------
-# Otherwise a fixed seeded Gaussian projection re-signs the codeword.
 # Orthogonal inputs agree per bit with probability 1/2, so their reduced
 # codes sit near normalized Hamming distance 0.5; identical inputs always
 # collide.  Estimate the distance distribution over many projections.
 # ---------------------------------------------------------------------------
-h = build_hadamard(256)
-a, b = h[:, 1], h[:, 2]
 distances = []
 for seed in range(2000):
-    reducer = LshReducer.create(256, 64, seed=seed)
-    distances.append(np.mean(reducer.reduce(a) != reducer.reduce(b)))
+    table = LshReducer.create(256, 64, seed=seed).table
+    distances.append(np.mean(table[1] != table[2]))
 distances = np.asarray(distances)
 print(f"orthogonal inputs, 256 -> 64 bits over {len(distances)} projections:")
 print(f"  mean normalized distance {distances.mean():.4f} "
       f"(std {distances.std():.4f}, theory: 0.5 +- 0.0625)")
 
-reducer = LshReducer.create(256, 64, seed=7)
-print("identical inputs distance:",
-      int(np.sum(reducer.reduce(a) != reducer.reduce(a))))
-
 # ---------------------------------------------------------------------------
-# Training reads targets from one table: the reduced code of every codebook
-# column at once, sign(H @ P), computed by a fast Walsh-Hadamard transform
-# of P on first use.  A label's target is the table row of its column.
+# Training reads a label's target as the table row of its column.
 # ---------------------------------------------------------------------------
-book = HadamardCodebook.create(16, seed=1)
-reducer = LshReducer.create(16, 8, seed=2)
+book = HadamardCodebook.create(256, seed=1)
 targets = lsh.targets([2, 5, 2, 2, 5], book, reducer)
 print("labels seen: [2, 5, 2, 2, 5] -> columns:", book.assignment)
-print("target for label 2:", targets[0].astype(int),
-      "| table row:", reducer.table[book.assignment[2]],
-      "| reduced codeword:", reducer.reduce(book.codeword(2)))
+print("identical inputs distance:", int(np.sum(targets[0] != targets[2])))
+print("target for label 2 is its table row:",
+      np.array_equal(targets[0], reducer.table[book.assignment[2]]))
+
+# ---------------------------------------------------------------------------
+# When the codebook order already equals the code length the reducer is
+# the identity: P is the identity matrix and the table is H itself.
+# ---------------------------------------------------------------------------
+identity = LshReducer.create(256, 256, seed=0)
+print("identity reducer:", identity.is_identity,
+      "| table == H:", np.array_equal(identity.table, h))

@@ -7,20 +7,19 @@ SGD under a tanh relaxation.  Retrieval quality is measured by Hamming
 ranking (mAP, Precision@K, and the AUC of mAP-vs-instances curves).
 """
 
-from .codec import (BinaryCodeSet, encode, load_code_set, pack_bits,
-                    save_code_set, unpack_bits)
+from .codec import BinaryCodeSet, encode, load_code_set, pack_bits, save_code_set
 from .data import (Dataset, SplitSpec, load_dense, load_idx, load_labels,
                    normalize, save_dense, save_labels, split, split_indices,
                    stream)
 from .errors import (CodebookExhaustedError, ConfigError, DimensionError,
                      FormatError, HcohError, InvalidOrderError,
-                     NumericFailureError, UndefinedAPError, UnknownLabelError)
+                     NumericFailureError, UndefinedAPError)
 from .evaluation import (EvalReport, average_precision, evaluate,
                          map_curve_auc, precision_at_k, rank)
-from .hadamard import HadamardCodebook, build_hadamard, codeword_order
+from .hadamard import HadamardCodebook, codeword_order
 from .learner import (HashModel, init_model, loss, relaxed_codes, sgd_step,
                       train_stream)
-from .lsh import LshReducer, sign_pm1
+from .lsh import LshReducer
 from .pipeline import RunConfig, Seeds, TrainResult, derive_seeds, run_repeats, run_training
 
 __version__ = "0.1.0"

@@ -17,14 +17,14 @@ Layout, all little-endian, in order:
     u64      reducer seed
     u8       reducer identity flag
 
-Neither the codebook matrix nor the projection is stored.  The codebook
-is rebuilt from (order, seed) and computes each column on demand; its
-seed fixes the column draw order, and ``HadamardCodebook.restore``
-accepts the recorded assignment only if it holds exactly the first k
-draws.  W and b must be finite, so a file cannot hand training or
-encoding a NaN or infinite parameter.  The reducer is restored as
-(dims, seed): its projection and target table are regenerated from them
-only when first read, so loading a checkpoint to encode draws neither.
+Neither the codebook matrix nor the reducer's target table is stored.
+The codebook is rebuilt from (order, seed); its seed fixes the column
+draw order, and ``HadamardCodebook.restore`` accepts the recorded
+assignment only if it holds exactly the first k draws.  W and b must be
+finite, so a file cannot hand training or encoding a NaN or infinite
+parameter.  The reducer is restored as (dims, seed): its target table
+is regenerated from them only when first read, so loading a checkpoint
+to encode builds none.
 This keeps checkpoints small and loads deterministic.  Writes go to a
 temp file followed by an atomic rename, so a crashed run never leaves a
 partial checkpoint behind.
@@ -110,8 +110,7 @@ def load_checkpoint(path):
     model = HashModel(weights=weights.reshape(d, r).astype(np.float64),
                       bias=bias.astype(np.float64), eta=eta, round=rnd)
     book = HadamardCodebook.restore(order, book_seed, assignment)
-    reducer = LshReducer.create(in_dim, out_dim, red_seed)
-    if reducer.is_identity != bool(identity):
+    if (in_dim == out_dim) != bool(identity):
         raise FormatError(
             f"{path}: identity flag {identity} inconsistent with dims "
             f"{in_dim}x{out_dim}")
@@ -119,4 +118,4 @@ def load_checkpoint(path):
         raise FormatError(
             f"{path}: reducer dims {in_dim}x{out_dim} inconsistent with "
             f"order {order} and code length {r}")
-    return model, book, reducer
+    return model, book, LshReducer.create(in_dim, out_dim, red_seed)

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import codec, data
-from .errors import (CodebookExhaustedError, ConfigError, HcohError,
-                     NumericFailureError)
+from .errors import (CodebookExhaustedError, ConfigError, FormatError,
+                     HcohError, NumericFailureError)
 from .evaluation import evaluate
 from .fileio import atomic_write
 from .pipeline import RunConfig, run_repeats, run_training
@@ -193,10 +193,20 @@ def _cmd_benchmark(args) -> int:
 def _cmd_curve(args) -> int:
     points = []
     with open(args.metrics) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec.get("record") == "checkpoint":
-                points.append((rec["instances_seen"], rec["map"]))
+        for number, line in enumerate(fh, 1):
+            where = f"{args.metrics} line {number}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{where}: not JSON ({exc.msg})") from None
+            if not isinstance(rec, dict):
+                raise FormatError(f"{where}: not a JSON object")
+            if rec.get("record") != "checkpoint":
+                continue
+            missing = [key for key in ("instances_seen", "map") if key not in rec]
+            if missing:
+                raise FormatError(f"{where}: checkpoint record lacks {missing}")
+            points.append((rec["instances_seen"], rec["map"]))
     atomic_write(args.out, [b"instances_seen,map\n"]
                  + [f"{x},{y!r}\n".encode() for x, y in points])
     print(f"wrote {len(points)} curve points -> {args.out}")

@@ -26,7 +26,7 @@ Code-set file layout (little-endian throughout):
     8 bytes  magic "HCOHCODE"
     1 byte   version (1)
     u32      n           number of codes
-    u32      r           bits per code
+    u32      r           bits per code, at least 1
     n * ceil(r/64) u64   packed words, instance-major
     n * u32  label ids, 0xFFFFFFFF for unknown (-1 in memory)
 """
@@ -59,14 +59,6 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     padded[:, :r] = bits
     packed = np.packbits(padded, axis=1, bitorder="little")
     return packed.view("<u8").astype(np.uint64)
-
-
-def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; returns an (n, length) uint8 array."""
-    words = np.atleast_2d(np.asarray(words, dtype=np.uint64))
-    as_bytes = words.astype("<u8").view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :length]
 
 
 def _mask_padding(words: np.ndarray, length: int) -> np.ndarray:
@@ -196,6 +188,8 @@ def load_code_set(path) -> BinaryCodeSet:
     version, n, length = struct.unpack_from("<BII", data, 8)
     if version != CODE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if length < 1:
+        raise FormatError(f"{path}: code length {length}, expected at least 1")
     wpc = words_per_code(length)
     expected = 17 + n * wpc * 8 + n * 4
     if len(data) != expected:

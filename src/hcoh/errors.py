@@ -22,10 +22,6 @@ class CodebookExhaustedError(HcohError, RuntimeError):
     """
 
 
-class UnknownLabelError(HcohError, KeyError):
-    """Lookup of a label that has never been assigned a codeword."""
-
-
 class DimensionError(HcohError, ValueError):
     """Operands have incompatible shapes or lengths."""
 

@@ -1,4 +1,4 @@
-"""Power-of-two Hadamard matrices and streaming codeword assignment.
+"""Power-of-two Hadamard codebooks and streaming codeword assignment.
 
 A Hadamard matrix of order n is a square {-1,+1} matrix C with pairwise
 orthogonal rows and columns, i.e. C @ C.T == n * I exactly in integer
@@ -12,14 +12,12 @@ Sylvester's recursion builds orders 2**k,
                          [H_m, -H_m]]
 
 and is equivalent to entry(i, j) = (-1)**popcount(i & j) with 0-based
-indices.  The codebook never builds the matrix: it computes columns from
-that closed form, O(order) each, when labels need them: one column for
-``codeword``, and a (n, order) stack of them for a training block's n
-rows when the reducer is the identity (``lsh.targets``).  A reducer to
-fewer bits needs no column: its target table is a transform of the
-projection by the same recursion.  Beware the superficially similar
-(-1)**((i-1)*(j-1)) with ordinary multiplication: it is wrong for
-order >= 4 (rows 1 and 3 come out identical).
+indices.  Beware the superficially similar (-1)**((i-1)*(j-1)) with
+ordinary multiplication: it is wrong for order >= 4 (rows 1 and 3 come
+out identical).  This module never builds H or any column of it: a
+label's codeword is only ever used through its reduced target, and the
+reducer's target table sign(H @ P) applies the recursion to P directly
+(``lsh``).  For the identity reducer that table is H itself.
 
 The codebook hands columns out to class labels as they first appear in a
 stream: the k-th new label gets the k-th column of a permutation drawn
@@ -31,12 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CodebookExhaustedError, InvalidOrderError, UnknownLabelError
+from .errors import CodebookExhaustedError, InvalidOrderError
 
 # Largest codebook order.  The matrix is never stored, but the LSH reducer
 # that maps codewords to r bits keeps an order x r int8 target table, 32 MiB
 # at 2**20 rows and 32 bits, and builds it from a transient order x r float64
-# projection, 256 MiB there.
+# projection, 256 MiB there.  An identity reducer (r == order) builds its
+# order x order table from an int8 identity, 2 * order**2 bytes at the peak.
 MAX_ORDER = 2**20
 
 
@@ -63,30 +62,6 @@ def _check_order(order: int) -> None:
         raise InvalidOrderError(f"order must be a power of two, got {order}")
     if order > MAX_ORDER:
         raise InvalidOrderError(f"order {order} exceeds the cap {MAX_ORDER}")
-
-
-def _column(order: int, columns) -> np.ndarray:
-    """Sylvester columns as int8 rows: (-1)**popcount(i & j) over i.
-
-    A single index j gives the (order,) column; an array of k indices
-    gives their (k, order) stack.
-    """
-    j = np.asarray(columns, dtype=np.uint32)[..., None]
-    parity = np.bitwise_count(np.arange(order, dtype=np.uint32) & j) & 1
-    return 1 - 2 * parity.astype(np.int8)
-
-
-def build_hadamard(order: int) -> np.ndarray:
-    """Sylvester-construction Hadamard matrix of the given power-of-two order.
-
-    Returns an (order, order) int8 array with entries in {-1,+1} satisfying
-    H @ H.T == order * I exactly: the dense reference for tests and demos.
-    """
-    _check_order(order)
-    h = np.array([[1]], dtype=np.int8)
-    while h.shape[0] < order:
-        h = np.block([[h, h], [h, -h]])
-    return h
 
 
 @dataclass
@@ -142,10 +117,3 @@ class HadamardCodebook:
         column = int(self._draw[len(self.assignment)])
         self.assignment[label] = column
         return column
-
-    def codeword(self, label: int) -> np.ndarray:
-        """The {-1,+1} column assigned to ``label`` (length ``order``)."""
-        label = int(label)
-        if label not in self.assignment:
-            raise UnknownLabelError(f"label {label} has no assigned codeword")
-        return _column(self.order, self.assignment[label])

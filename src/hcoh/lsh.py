@@ -9,19 +9,18 @@ Sign-of-Gaussian-projection is the classic angle-preserving LSH family:
 two inputs at angle theta agree per output bit with probability
 1 - theta/pi, so orthogonal codewords land at expected normalized
 Hamming distance 0.5 while equal codewords collide exactly.  When the
-dimensions already match the reducer is the identity and codewords pass
-through untouched.
+dimensions already match, P is the identity and codewords pass through
+untouched.
 
 The codewords are the columns of the Sylvester matrix H, which is
 symmetric, so the targets of all order columns are the rows of
-T = sign(H @ P).  ``targets`` resolves labels through that table: the
-reducer builds T once, on the first call that needs it, by one in-place
+T = sign(H @ P), and that table is the only way targets are made.  The
+reducer builds T once, on the first ``targets`` call, by one in-place
 fast Walsh-Hadamard transform of P (log2(order) butterfly stages of
 elementwise adds and subtracts, in a fixed order, so T does not depend
 on the BLAS build or thread count) and keeps it as a read-only
-order x r int8 array; P itself is dropped.  The identity reducer builds
-no table and returns Sylvester columns.  ``projection`` is drawn from
-the seed only when ``reduce`` first needs it.
+order x r int8 array; P itself is dropped.  For the identity reducer P
+is the int8 identity matrix and T is H itself.
 """
 
 from dataclasses import dataclass
@@ -30,28 +29,27 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .hadamard import HadamardCodebook, _column
+from .hadamard import HadamardCodebook, _check_order
 
 # Entries of P that one butterfly pass adds and subtracts at a time: its
-# float64 sums then take a 512 KiB buffer rather than half of P.
+# sums then take a 2**16-entry buffer (512 KiB in float64) rather than
+# half of P.
 BUTTERFLY_ENTRIES = 2**16
 
 
-def sign_pm1(values: np.ndarray) -> np.ndarray:
-    """Elementwise sign into {-1,+1} with sign(0) = +1."""
-    return np.where(np.asarray(values) >= 0, 1, -1).astype(np.int8)
-
-
 def _fwht_rows(p: np.ndarray) -> None:
-    """Replace the (order, k) float64 array ``p`` by H @ p, in place.
+    """Replace the (order, k) array ``p`` by H @ p, in place.
 
     Stage h pairs row blocks [i, i + h) and [i + h, i + 2h) into their sum
     and difference, for h = 1, 2, 4, ... < order: Sylvester's recursion
     applied from the inside out.  Each pass handles at most
-    BUTTERFLY_ENTRIES entries of each half.
+    BUTTERFLY_ENTRIES entries of each half.  The sums stay in p's dtype.
+    That is exact for the int8 identity too: each entry of a column of
+    the identity's partial transforms is a sum with at most one nonzero
+    term, so every stage keeps entries in {-1, 0, 1}.
     """
     order = p.shape[0]
-    buffer = np.empty(min(BUTTERFLY_ENTRIES, p.size // 2), dtype=np.float64)
+    buffer = np.empty(min(BUTTERFLY_ENTRIES, p.size // 2), dtype=p.dtype)
     h = 1
     while h < order:
         pairs = p.reshape(order // (2 * h), 2, h * p.shape[1])
@@ -69,12 +67,11 @@ def _fwht_rows(p: np.ndarray) -> None:
         h *= 2
 
 
-def _target_table(order: int, bits: int, seed: int) -> np.ndarray:
-    """Read-only (order, bits) int8 table sign(H @ P) for P drawn from ``seed``.
+def _target_table(p: np.ndarray) -> np.ndarray:
+    """Read-only int8 table sign(H @ p), with sign(0) = +1; overwrites ``p``.
 
-    Row j is the reduced target of Sylvester column j, with sign(0) = +1.
+    Row j is the reduced target of Sylvester column j.
     """
-    p = np.random.default_rng(seed).standard_normal((order, bits))
     _fwht_rows(p)
     table = np.less(p, 0).view(np.int8)
     table *= -2
@@ -87,10 +84,11 @@ def _target_table(order: int, bits: int, seed: int) -> np.ndarray:
 class LshReducer:
     """Fixed seeded Gaussian projection from in_dim to out_dim signs.
 
-    The reducer is exactly the identity when in_dim == out_dim, and then
-    ``projection`` and ``table`` are None.  Everything is regenerable
-    from (in_dim, out_dim, seed), which is all that checkpoints persist,
-    and nothing is drawn until it is first read.
+    The reducer is exactly the identity when in_dim == out_dim.  The
+    order in_dim must be a power of two, as the transform needs.
+    Everything is regenerable from (in_dim, out_dim, seed), which is all
+    that checkpoints persist, and nothing is drawn until ``table`` is
+    first read.
     """
 
     in_dim: int
@@ -99,9 +97,9 @@ class LshReducer:
 
     @classmethod
     def create(cls, in_dim: int, out_dim: int, seed: int) -> "LshReducer":
-        if in_dim < 1 or out_dim < 1:
-            raise DimensionError(
-                f"reducer dims must be positive, got {in_dim}x{out_dim}")
+        _check_order(in_dim)
+        if out_dim < 1:
+            raise DimensionError(f"reducer output must be positive, got {out_dim}")
         return cls(in_dim=in_dim, out_dim=out_dim, seed=seed)
 
     @property
@@ -109,36 +107,14 @@ class LshReducer:
         return self.in_dim == self.out_dim
 
     @cached_property
-    def projection(self) -> np.ndarray:
-        """The read-only (in_dim, out_dim) float64 matrix P, or None."""
-        if self.is_identity:
-            return None
-        projection = np.random.default_rng(self.seed).standard_normal(
-            (self.in_dim, self.out_dim))
-        projection.setflags(write=False)
-        return projection
-
-    @cached_property
     def table(self) -> np.ndarray:
-        """The read-only (in_dim, out_dim) int8 targets sign(H @ P), or None."""
+        """The read-only (in_dim, out_dim) int8 targets sign(H @ P)."""
         if self.is_identity:
-            return None
-        return _target_table(self.in_dim, self.out_dim, self.seed)
-
-    def reduce(self, codewords: np.ndarray) -> np.ndarray:
-        """Map in_dim sign vectors to out_dim sign vectors, as int8.
-
-        Takes one codeword (in_dim,) or a stack of them (k, in_dim) and
-        returns (out_dim,) or (k, out_dim) to match.
-        """
-        codewords = np.asarray(codewords)
-        if codewords.ndim not in (1, 2) or codewords.shape[-1] != self.in_dim:
-            raise DimensionError(
-                f"codewords have shape {codewords.shape}, expected "
-                f"([k,] {self.in_dim})")
-        if self.is_identity:
-            return codewords.astype(np.int8)
-        return sign_pm1(codewords @ self.projection)
+            p = np.eye(self.in_dim, dtype=np.int8)
+        else:
+            p = np.random.default_rng(self.seed).standard_normal(
+                (self.in_dim, self.out_dim))
+        return _target_table(p)
 
 
 def targets(labels, book: HadamardCodebook, reducer: LshReducer) -> np.ndarray:
@@ -148,9 +124,8 @@ def targets(labels, book: HadamardCodebook, reducer: LshReducer) -> np.ndarray:
     appear in ``labels``.  When the codebook runs out mid-call,
     CodebookExhaustedError propagates with the labels before the failing
     one assigned, as a label-by-label loop would leave them.  Each
-    distinct label's code is the reducer's table row for its column, or
-    the column itself for the identity reducer, gathered once and then
-    spread to its rows.
+    distinct label's code is the reducer's table row for its column,
+    gathered once and then spread to its rows.
     """
     if book.order != reducer.in_dim:
         raise DimensionError(
@@ -163,8 +138,4 @@ def targets(labels, book: HadamardCodebook, reducer: LshReducer) -> np.ndarray:
         if label not in assignment:
             book.assign_label(label)
     columns = [assignment[label] for label in unique.tolist()]
-    if reducer.is_identity:
-        codes = _column(book.order, columns)
-    else:
-        codes = reducer.table[columns]
-    return codes[inverse].astype(np.float64)
+    return reducer.table[columns][inverse].astype(np.float64)

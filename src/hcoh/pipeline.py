@@ -79,6 +79,12 @@ class RunConfig:
             raise ConfigError(
                 f"codebook order {order} for {self.bits} bits and "
                 f"{self.max_labels} labels exceeds the cap {MAX_ORDER}")
+        if self.train_subset < 0:
+            raise ConfigError(
+                f"train_subset must be >= 0, got {self.train_subset}")
+        if self.test_per_class < 1:
+            raise ConfigError(
+                f"test_per_class must be >= 1, got {self.test_per_class}")
         if self.k_prec < 1:
             raise ConfigError(f"k_prec must be >= 1, got {self.k_prec}")
         if self.k_map is not None and self.k_map < 1:

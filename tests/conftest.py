@@ -111,19 +111,64 @@ def relative_error(value, reference, start):
     return np.linalg.norm(value - reference) / np.linalg.norm(reference - start)
 
 
+def sylvester(order):
+    """Dense (order, order) int8 Sylvester matrix by the np.block recursion."""
+    h = np.array([[1]], dtype=np.int8)
+    while h.shape[0] < order:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def sylvester_columns(order, columns):
+    """Sylvester columns as int8 rows: (-1)**popcount(i & j) over i.
+
+    A single index j gives the (order,) column; an array of k indices
+    gives their (k, order) stack.
+    """
+    j = np.asarray(columns, dtype=np.uint32)[..., None]
+    parity = np.bitwise_count(np.arange(order, dtype=np.uint32) & j) & 1
+    return 1 - 2 * parity.astype(np.int8)
+
+
+def gaussian_projection(reducer):
+    """The (in_dim, out_dim) N(0, 1) matrix P that ``reducer``'s seed draws."""
+    return np.random.default_rng(reducer.seed).standard_normal(
+        (reducer.in_dim, reducer.out_dim))
+
+
+def sign_pm1(values):
+    """Elementwise sign into {-1,+1} as int8, with sign(0) = +1."""
+    return np.where(np.asarray(values) >= 0, 1, -1).astype(np.int8)
+
+
+def unpack_bits(words, length):
+    """Inverse of ``hcoh.pack_bits``: an (n, length) uint8 array of bits."""
+    words = np.atleast_2d(np.asarray(words, dtype=np.uint64))
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little")
+    return bits[:, :length]
+
+
 def per_label_targets(labels, book, reducer, codes):
     """Target rows of ``labels`` resolved one label at a time.
 
     The reference for ``lsh.targets``: a label missing from the dict
-    ``codes`` takes its codebook column and is reduced on its own through
-    the projection, so CodebookExhaustedError leaves ``book`` and
-    ``codes`` holding exactly the labels before the failing one.
+    ``codes`` takes its codebook column, computed from the popcount
+    form, and is reduced on its own as sign(column @ P) (or kept as is
+    for the identity reducer), so CodebookExhaustedError leaves ``book``
+    and ``codes`` holding exactly the labels before the failing one.
     """
+    projection = None
     rows = []
     for label in labels:
         label = int(label)
         if label not in codes:
-            book.assign_label(label)
-            codes[label] = reducer.reduce(book.codeword(label))
+            column = sylvester_columns(book.order, book.assign_label(label))
+            if reducer.is_identity:
+                codes[label] = column
+            else:
+                if projection is None:
+                    projection = gaussian_projection(reducer)
+                codes[label] = sign_pm1(column @ projection)
         rows.append(codes[label])
     return np.array(rows, dtype=np.float64).reshape(len(rows), reducer.out_dim)

@@ -27,15 +27,16 @@ def _verdict(name, ok, detail=""):
 # --- 1. Hadamard exactness ----------------------------------------------
 
 def test_c1_hadamard_exactness():
+    # H as training uses it: the identity reducer's target table.
     started = time.monotonic()
     for order in (2, 4, 8, 16, 32, 64, 128, 256):
-        h = hcoh.build_hadamard(order).astype(np.int64)
+        h = hcoh.LshReducer.create(order, order, seed=0).table.astype(np.int64)
         assert np.array_equal(h @ h.T, order * np.eye(order, dtype=np.int64)), order
     for order in (512, 1024):
         # Same exact check through float64: products are +-1 and every
         # partial sum is an integer of magnitude <= order << 2**53, so the
         # BLAS product is exact integer arithmetic, just faster.
-        h = hcoh.build_hadamard(order).astype(np.float64)
+        h = hcoh.LshReducer.create(order, order, seed=0).table.astype(np.float64)
         assert np.array_equal(h @ h.T, order * np.eye(order)), order
     elapsed = time.monotonic() - started
     _verdict("hadamard-exactness", elapsed < 1.0,
@@ -158,19 +159,19 @@ def test_c3_map_matches_brute_force():
 # --- 4. LSH collision property ---------------------------------------------
 
 def test_c4_lsh_collision_property():
+    # Rows 3 and 5 of T = sign(H P) are the targets of the orthogonal
+    # Sylvester columns 3 and 5.
     started = time.monotonic()
-    h = hcoh.build_hadamard(256)
-    a, b = h[:, 3], h[:, 5]
-    assert int(a.astype(np.int64) @ b.astype(np.int64)) == 0
     distances = np.empty(10_000)
     for seed in range(10_000):
-        reducer = hcoh.LshReducer.create(256, 64, seed=seed)
-        distances[seed] = np.mean(reducer.reduce(a) != reducer.reduce(b))
+        table = hcoh.LshReducer.create(256, 64, seed=seed).table
+        distances[seed] = np.mean(table[3] != table[5])
     mean = float(distances.mean())
-    identical_ok = all(
-        np.array_equal(hcoh.LshReducer.create(256, 64, seed=s).reduce(a),
-                       hcoh.LshReducer.create(256, 64, seed=s).reduce(a))
-        for s in range(0, 10_000, 100))
+    identical_ok = True
+    for s in range(0, 10_000, 100):
+        codes = hcoh.lsh.targets([3, 8, 3], hcoh.HadamardCodebook.create(256, s),
+                                 hcoh.LshReducer.create(256, 64, seed=s))
+        identical_ok &= np.array_equal(codes[0], codes[2])
     elapsed = time.monotonic() - started
     _verdict("lsh-collision-property",
              0.49 <= mean <= 0.51 and identical_ok and elapsed < 30.0,

@@ -27,7 +27,7 @@ class TestRoundTrip:
         assert loaded_model.eta == model.eta
         assert loaded_model.round == 123
         assert loaded_book.assignment == book.assignment
-        assert np.array_equal(loaded_reducer.projection, reducer.projection)
+        assert np.array_equal(loaded_reducer.table, reducer.table)
 
     def test_encode_after_load_builds_no_target_table(self, tmp_path):
         model, book, reducer = make_state(bits=8, order=1024, d=5)
@@ -38,7 +38,6 @@ class TestRoundTrip:
         assert np.array_equal(encode(loaded_model, features).words,
                               encode(model, features).words)
         assert "table" not in vars(loaded_reducer)
-        assert "projection" not in vars(loaded_reducer)
         assert np.array_equal(loaded_reducer.table, reducer.table)
 
     def test_identity_reducer_round_trip(self, tmp_path):

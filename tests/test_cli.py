@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hcoh import (Dataset, SplitSpec, derive_seeds, encode, load_dense,
                   save_labels, split)
 from hcoh.checkpoint import load_checkpoint
 from hcoh.cli import MNIST_FILES, main
-from hcoh.codec import BinaryCodeSet, load_code_set
+from hcoh.codec import CODE_MAGIC, BinaryCodeSet, load_code_set
 from tests.conftest import blob_dataset
 from tests.test_data import idx_image_bytes, idx_label_bytes
 
@@ -99,6 +100,18 @@ class TestTrain:
         assert "k_prec 501 exceeds retrieval size 500" in capsys.readouterr().err
         assert not (tmp_path / "model.hcoh").exists()
         assert not (tmp_path / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--train-size", "-5"),
+                                             ("--test-per-class", "0"),
+                                             ("--test-per-class", "-1")])
+    def test_bad_split_size_exit_config_before_loading(self, dense_blobs,
+                                                       tmp_path, flag, value):
+        # The feature file does not exist: exit 2 rather than 3 shows the
+        # size was rejected before any data was read.
+        code = main(train_args(dense_blobs, tmp_path,
+                               **{flag: value,
+                                  "--features": str(tmp_path / "nope.feat")}))
+        assert code == 2
 
     def test_missing_feature_file_exit_data(self, dense_blobs, tmp_path):
         code = main(train_args(dense_blobs, tmp_path,
@@ -284,6 +297,14 @@ class TestEvaluate:
         assert main(["evaluate", "--queries", str(tmp_path / "o.hcode"),
                      "--database", str(db), "--k-prec", "2"]) == 3
 
+    def test_zero_length_codes_exit_data(self, tmp_path, capsys):
+        empty = tmp_path / "empty.hcode"
+        empty.write_bytes(CODE_MAGIC + struct.pack("<BII", 1, 2, 0)
+                          + np.zeros(2, dtype="<u4").tobytes())
+        assert main(["evaluate", "--queries", str(empty),
+                     "--database", str(empty), "--k-prec", "2"]) == 3
+        assert "code length 0" in capsys.readouterr().err
+
 
 class TestBenchmarkAndCurve:
     def test_benchmark_table_and_aggregate_records(self, dense_blobs, tmp_path, capsys):
@@ -320,3 +341,20 @@ class TestBenchmarkAndCurve:
         assert rows[0] == "instances_seen,map"
         assert len(rows) == 4
         assert [int(r.split(",")[0]) for r in rows[1:]] == [100, 200, 400]
+
+    @pytest.mark.parametrize("line, error", [
+        ('{"record": "checkpoint", "map": 0.5}',
+         "checkpoint record lacks ['instances_seen']"),
+        ('{"record": "checkpoint", "instances_seen": 100}',
+         "checkpoint record lacks ['map']"),
+        ('[1, 2]', "not a JSON object"),
+    ], ids=["no-instances", "no-map", "not-an-object"])
+    def test_malformed_curve_record_exit_data(self, tmp_path, capsys, line,
+                                              error):
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text('{"record": "checkpoint", "instances_seen": 50, '
+                           f'"map": 0.25}}\n{line}\n')
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--metrics", str(metrics), "--out", str(out)]) == 3
+        assert f"metrics.jsonl line 2: {error}" in capsys.readouterr().err
+        assert not out.exists()

@@ -5,8 +5,9 @@ import pytest
 
 from hcoh import (BinaryCodeSet, DimensionError, FormatError, HashModel,
                   encode, init_model, load_code_set, pack_bits, rank,
-                  save_code_set, unpack_bits)
+                  save_code_set)
 from hcoh.codec import ENCODE_ROWS, _hamming_distances
+from tests.conftest import unpack_bits
 
 
 def naive_hamming(bits_a, bits_b):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from hcoh import (CodebookExhaustedError, HadamardCodebook, InvalidOrderError,
-                  UnknownLabelError, build_hadamard, codeword_order)
+                  LshReducer, codeword_order, lsh)
+from tests.conftest import sylvester
+
+
+def identity_table(order):
+    """The identity reducer's target table, which is H itself."""
+    return LshReducer.create(order, order, seed=0).table
 
 
 class TestCodewordOrder:
@@ -23,19 +29,21 @@ class TestCodewordOrder:
 
 
 class TestBuildHadamard:
+    """H as the library builds it: the identity reducer's transform of I."""
+
     def test_order_two(self):
-        assert np.array_equal(build_hadamard(2), [[1, 1], [1, -1]])
+        assert np.array_equal(identity_table(2), [[1, 1], [1, -1]])
 
     def test_order_four_expanded_by_hand(self):
         expected = [[1, 1, 1, 1],
                     [1, -1, 1, -1],
                     [1, 1, -1, -1],
                     [1, -1, -1, 1]]
-        assert np.array_equal(build_hadamard(4), expected)
+        assert np.array_equal(identity_table(4), expected)
 
     @pytest.mark.parametrize("order", [1, 2, 4, 8, 16, 64])
     def test_orthogonality(self, order):
-        h = build_hadamard(order).astype(np.int64)
+        h = identity_table(order).astype(np.int64)
         assert np.array_equal(h @ h.T, order * np.eye(order, dtype=np.int64))
 
     @pytest.mark.parametrize("order", [2, 4, 8, 16, 32, 64])
@@ -44,21 +52,21 @@ class TestBuildHadamard:
         idx = np.arange(order)
         parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
         expected = np.where(parity, -1, 1)
-        assert np.array_equal(build_hadamard(order), expected)
+        assert np.array_equal(identity_table(order), expected)
 
     def test_entries_are_int8_signs(self):
-        h = build_hadamard(16)
+        h = identity_table(16)
         assert h.dtype == np.int8
         assert set(np.unique(h)) == {-1, 1}
 
     @pytest.mark.parametrize("order", [0, 3, 6, 12, 100])
     def test_rejects_non_powers_of_two(self, order):
         with pytest.raises(InvalidOrderError):
-            build_hadamard(order)
+            identity_table(order)
 
     def test_rejects_orders_above_cap(self):
         with pytest.raises(InvalidOrderError):
-            build_hadamard(2**21)
+            identity_table(2**21)
 
 
 class TestAssignment:
@@ -141,39 +149,31 @@ class TestAssignment:
 
 
 class TestCodeword:
+    """A label's codeword is its identity-reducer target."""
+
     def test_first_sylvester_column_is_all_ones(self):
         book = HadamardCodebook.create(2, seed=0)
-        for label in (7, 8):
-            book.assign_label(label)
-        first = next(label for label, column in book.assignment.items()
-                     if column == 0)
-        assert np.array_equal(book.codeword(first), [1, 1])
+        codes = lsh.targets([7, 8], book, LshReducer.create(2, 2, seed=0))
+        first = [book.assignment[label] for label in (7, 8)].index(0)
+        assert np.array_equal(codes[first], [1, 1])
 
     @pytest.mark.parametrize("order", [2**k for k in range(1, 11)])
     def test_every_column_matches_the_dense_matrix(self, order):
-        h = build_hadamard(order)
         book = HadamardCodebook.create(order, seed=order)
-        for label in range(order):
-            column = book.assign_label(label)
-            word = book.codeword(label)
-            assert word.dtype == np.int8
-            assert np.array_equal(word, h[:, column])
+        codes = lsh.targets(np.arange(order), book,
+                            LshReducer.create(order, order, seed=0))
+        columns = [book.assignment[label] for label in range(order)]
+        assert sorted(columns) == list(range(order))
+        assert np.array_equal(codes, sylvester(order)[:, columns].T)
 
     def test_distinct_labels_orthogonal(self):
         book = HadamardCodebook.create(16, seed=2)
-        book.assign_label(1)
-        book.assign_label(2)
-        a = book.codeword(1).astype(np.int64)
-        b = book.codeword(2).astype(np.int64)
+        a, b = lsh.targets([1, 2], book, LshReducer.create(16, 16, seed=0))
         assert a @ b == 0
         assert a @ a == 16
 
     def test_repeated_lookup_is_identical(self):
         book = HadamardCodebook.create(8, seed=11)
-        book.assign_label(3)
-        assert np.array_equal(book.codeword(3), book.codeword(3))
-
-    def test_unknown_label_rejected(self):
-        book = HadamardCodebook.create(8, seed=11)
-        with pytest.raises(UnknownLabelError):
-            book.codeword(99)
+        reducer = LshReducer.create(8, 8, seed=0)
+        assert np.array_equal(lsh.targets([3], book, reducer),
+                              lsh.targets([3], book, reducer))

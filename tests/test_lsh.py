@@ -1,64 +1,68 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hcoh import (CodebookExhaustedError, DimensionError, HadamardCodebook,
-                  LshReducer, build_hadamard, lsh, sign_pm1)
-from tests.conftest import per_label_targets
+                  InvalidOrderError, LshReducer, lsh)
+from tests.conftest import (gaussian_projection, per_label_targets, sign_pm1,
+                            sylvester)
 
 
 def test_sign_convention_maps_zero_to_plus_one():
-    assert np.array_equal(sign_pm1([-2.0, -0.0, 0.0, 3.0]), [-1, 1, 1, 1])
+    # Columns transform to (0, 2), (-0.0, 0.0) and (1.5, -0.5).
+    p = np.array([[1.0, -0.0, 0.5], [-1.0, -0.0, 1.0]])
+    assert np.array_equal(lsh._target_table(p), [[1, 1, 1], [1, 1, -1]])
 
 
 class TestReduce:
     def test_identity_when_dims_match(self):
         reducer = LshReducer.create(16, 16, seed=4)
         assert reducer.is_identity
-        codeword = build_hadamard(16)[:, 5]
-        assert np.array_equal(reducer.reduce(codeword), codeword)
+        book = HadamardCodebook.create(16, seed=1)
+        code = lsh.targets([5], book, reducer)[0]
+        assert np.array_equal(code, sylvester(16)[:, book.assignment[5]])
 
     def test_fixed_projection_gives_identical_outputs(self):
         reducer = LshReducer.create(32, 8, seed=4)
-        codeword = build_hadamard(32)[:, 3]
-        assert np.array_equal(reducer.reduce(codeword), reducer.reduce(codeword))
+        book = HadamardCodebook.create(32, seed=1)
+        assert np.array_equal(lsh.targets([3], book, reducer),
+                              lsh.targets([3], book, reducer))
 
     def test_same_seed_same_projection(self):
         a = LshReducer.create(32, 8, seed=123)
         b = LshReducer.create(32, 8, seed=123)
-        assert np.array_equal(a.projection, b.projection)
+        assert np.array_equal(a.table, b.table)
+        assert not np.array_equal(a.table, LshReducer.create(32, 8, seed=124).table)
 
     def test_outputs_are_signs(self):
-        reducer = LshReducer.create(64, 16, seed=0)
-        out = reducer.reduce(build_hadamard(64)[:, 9])
-        assert set(np.unique(out)) <= {-1, 1}
-
-    def test_length_mismatch_rejected(self):
-        reducer = LshReducer.create(32, 8, seed=4)
-        for shape in [(16,), (3, 16), (2, 3, 32)]:
-            with pytest.raises(DimensionError):
-                reducer.reduce(np.ones(shape, dtype=np.int8))
+        table = LshReducer.create(64, 16, seed=0).table
+        assert table.shape == (64, 16)
+        assert set(np.unique(table)) <= {-1, 1}
 
     def test_orthogonal_columns_land_near_half_distance(self):
         # Sign-of-Gaussian-projection sends vectors at angle theta to codes
         # agreeing per bit with probability 1 - theta/pi; orthogonal inputs
         # should sit near normalized distance 0.5.  Per-seed spread is
         # binomial: sigma = sqrt(0.25/64) = 0.0625.
-        h = build_hadamard(256)
-        a, b = h[:, 1], h[:, 2]
         distances = []
         for seed in range(500):
-            reducer = LshReducer.create(256, 64, seed=seed)
-            distances.append(
-                np.mean(reducer.reduce(a) != reducer.reduce(b)))
+            table = LshReducer.create(256, 64, seed=seed).table
+            distances.append(np.mean(table[1] != table[2]))
         distances = np.asarray(distances)
         assert abs(distances.mean() - 0.5) < 0.01
         assert np.mean(np.abs(distances - 0.5) > 3 * 0.0625) < 0.01
 
     def test_identical_inputs_always_collide(self):
-        h = build_hadamard(256)
         for seed in (0, 7, 99):
-            reducer = LshReducer.create(256, 64, seed=seed)
-            assert np.array_equal(reducer.reduce(h[:, 4]), reducer.reduce(h[:, 4]))
+            book = HadamardCodebook.create(256, seed=seed)
+            codes = lsh.targets([4, 9, 4], book,
+                                LshReducer.create(256, 64, seed=seed))
+            assert np.array_equal(codes[0], codes[2])
+
+    def test_create_rejects_order_not_a_power_of_two(self):
+        with pytest.raises(InvalidOrderError):
+            LshReducer.create(12, 4, 0)
 
 
 class TestTargetCodeTable:
@@ -79,7 +83,22 @@ class TestTargetCodeTable:
         reducer = LshReducer.create(16, 16, seed=2)
         a, b = lsh.targets([0, 1], book, reducer)
         assert a @ b == 0
-        assert reducer.table is None
+        assert np.array_equal(reducer.table, sylvester(16))
+
+    def test_identity_table_is_sylvester_with_a_small_build_peak(self):
+        for order in (2**k for k in range(1, 11)):
+            assert np.array_equal(LshReducer.create(order, order, 0).table,
+                                  sylvester(order))
+        # int8 all the way: P and the sign mask are one table's bytes
+        # each, where a float64 P alone would be eight.
+        reducer = LshReducer.create(1024, 1024, seed=0)
+        tracemalloc.start()
+        try:
+            table = reducer.table
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * table.nbytes
 
     def test_grows_by_one_per_new_label(self):
         book, reducer = self._setup()
@@ -125,15 +144,15 @@ class TestTargetCodeTable:
         # across row groups and within them; the sums are the same.
         monkeypatch.setattr(lsh, "BUTTERFLY_ENTRIES", entries)
         reducer = LshReducer.create(256, 8, seed=11)
-        product = build_hadamard(256) @ reducer.projection
+        product = sylvester(256) @ gaussian_projection(reducer)
         assert np.abs(product).min() > 1e-9
         assert np.array_equal(reducer.table, sign_pm1(product))
 
     def test_nothing_is_drawn_before_it_is_read(self):
         reducer = LshReducer.create(1024, 16, seed=5)
-        assert "projection" not in vars(reducer) and "table" not in vars(reducer)
+        assert "table" not in vars(reducer)
         lsh.targets([7], HadamardCodebook.create(1024, seed=1), reducer)
-        assert "table" in vars(reducer) and "projection" not in vars(reducer)
+        assert "table" in vars(reducer)
 
     def test_order_mismatch_rejected(self):
         book = HadamardCodebook.create(32, seed=1)

@@ -42,6 +42,7 @@ class TestRunConfigValidation:
         dict(max_labels=0), dict(k_prec=0), dict(k_map=0),
         dict(seed=-1), dict(repeat=-1),
         dict(max_labels=2**20 + 1), dict(bits=2**21),  # order above the cap
+        dict(train_subset=-5), dict(test_per_class=0), dict(test_per_class=-1),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -101,7 +102,7 @@ class TestRunTraining:
         result = run_training(blobs, blob_config(bits=8, max_labels=10))
         assert not result.reducer.is_identity
         assert result.book.order == 16
-        assert result.reducer.projection.shape == (16, 8)
+        assert result.reducer.table.shape == (16, 8)
 
     def test_repeat_runs_are_identical(self, blobs):
         a = run_training(blobs, blob_config(milestones=(500, 1000)))
