@@ -82,6 +82,9 @@ class BinaryCodeSet:
     length: int
 
     def __post_init__(self):
+        if self.length < 1:
+            raise DimensionError(
+                f"code length must be at least 1, got {self.length}")
         self.words = _mask_padding(
             np.array(self.words, dtype=np.uint64, ndmin=2), self.length)
         self.labels = np.atleast_1d(np.asarray(self.labels, dtype=np.int64))

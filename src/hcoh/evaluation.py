@@ -18,12 +18,15 @@ bits, uint16 below 65,536), and one ``argsort(kind="stable")`` orders
 every row.  On 8- and 16-bit integers numpy's stable sort is a radix
 sort, linear in the database size, and being stable it keeps the tie
 rule: by distance, then by database index.  :func:`evaluate` ranks
-through :func:`rank`, 64 queries at a time, and scores each query's row
-by :func:`average_precision` and :func:`precision_at_k`; only full AP
-gathers the whole ranked relevance list, the cut-off metrics gather
-their top K.  Blocks run one after another in the calling thread, and
-per-query results stay in query order, so each mean is reduced over the
-same array for any block size.
+through :func:`rank` in blocks of ``max(1, RANK_BLOCK_BYTES // (8 * n))``
+queries against n database codes, so one block's int64 ranking, like
+its uint64 XOR temporary, takes at most RANK_BLOCK_BYTES or one query's
+row, whichever is larger, however many queries there are.  It scores
+each query's row by :func:`average_precision` and :func:`precision_at_k`;
+only full AP gathers the whole ranked relevance list, the cut-off
+metrics gather their top K.  Blocks run one after another in the
+calling thread, and per-query results stay in query order, so each mean
+is reduced over the same array for any block size.
 """
 
 from dataclasses import dataclass
@@ -33,7 +36,11 @@ import numpy as np
 from .codec import BinaryCodeSet, _hamming_distances
 from .errors import DimensionError, UndefinedAPError
 
-_QUERY_CHUNK = 64  # queries ranked per distance-matrix block
+# Bytes of one query block's (q, n) int64 ranking; it bounds evaluate's
+# temporaries whatever the query count.  Blocks well under glibc's 32 MiB
+# mmap ceiling can reuse heap pages instead of mapping and faulting in
+# fresh ones for every block.
+RANK_BLOCK_BYTES = 4 * 2**20
 
 
 def rank(queries: BinaryCodeSet, database: BinaryCodeSet) -> np.ndarray:
@@ -131,8 +138,9 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
     prec = np.zeros(n_q)
     scored = np.zeros(n_q, dtype=bool)
 
-    for lo in range(0, n_q, _QUERY_CHUNK):
-        hi = min(lo + _QUERY_CHUNK, n_q)
+    block = max(1, RANK_BLOCK_BYTES // (8 * n_db))
+    for lo in range(0, n_q, block):
+        hi = min(lo + block, n_q)
         rankings = rank(queries.take(slice(lo, hi)), database)
         for row, qi in enumerate(range(lo, hi)):
             relevance = database.labels == queries.labels[qi]
@@ -144,7 +152,7 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
                 ap_cut[qi] = average_precision(rankings[row], relevance,
                                                cutoff=k_map)
             prec[qi] = precision_at_k(rankings[row], relevance, k_prec)
-        # Free this block's int64 rankings (64 x n) before the next block
+        # Free this block's int64 rankings before the next block
         # allocates its own, so only one block is held at a time.
         del rankings
 

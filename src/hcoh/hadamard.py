@@ -38,6 +38,12 @@ from .errors import CodebookExhaustedError, InvalidOrderError
 # order x order table from an int8 identity, 2 * order**2 bytes at the peak.
 MAX_ORDER = 2**20
 
+# Largest order x r target table, in entries: 64 MiB as int8, the table of
+# a MAX_ORDER codebook at 64 bits (its transient projection is 512 MiB).
+# MAX_ORDER alone does not bound r, and an identity reducer's table grows
+# as r**2: 4 GiB at 65,536 bits.
+MAX_TABLE_ENTRIES = MAX_ORDER * 64
+
 
 def codeword_order(r: int, known_labels: int = 0) -> int:
     """Smallest power of two >= max(r, known_labels, 2).

@@ -23,7 +23,8 @@ from .codec import encode
 from .data import Dataset, SplitSpec, split_indices, stream
 from .errors import ConfigError
 from .evaluation import evaluate, map_curve_auc
-from .hadamard import MAX_ORDER, HadamardCodebook, codeword_order
+from .hadamard import (MAX_ORDER, MAX_TABLE_ENTRIES, HadamardCodebook,
+                       codeword_order)
 from .learner import GRADIENT_FACTORS, init_model, train_stream
 from .lsh import LshReducer
 
@@ -79,6 +80,10 @@ class RunConfig:
             raise ConfigError(
                 f"codebook order {order} for {self.bits} bits and "
                 f"{self.max_labels} labels exceeds the cap {MAX_ORDER}")
+        if order * self.bits > MAX_TABLE_ENTRIES:
+            raise ConfigError(
+                f"target table of {order} x {self.bits} entries exceeds the "
+                f"cap {MAX_TABLE_ENTRIES}")
         if self.train_subset < 0:
             raise ConfigError(
                 f"train_subset must be >= 0, got {self.train_subset}")

@@ -92,6 +92,14 @@ class TestTrain:
         assert code == 2
         assert "exceeds the cap" in capsys.readouterr().err
 
+    def test_table_above_cap_exit_config_before_loading(self, dense_blobs,
+                                                        tmp_path, capsys):
+        code = main(train_args(dense_blobs, tmp_path,
+                               **{"--bits": str(2**16),
+                                  "--features": str(tmp_path / "nope.feat")}))
+        assert code == 2
+        assert "target table" in capsys.readouterr().err
+
     def test_oversized_k_prec_exit_config_without_output(self, dense_blobs,
                                                          tmp_path, capsys):
         # 600 items less 25 test items per class leave 500 to retrieve.

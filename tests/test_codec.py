@@ -45,6 +45,10 @@ class TestPacking:
         code_set = BinaryCodeSet(dirty, [0, 1], length=10)
         assert (code_set.words == np.uint64(0x3FF)).all()
 
+    def test_zero_length_rejected_at_construction(self):
+        with pytest.raises(DimensionError, match="code length"):
+            BinaryCodeSet(np.zeros((2, 0), dtype=np.uint64), [0, 1], 0)
+
 
 class TestEncode:
     def test_zero_model_sets_every_bit(self):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hcoh import (BinaryCodeSet, DimensionError, UndefinedAPError,
                   average_precision, evaluate, map_curve_auc, pack_bits,
                   precision_at_k, rank)
+from hcoh import evaluation
 
 
 # --- Independent brute-force oracle -------------------------------------
@@ -216,6 +219,20 @@ class TestEvaluate:
         with pytest.raises(DimensionError):
             evaluate(a, b, k_prec=1)
 
+    @pytest.mark.parametrize("n_q, n_db", [(150, 69_850), (100, 20_000),
+                                           (400, 20_000)])
+    def test_peak_memory_within_two_block_budgets(self, n_q, n_db):
+        rng = np.random.default_rng(n_q)
+        database, _ = random_set(rng, n_db, 32, n_classes=10)
+        queries, _ = random_set(rng, n_q, 32, n_classes=10)
+        tracemalloc.start()
+        try:
+            evaluate(queries, database, k_prec=100)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * evaluation.RANK_BLOCK_BYTES
+
 
 def clustered_bits(rng, n, r, pool):
     """Rows drawn from a few prototype codes with rare bit flips: many ties."""
@@ -224,12 +241,19 @@ def clustered_bits(rng, n, r, pool):
     return prototypes[rng.integers(0, pool, n)] ^ flips
 
 
+def evaluate_in_blocks(monkeypatch, queries, database, block, **kwargs):
+    """``evaluate`` with its byte budget set to ``block`` queries per block."""
+    monkeypatch.setattr(evaluation, "RANK_BLOCK_BYTES", block * 8 * len(database))
+    return evaluate(queries, database, **kwargs)
+
+
 class TestRankingKernel:
-    """Chunked radix ranking in ``evaluate`` against the brute-force oracle.
+    """Blocked radix ranking in ``evaluate`` against the brute-force oracle.
 
     The lengths straddle the one-word/two-word and the uint8/uint16
-    distance-dtype boundaries; 70 queries make two query chunks, and
-    150 make three, the last one ragged.
+    distance-dtype boundaries.  Each case runs with blocks of 1 query,
+    of 64 (70 queries make two blocks, 150 make three, the last one
+    ragged) and of every query, and the reports must be bit-identical.
     """
 
     CASES = ([(r, k_map, 70, 120) for k_map in (None, 9)
@@ -238,14 +262,21 @@ class TestRankingKernel:
 
     @pytest.mark.parametrize("r, k_map, n_q, n_db", CASES,
                              ids=[f"{c[0]}-{c[1]}" for c in CASES])
-    def test_matches_oracle(self, r, k_map, n_q, n_db):
+    def test_matches_oracle(self, r, k_map, n_q, n_db, monkeypatch):
         rng = np.random.default_rng(r)
         db_bits = clustered_bits(rng, n_db, r, pool=6)
         q_bits = clustered_bits(rng, n_q, r, pool=6)
         db_labels = rng.integers(0, 3, n_db)
         q_labels = rng.integers(0, 4, n_q)  # label 3 has no relevant item
         database, queries = make_set(db_bits, db_labels), make_set(q_bits, q_labels)
-        report = evaluate(queries, database, k_prec=15, k_map=k_map)
+        report, *others = [
+            evaluate_in_blocks(monkeypatch, queries, database, block,
+                               k_prec=15, k_map=k_map)
+            for block in (1, 64, n_q)]
+        for other in others:
+            assert np.array_equal(other.per_query_ap, report.per_query_ap)
+            assert (other.map, other.precision_at_k, other.map_at_k) == (
+                report.map, report.precision_at_k, report.map_at_k)
 
         expected = oracle_scores(q_bits, q_labels, db_bits, db_labels, 15, k_map)
         assert report.n_skipped == n_q - len(expected)

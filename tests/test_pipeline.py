@@ -43,6 +43,7 @@ class TestRunConfigValidation:
         dict(seed=-1), dict(repeat=-1),
         dict(max_labels=2**20 + 1), dict(bits=2**21),  # order above the cap
         dict(train_subset=-5), dict(test_per_class=0), dict(test_per_class=-1),
+        dict(bits=2**16), dict(max_labels=2**20, bits=128),  # table above the cap
     ])
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -50,6 +51,9 @@ class TestRunConfigValidation:
 
     def test_order_at_cap_accepted(self):
         blob_config(max_labels=2**20).validate()
+
+    def test_table_at_cap_accepted(self):
+        blob_config(max_labels=2**20, bits=64).validate()
 
 
 class TestRunTraining:
