@@ -1,3 +1,4 @@
+import gzip
 import json
 import struct
 
@@ -125,6 +126,25 @@ class TestTrain:
         code = main(train_args(dense_blobs, tmp_path,
                                **{"--features": str(tmp_path / "nope.feat")}))
         assert code == 3
+
+    def test_cut_gzip_image_file_exit_data(self, idx_dir, tmp_path, capsys):
+        data_dir = tmp_path / "mnist"
+        data_dir.mkdir()
+        for name in MNIST_FILES.values():
+            (data_dir / name).write_bytes((idx_dir / name).read_bytes())
+        plain = data_dir / MNIST_FILES["train_images"]
+        cut = plain.with_name(plain.name + ".gz")
+        packed = gzip.compress(plain.read_bytes())
+        cut.write_bytes(packed[:len(packed) // 2])
+        plain.unlink()
+        assert main(idx_train_args(data_dir, tmp_path, "unit255")) == 3
+        assert f"{cut}: damaged gzip data" in capsys.readouterr().err
+
+    def test_non_gzip_label_file_exit_data(self, dense_blobs, tmp_path, capsys):
+        labels = tmp_path / "blobs.lab.gz"
+        labels.write_bytes((dense_blobs / "blobs.lab").read_bytes())
+        assert main(train_args(dense_blobs, tmp_path, **{"--labels": labels})) == 3
+        assert f"{labels}: damaged gzip data" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import gzip
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from hcoh import (ConfigError, Dataset, DimensionError, FormatError, SplitSpec,
                   load_dense, load_idx, load_labels, normalize, save_dense,
                   save_labels, split, split_indices, stream)
+from hcoh import data
 from hcoh.data import CHECK_ROWS
 from hcoh.cli import MNIST_FILES, load_mnist_dir
 
@@ -20,6 +23,28 @@ def idx_image_bytes(pixels):
 def idx_label_bytes(labels):
     labels = np.asarray(labels, dtype=np.uint8)
     return struct.pack(">II", 0x00000801, labels.shape[0]) + labels.tobytes()
+
+
+# Ways a gzip file can be damaged, each met by a different exception of
+# the gzip module: a stream cut halfway (EOFError), bytes that are not
+# gzip at all (gzip.BadGzipFile), and a gzip header over a deflate block
+# of the reserved type 3 (zlib.error).
+DAMAGED_GZIP = {
+    "cut": lambda blob: gzip.compress(blob)[:len(gzip.compress(blob)) // 2],
+    "not-gzip": lambda blob: blob,
+    "bad-deflate": lambda blob: gzip.compress(b"")[:10] + b"\x07" + bytes(16),
+}
+
+
+def damaged_gzip_error(path):
+    return pytest.raises(FormatError, match=re.escape(f"{path}: damaged gzip data"))
+
+
+def gzip_copy(path):
+    """Write ``path`` gzipped beside it; the .gz path."""
+    gz = path.with_name(path.name + ".gz")
+    gz.write_bytes(gzip.compress(path.read_bytes()))
+    return gz
 
 
 @pytest.fixture
@@ -87,6 +112,27 @@ class TestLoadIdx:
         with pytest.raises(ConfigError):
             load_idx(*idx_pair, norm="l2")
 
+    def test_empty_file_is_valid(self, tmp_path):
+        (tmp_path / "img").write_bytes(idx_image_bytes(np.zeros((0, 5, 5))))
+        (tmp_path / "lab").write_bytes(idx_label_bytes([]))
+        assert load_idx(tmp_path / "img", tmp_path / "lab").features.shape == (0, 25)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_GZIP))
+    def test_damaged_gzip_image_file_named(self, idx_pair, tmp_path, damage):
+        img, lab = idx_pair
+        bad = tmp_path / "bad-idx3-ubyte.gz"
+        bad.write_bytes(DAMAGED_GZIP[damage](img.read_bytes()))
+        with damaged_gzip_error(bad):
+            load_idx(bad, lab)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_GZIP))
+    def test_damaged_gzip_label_file_named(self, idx_pair, tmp_path, damage):
+        img, lab = idx_pair
+        bad = tmp_path / "bad-idx1-ubyte.gz"
+        bad.write_bytes(DAMAGED_GZIP[damage](lab.read_bytes()))
+        with damaged_gzip_error(bad):
+            load_idx(img, bad)
+
 
 def reference_normalize(pixels, norm):
     """The out-of-place formulas, restated: a new array per operation."""
@@ -142,6 +188,31 @@ class TestLoadMnistDir:
         assert (ds.features.tobytes()
                 == reference_normalize(train.reshape(40, -1), norm).tobytes())
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+    @pytest.mark.parametrize("norm", ["unit255", "zscore", "none"])
+    def test_ragged_row_blocks_bit_equal_to_reference(self, mnist_files, monkeypatch,
+                                                      norm, compress):
+        directory, (train, test), labels = mnist_files
+        if compress:
+            directory = directory / "gz"
+            directory.mkdir()
+            for name in MNIST_FILES.values():
+                (directory / (name + ".gz")).write_bytes(
+                    gzip.compress((directory.parent / name).read_bytes()))
+        suffix = ".gz" if compress else ""
+        monkeypatch.setattr(data, "READ_ROWS", 7)  # 40 = 5 x 7 + 5 rows, 12 = 7 + 5
+        train_ref = reference_normalize(train.reshape(40, -1), norm)
+        ds = load_mnist_dir(directory, norm=norm)
+        expected = np.vstack([train_ref,
+                              reference_normalize(test.reshape(12, -1), norm)])
+        assert ds.features.tobytes() == expected.tobytes()
+        assert np.array_equal(ds.labels,
+                              np.concatenate([labels["train"], labels["test"]]))
+        single = load_idx(directory / (MNIST_FILES["train_images"] + suffix),
+                          directory / (MNIST_FILES["train_labels"] + suffix),
+                          norm=norm)
+        assert single.features.tobytes() == train_ref.tobytes()
+
     def test_pixel_count_mismatch_rejected(self, mnist_files):
         directory, _pixels, _labels = mnist_files
         (directory / MNIST_FILES["test_images"]).write_bytes(
@@ -192,6 +263,34 @@ class TestDenseFormat:
         with pytest.raises(FormatError, match="multiple of 4"):
             load_labels(tmp_path / "x.lab")
 
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_GZIP))
+    def test_damaged_gzip_feature_file_named(self, tmp_path, damage):
+        save_dense(tmp_path / "x.feat", np.ones((3, 2), dtype=np.float32))
+        save_labels(tmp_path / "x.lab", [0, 1, 2])
+        bad = tmp_path / "x.feat.gz"
+        bad.write_bytes(DAMAGED_GZIP[damage]((tmp_path / "x.feat").read_bytes()))
+        with damaged_gzip_error(bad):
+            load_dense(bad, tmp_path / "x.lab")
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_GZIP))
+    def test_damaged_gzip_label_file_named(self, tmp_path, damage):
+        save_labels(tmp_path / "x.lab", [0, 1, 2])
+        bad = tmp_path / "x.lab.gz"
+        bad.write_bytes(DAMAGED_GZIP[damage]((tmp_path / "x.lab").read_bytes()))
+        with damaged_gzip_error(bad):
+            load_labels(bad)
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+    def test_ragged_row_blocks_equal_float32_cast(self, tmp_path, monkeypatch,
+                                                  compress):
+        feats = np.random.default_rng(3).standard_normal((12, 5)).astype(np.float32)
+        save_dense(tmp_path / "x.feat", feats)
+        save_labels(tmp_path / "x.lab", np.arange(12))
+        path = gzip_copy(tmp_path / "x.feat") if compress else tmp_path / "x.feat"
+        monkeypatch.setattr(data, "READ_ROWS", 7)  # blocks of 7 and 5 rows
+        ds = load_dense(path, tmp_path / "x.lab")
+        assert ds.features.tobytes() == feats.astype(np.float64).tobytes()
+
     def test_unknown_label_round_trips(self, tmp_path):
         save_labels(tmp_path / "x.lab", [-1, 0, 2**32 - 2])
         assert (tmp_path / "x.lab").read_bytes()[:4] == b"\xff" * 4
@@ -202,6 +301,90 @@ class TestDenseFormat:
         with pytest.raises(FormatError, match=str(label)):
             save_labels(tmp_path / "x.lab", [0, label])
         assert list(tmp_path.iterdir()) == []
+
+
+def idx_files(directory, n=3):
+    """An IDX image file of n 4x4 images and its label file; the image path."""
+    pixels = np.arange(n * 16, dtype=np.uint8).reshape(n, 4, 4)
+    (directory / "data").write_bytes(idx_image_bytes(pixels))
+    (directory / "labels").write_bytes(idx_label_bytes(np.arange(n) % 10))
+    return directory / "data"
+
+
+def dense_files(directory, n=3):
+    """An HCOHFEAT file of n x 2 features and its label file; the feature path."""
+    save_dense(directory / "data", np.ones((n, 2), dtype=np.float32))
+    save_labels(directory / "labels", np.arange(n))
+    return directory / "data"
+
+
+LOADERS = {
+    "idx": (idx_files, lambda path: load_idx(path, path.with_name("labels"))),
+    "dense": (dense_files, lambda path: load_dense(path, path.with_name("labels"))),
+}
+
+
+class TestSizeChecks:
+    """A payload shorter or longer than its header declares, in every carrier."""
+
+    @pytest.mark.parametrize("change", [-5, 6], ids=["short", "long"])
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_byte_counts_named(self, tmp_path, kind, compress, change):
+        write, load = LOADERS[kind]
+        path = write(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+        if compress:
+            path = gzip_copy(path)
+        with pytest.raises(FormatError, match=re.escape(str(path)) +
+                           rf": expected {len(blob)} bytes.*, got {len(blob) + change}$"):
+            load(path)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_gzip_too_small_for_its_header_rejected(self, tmp_path, kind):
+        # One row of 2**31 features or pixels: more than 1032 times the
+        # gzip file's size, so no read of the payload is tried.
+        write, load = LOADERS[kind]
+        path = write(tmp_path, n=1)
+        blob = bytearray(path.read_bytes())
+        if kind == "idx":
+            blob[8:16] = struct.pack(">II", 2**16, 2**15)
+        else:
+            blob[13:17] = struct.pack("<I", 2**31)
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"more than \d+ bytes of gzip data"):
+            load(gzip_copy(path))
+
+
+def traced_peak(load):
+    """(the result of ``load()``, the peak of memory traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = load()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """A load holds the float64 matrix and one read buffer, not the file's bytes."""
+
+    def test_idx_unit255_peak(self, tmp_path):
+        pixels = np.random.default_rng(5).integers(0, 256, (3000, 28, 28), dtype=np.uint8)
+        (tmp_path / "img").write_bytes(idx_image_bytes(pixels))
+        (tmp_path / "lab").write_bytes(idx_label_bytes(np.arange(3000) % 10))
+        ds, peak = traced_peak(lambda: load_idx(tmp_path / "img", tmp_path / "lab"))
+        assert ds.features.tobytes() == (pixels.reshape(3000, -1) / 255.0).tobytes()
+        assert peak < ds.features.nbytes * 1.05 + data.READ_ROWS * 784
+
+    def test_dense_peak(self, tmp_path):
+        feats = np.random.default_rng(6).standard_normal((20_000, 128)).astype(np.float32)
+        save_dense(tmp_path / "x.feat", feats)
+        save_labels(tmp_path / "x.lab", np.arange(20_000) % 10)
+        ds, peak = traced_peak(lambda: load_dense(tmp_path / "x.feat", tmp_path / "x.lab"))
+        assert ds.features.tobytes() == feats.astype(np.float64).tobytes()
+        assert peak < ds.features.nbytes * 1.05 + data.READ_ROWS * 128 * 4
 
 
 class TestDataset:
