@@ -9,12 +9,16 @@ target codes).  Codes live only in a :class:`BinaryCodeSet`: row i holds
 one r-bit code LSB-first in ceil(r/64) uint64 words, and unused bits in
 the last word are always zero, so two codes are equal exactly when their
 words are equal.  ``encode`` hashes ENCODE_ROWS rows at a time and packs
-each block straight into the code set's words, so its float64
-pre-activations never exceed ENCODE_ROWS x r.  Each block is computed
-as the (r, rows) product W.T @ X_block.T, with W.T made contiguous once
-per call: single-threaded OpenBLAS ran that orientation about a quarter
-faster than X_block @ W on 784-wide blocks at r = 32 and 128, with the
-same signs.  Hamming distance is XOR plus popcount over the words,
+each block's signs straight into the code set's words.  Each block is
+computed as the (r, rows) product W.T @ X_block.T, with W.T made
+contiguous once per call: single-threaded OpenBLAS ran that orientation
+about a quarter faster than X_block @ W on 784-wide blocks at r = 32 and
+128, with the same signs.  The blocks run on one thread per usable CPU
+(``os.sched_getaffinity``), the calling thread among them, and each
+thread writes its products into its own ENCODE_ROWS x r float64 buffer.
+The block bounds do not depend on the thread count, so each block is
+the same single GEMM call and the words are the same bytes on any
+number of CPUs.  Hamming distance is XOR plus popcount over the words,
 computed in one place, the private ``_hamming_distances``, which adds up
 the popcounts one word at a time in the narrowest unsigned dtype that
 holds every distance in [0, r]; numpy's stable argsort is a radix sort
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import run_blocks, usable_cpus
 from .errors import DimensionError, FormatError
 from .fileio import (UNKNOWN_LABEL, atomic_write, labels_from_u32,
                      labels_to_u32)
@@ -54,11 +59,17 @@ def words_per_code(length: int) -> int:
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack an (n, r) array of {0,1} into (n, ceil(r/64)) uint64 words."""
     bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
-    n, r = bits.shape
-    padded = np.zeros((n, words_per_code(r) * WORD_BITS), dtype=np.uint8)
-    padded[:, :r] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return packed.view("<u8").astype(np.uint64)
+    words = np.empty((bits.shape[0], words_per_code(bits.shape[1])),
+                     dtype=np.uint64)
+    _pack_into(bits, words)
+    return words
+
+
+def _pack_into(bits: np.ndarray, out: np.ndarray) -> None:
+    """Pack (n, r) {0,1} or bool ``bits`` into the (n, ceil(r/64)) words ``out``."""
+    padded = np.zeros((bits.shape[0], out.shape[1] * WORD_BITS), dtype=np.uint8)
+    padded[:, :bits.shape[1]] = bits
+    out[...] = np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def _mask_padding(words: np.ndarray, length: int) -> np.ndarray:
@@ -109,36 +120,40 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
 
     Labels are carried alongside the codes for retrieval evaluation; pass
     None to fill with -1 when they are unknown.  Rows are hashed in
-    blocks of ENCODE_ROWS.  Raises ValueError if any pre-activation
-    W.T x + b is NaN or infinite, as a non-finite feature makes every
-    entry of its row; the message counts such rows over all blocks and
-    names the first as an index into ``features`` (a whole-dataset row
-    index when ``run_training`` hashes at a milestone).
+    blocks of ENCODE_ROWS, one thread per usable CPU.  Raises ValueError
+    if any pre-activation W.T x + b is NaN or infinite, as a non-finite
+    feature makes every entry of its row; the message counts such rows
+    over all blocks and names the first as an index into ``features``
+    (a whole-dataset row index when ``run_training`` hashes at a
+    milestone).
     """
     features = _checked_features(model, features)
-    words = np.empty((features.shape[0], words_per_code(model.code_length)),
-                     dtype=np.uint64)
+    n, r = features.shape[0], model.code_length
+    words = np.empty((n, words_per_code(r)), dtype=np.uint64)
     weights_t = np.ascontiguousarray(model.weights.T)
     bias = model.bias[:, None]
-    n_bad, first_bad = 0, None
-    for lo in range(0, features.shape[0], ENCODE_ROWS):
+    starts = range(0, n, ENCODE_ROWS)
+    threads = min(usable_cpus(), len(starts))
+    buffers = [np.empty(r * min(n, ENCODE_ROWS)) for _ in range(threads)]
+
+    def hash_block(slot, lo):
+        rows = features[lo:lo + ENCODE_ROWS]
+        u = buffers[slot][:r * rows.shape[0]].reshape(r, rows.shape[0])
         with np.errstate(invalid="ignore", over="ignore"):  # checked below
-            u = weights_t @ features[lo:lo + ENCODE_ROWS].T   # (r, rows)
+            np.matmul(weights_t, rows.T, out=u)
             u += bias
-        bad = ~np.isfinite(u).all(axis=0)
-        if bad.any():
-            if first_bad is None:
-                first_bad = lo + int(bad.argmax())
-            n_bad += int(bad.sum())
-        words[lo:lo + u.shape[1]] = pack_bits((u >= 0).T)
-    if n_bad:
+        _pack_into((u >= 0).T, words[lo:lo + rows.shape[0]])
+        return np.flatnonzero(~np.isfinite(u).all(axis=0)) + lo
+
+    bad = [rows for rows in run_blocks(hash_block, starts, threads) if rows.size]
+    if bad:
         raise ValueError(
-            f"{n_bad} feature rows give a non-finite pre-activation "
-            f"(first row {first_bad}); features must be finite")
+            f"{sum(map(len, bad))} feature rows give a non-finite "
+            f"pre-activation (first row {bad[0][0]}); features must be finite")
     if labels is None:
-        labels = np.full(features.shape[0], UNKNOWN_LABEL, dtype=np.int64)
+        labels = np.full(n, UNKNOWN_LABEL, dtype=np.int64)
     labels = np.atleast_1d(np.asarray(labels))
-    return BinaryCodeSet(words=words, labels=labels, length=model.code_length)
+    return BinaryCodeSet(words=words, labels=labels, length=r)
 
 
 def _distance_dtype(length: int):

@@ -18,28 +18,34 @@ bits, uint16 below 65,536), and one ``argsort(kind="stable")`` orders
 every row.  On 8- and 16-bit integers numpy's stable sort is a radix
 sort, linear in the database size, and being stable it keeps the tie
 rule: by distance, then by database index.  :func:`evaluate` ranks
-through :func:`rank` in blocks of ``max(1, RANK_BLOCK_BYTES // (8 * n))``
-queries against n database codes, so one block's int64 ranking, like
-its uint64 XOR temporary, takes at most RANK_BLOCK_BYTES or one query's
-row, whichever is larger, however many queries there are.  It scores
-each query's row by :func:`average_precision` and :func:`precision_at_k`;
-only full AP gathers the whole ranked relevance list, the cut-off
-metrics gather their top K.  Blocks run one after another in the
-calling thread, and per-query results stay in query order, so each mean
-is reduced over the same array for any block size.
+``max(1, RANK_BLOCK_BYTES // (8 * n))`` queries at a time against n
+database codes, so their int64 rankings, like their uint64 XOR
+temporaries, take at most RANK_BLOCK_BYTES or one query's row,
+whichever is larger, however many queries there are.  It splits those
+queries into one block per thread, on as many threads as this process
+has usable CPUs (``os.sched_getaffinity``) but no more than there are
+queries, the calling thread among them.  The workers run only the
+private kernel, the distances and the argsort; the calling thread then
+scores each query's row by :func:`average_precision` and
+:func:`precision_at_k`, in query order.  Only full AP gathers the whole
+ranked relevance list, the cut-off metrics gather their top K.  A
+query's ranking does not depend on which block holds it, and per-query
+results stay in query order, so each mean is reduced over the same
+array for any block size and any number of CPUs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import run_blocks, usable_cpus
 from .codec import BinaryCodeSet, _hamming_distances
 from .errors import DimensionError, UndefinedAPError
 
-# Bytes of one query block's (q, n) int64 ranking; it bounds evaluate's
-# temporaries whatever the query count.  Blocks well under glibc's 32 MiB
-# mmap ceiling can reuse heap pages instead of mapping and faulting in
-# fresh ones for every block.
+# Bytes of the (q, n) int64 rankings that evaluate holds at once over
+# all its threads; it bounds evaluate's temporaries whatever the query
+# count.  Blocks well under glibc's 32 MiB mmap ceiling can reuse heap
+# pages instead of mapping and faulting in fresh ones for every block.
 RANK_BLOCK_BYTES = 4 * 2**20
 
 
@@ -49,12 +55,20 @@ def rank(queries: BinaryCodeSet, database: BinaryCodeSet) -> np.ndarray:
     Returns a (q, n) int64 array whose row i ranks the database for
     query i.  Raises DimensionError if the code lengths differ.
     """
+    _check_lengths(queries, database)
+    return _rank_words(queries.words, database)
+
+
+def _check_lengths(queries: BinaryCodeSet, database: BinaryCodeSet) -> None:
     if queries.length != database.length:
         raise DimensionError(
             f"code lengths differ: queries {queries.length}, "
             f"database {database.length}")
-    distances = _hamming_distances(queries.words, database.words,
-                                   database.length)
+
+
+def _rank_words(words: np.ndarray, database: BinaryCodeSet) -> np.ndarray:
+    """``rank`` for packed query words of the database's code length."""
+    distances = _hamming_distances(words, database.words, database.length)
     return np.argsort(distances, axis=1, kind="stable")
 
 
@@ -138,23 +152,30 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
     prec = np.zeros(n_q)
     scored = np.zeros(n_q, dtype=bool)
 
-    block = max(1, RANK_BLOCK_BYTES // (8 * n_db))
-    for lo in range(0, n_q, block):
-        hi = min(lo + block, n_q)
-        rankings = rank(queries.take(slice(lo, hi)), database)
-        for row, qi in enumerate(range(lo, hi)):
-            relevance = database.labels == queries.labels[qi]
-            if not relevance.any():
-                continue
-            scored[qi] = True
-            ap_full[qi] = average_precision(rankings[row], relevance)
-            if k_map is not None:
-                ap_cut[qi] = average_precision(rankings[row], relevance,
-                                               cutoff=k_map)
-            prec[qi] = precision_at_k(rankings[row], relevance, k_prec)
-        # Free this block's int64 rankings before the next block
-        # allocates its own, so only one block is held at a time.
-        del rankings
+    _check_lengths(queries, database)
+    rows = max(1, RANK_BLOCK_BYTES // (8 * n_db))  # ranked at once
+    threads = min(usable_cpus(), rows)
+    block = rows // threads
+    starts = range(0, n_q, block)
+    for wave in range(0, len(starts), threads):
+        wave_starts = starts[wave:wave + threads]
+        rankings = run_blocks(
+            lambda _slot, lo: _rank_words(queries.words[lo:lo + block], database),
+            wave_starts, threads)
+        for lo, block_rankings in zip(wave_starts, rankings):
+            for qi, ranking in enumerate(block_rankings, start=lo):
+                relevance = database.labels == queries.labels[qi]
+                if not relevance.any():
+                    continue
+                scored[qi] = True
+                ap_full[qi] = average_precision(ranking, relevance)
+                if k_map is not None:
+                    ap_cut[qi] = average_precision(ranking, relevance,
+                                                   cutoff=k_map)
+                prec[qi] = precision_at_k(ranking, relevance, k_prec)
+        # Free this wave's int64 rankings before the next wave allocates
+        # its own, so only one wave is held at a time.
+        del rankings, block_rankings, ranking
 
     n_scored = int(scored.sum())
     if n_scored == 0:

@@ -386,6 +386,35 @@ class TestPeakMemory:
         assert ds.features.tobytes() == feats.astype(np.float64).tobytes()
         assert peak < ds.features.nbytes * 1.05 + data.READ_ROWS * 128 * 4
 
+    def test_idx_zscore_peak(self, tmp_path):
+        pixels = np.random.default_rng(5).integers(0, 256, (3000, 28, 28), dtype=np.uint8)
+        (tmp_path / "img").write_bytes(idx_image_bytes(pixels))
+        (tmp_path / "lab").write_bytes(idx_label_bytes(np.arange(3000) % 10))
+        ds, peak = traced_peak(lambda: load_idx(tmp_path / "img", tmp_path / "lab",
+                                                norm="zscore"))
+        assert (ds.features.tobytes()
+                == reference_normalize(pixels.reshape(3000, -1), "zscore").tobytes())
+        # The matrix, one read buffer and one (READ_ROWS + 1)-row float64
+        # block of squared deviations; no second matrix.
+        assert peak < ds.features.nbytes * 1.1 + (data.READ_ROWS + 1) * 784 * 8
+
+
+class TestStandardize:
+    """Row-blocked z-score: the std of ``features.std(axis=0)``, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(3000, 784), (1000, 7), (70_001, 33),
+                                       (257, 5), (256, 3), (255, 2), (1, 4),
+                                       (513, 1)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_equal_to_whole_matrix_std(self, shape, order):
+        rng = np.random.default_rng(shape[0])
+        pixels = rng.integers(0, 256, shape).astype(np.float64, order=order)
+        pixels[:, 0] = 9.0  # a constant column: its zero std counts as one
+        features = pixels.copy(order="K")
+        data._standardize(features)
+        assert features.tobytes(order="A") == reference_normalize(
+            pixels, "zscore").tobytes(order="A")
+
 
 class TestDataset:
     def test_storable_labels_accepted(self):

@@ -242,7 +242,7 @@ def clustered_bits(rng, n, r, pool):
 
 
 def evaluate_in_blocks(monkeypatch, queries, database, block, **kwargs):
-    """``evaluate`` with its byte budget set to ``block`` queries per block."""
+    """``evaluate`` with its byte budget set to ``block`` queries at a time."""
     monkeypatch.setattr(evaluation, "RANK_BLOCK_BYTES", block * 8 * len(database))
     return evaluate(queries, database, **kwargs)
 
@@ -251,9 +251,10 @@ class TestRankingKernel:
     """Blocked radix ranking in ``evaluate`` against the brute-force oracle.
 
     The lengths straddle the one-word/two-word and the uint8/uint16
-    distance-dtype boundaries.  Each case runs with blocks of 1 query,
-    of 64 (70 queries make two blocks, 150 make three, the last one
-    ragged) and of every query, and the reports must be bit-identical.
+    distance-dtype boundaries.  Each case ranks 1 query at a time, 64
+    (70 queries make two rounds, 150 make three, the last one ragged)
+    and every query, each round split over the usable CPUs, and the
+    reports must be bit-identical.
     """
 
     CASES = ([(r, k_map, 70, 120) for k_map in (None, 9)
