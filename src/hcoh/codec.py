@@ -13,17 +13,20 @@ each block's signs straight into the code set's words.  Each block is
 computed as the (r, rows) product W.T @ X_block.T, with W.T made
 contiguous once per call: single-threaded OpenBLAS ran that orientation
 about a quarter faster than X_block @ W on 784-wide blocks at r = 32 and
-128, with the same signs.  The blocks run on one thread per usable CPU
-(``os.sched_getaffinity``), the calling thread among them, and each
-thread writes its products into its own ENCODE_ROWS x r float64 buffer.
-The block bounds do not depend on the thread count, so each block is
-the same single GEMM call and the words are the same bytes on any
+128, with the same signs.  The blocks run on ``_parallel.pool_threads()``
+threads, the calling thread among them: one per usable CPU when the BLAS
+runs each product on one thread, and one in all when the BLAS already
+spreads each product over the CPUs.  Each thread writes its products
+into its own ENCODE_ROWS x r float64 buffer, and no more threads run
+than ENCODE_BYTES of such buffers allow, whatever the CPU count.  The
+block bounds do not depend on the thread count, so each block is the
+same single GEMM call and the words are the same bytes on any
 number of CPUs.  Hamming distance is XOR plus popcount over the words,
 computed in one place, the private ``_hamming_distances``, which adds up
 the popcounts one word at a time in the narrowest unsigned dtype that
-holds every distance in [0, r]; numpy's stable argsort is a radix sort
-on such rows.  Within the package, ``evaluation.rank`` is its one
-caller.
+holds every distance in [0, r], through one n-word XOR row per query;
+numpy's stable argsort is a radix sort on such rows.  Within the
+package, ``evaluation.rank`` and ``evaluation.evaluate`` call it.
 
 Code-set file layout (little-endian throughout):
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_blocks, usable_cpus
+from ._parallel import pool_threads, run_blocks
 from .errors import DimensionError, FormatError
 from .fileio import (UNKNOWN_LABEL, atomic_write, labels_from_u32,
                      labels_to_u32)
@@ -48,6 +51,9 @@ from .learner import HashModel, _checked_features
 
 WORD_BITS = 64
 ENCODE_ROWS = 4096  # rows per hashing block: 4 MiB of float64 at r = 128
+# Bytes of float64 pre-activations that encode's threads hold at once:
+# four blocks at r = 128, sixteen at r = 32.
+ENCODE_BYTES = 16 * 2**20
 CODE_MAGIC = b"HCOHCODE"
 CODE_VERSION = 1
 
@@ -120,7 +126,7 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
 
     Labels are carried alongside the codes for retrieval evaluation; pass
     None to fill with -1 when they are unknown.  Rows are hashed in
-    blocks of ENCODE_ROWS, one thread per usable CPU.  Raises ValueError
+    blocks of ENCODE_ROWS on the pool's threads.  Raises ValueError
     if any pre-activation W.T x + b is NaN or infinite, as a non-finite
     feature makes every entry of its row; the message counts such rows
     over all blocks and names the first as an index into ``features``
@@ -133,8 +139,10 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
     weights_t = np.ascontiguousarray(model.weights.T)
     bias = model.bias[:, None]
     starts = range(0, n, ENCODE_ROWS)
-    threads = min(usable_cpus(), len(starts))
+    block_bytes = 8 * r * min(n, ENCODE_ROWS)
+    threads = min(pool_threads(), len(starts), max(1, ENCODE_BYTES // block_bytes))
     buffers = [np.empty(r * min(n, ENCODE_ROWS)) for _ in range(threads)]
+    bad = []
 
     def hash_block(slot, lo):
         rows = features[lo:lo + ENCODE_ROWS]
@@ -145,11 +153,11 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
         _pack_into((u >= 0).T, words[lo:lo + rows.shape[0]])
         return np.flatnonzero(~np.isfinite(u).all(axis=0)) + lo
 
-    bad = [rows for rows in run_blocks(hash_block, starts, threads) if rows.size]
+    run_blocks(hash_block, starts, threads, lambda _lo, rows: bad.extend(rows))
     if bad:
         raise ValueError(
-            f"{sum(map(len, bad))} feature rows give a non-finite "
-            f"pre-activation (first row {bad[0][0]}); features must be finite")
+            f"{len(bad)} feature rows give a non-finite pre-activation "
+            f"(first row {bad[0]}); features must be finite")
     if labels is None:
         labels = np.full(n, UNKNOWN_LABEL, dtype=np.int64)
     labels = np.atleast_1d(np.asarray(labels))
@@ -165,23 +173,28 @@ def _distance_dtype(length: int):
 
 
 def _hamming_distances(queries: np.ndarray, database: np.ndarray,
-                       length: int) -> np.ndarray:
+                       length: int, out: np.ndarray = None) -> np.ndarray:
     """Hamming distance between every query code and every database code.
 
     ``queries`` (q, w) and ``database`` (n, w) hold packed ``length``-bit
     codes as in :class:`BinaryCodeSet`.  Returns a (q, n) array of uint8
-    when ``length`` < 256, uint16 when ``length`` < 65,536, else uint32.
-    The popcounts are added one word at a time, so the temporary XOR
-    block is q * n words whatever w is.  The caller, ``evaluation.rank``,
-    checks that both sides have the same code length, which this does
-    not.
+    when ``length`` < 256, uint16 when ``length`` < 65,536, else uint32;
+    pass that array as ``out`` to have it written there instead.  Each
+    query's popcounts are added one word at a time through one n-word
+    XOR row, so the only temporary is n words whatever q and w are.
+    The callers in ``evaluation`` check that both sides have the same
+    code length, which this does not.
     """
-    # bitwise_count of one word is uint8, already the dtype when w == 1.
-    distances = np.bitwise_count(queries[:, :1] ^ database[:, 0]).astype(
-        _distance_dtype(length), copy=False)
-    for k in range(1, queries.shape[1]):
-        distances += np.bitwise_count(queries[:, k, None] ^ database[:, k])
-    return distances
+    if out is None:
+        out = np.empty((queries.shape[0], database.shape[0]),
+                       dtype=_distance_dtype(length))
+    xor = np.empty(database.shape[0], dtype=np.uint64)
+    for row, code in zip(out, queries):
+        np.bitwise_count(np.bitwise_xor(code[0], database[:, 0], out=xor), out=row)
+        for k in range(1, len(code)):
+            np.bitwise_xor(code[k], database[:, k], out=xor)
+            row += np.bitwise_count(xor, out=xor)
+    return out
 
 
 def save_code_set(path, code_set: BinaryCodeSet) -> None:

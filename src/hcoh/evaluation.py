@@ -17,34 +17,37 @@ narrowest unsigned dtype that holds the code length (uint8 below 256
 bits, uint16 below 65,536), and one ``argsort(kind="stable")`` orders
 every row.  On 8- and 16-bit integers numpy's stable sort is a radix
 sort, linear in the database size, and being stable it keeps the tie
-rule: by distance, then by database index.  :func:`evaluate` ranks
+rule: by distance, then by database index.  :func:`evaluate` measures
 ``max(1, RANK_BLOCK_BYTES // (8 * n))`` queries at a time against n
-database codes, so their int64 rankings, like their uint64 XOR
-temporaries, take at most RANK_BLOCK_BYTES or one query's row,
-whichever is larger, however many queries there are.  It splits those
-queries into one block per thread, on as many threads as this process
-has usable CPUs (``os.sched_getaffinity``) but no more than there are
-queries, the calling thread among them.  The workers run only the
-private kernel, the distances and the argsort; the calling thread then
-scores each query's row by :func:`average_precision` and
-:func:`precision_at_k`, in query order.  Only full AP gathers the whole
-ranked relevance list, the cut-off metrics gather their top K.  A
-query's ranking does not depend on which block holds it, and per-query
-results stay in query order, so each mean is reduced over the same
-array for any block size and any number of CPUs.
+database codes, split into one block per thread of
+``_parallel.pool_threads()``, never more threads than queries, the
+calling thread among them.  The threads only measure distances, each
+block into its own slot of a buffer that the calling thread owns; the
+calling thread argsorts each block and scores each query's row by
+:func:`average_precision` and :func:`precision_at_k`, in query order,
+while the others measure the next blocks.  So the int64 rankings in
+memory are one block's, at most RANK_BLOCK_BYTES or one query's row,
+whichever is larger, however many queries or threads there are, and
+the threads allocate nothing larger than one n-word XOR row: glibc
+gives each thread a malloc arena of its own that keeps what the thread
+freed, and rankings made there stayed resident.  Only full AP gathers
+the whole ranked relevance list, the cut-off metrics gather their top
+K.  A query's ranking does not depend on which block holds it, and
+per-query results stay in query order, so each mean is reduced over the
+same array for any block size and any number of CPUs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_blocks, usable_cpus
-from .codec import BinaryCodeSet, _hamming_distances
+from ._parallel import pool_threads, run_blocks
+from .codec import BinaryCodeSet, _distance_dtype, _hamming_distances
 from .errors import DimensionError, UndefinedAPError
 
-# Bytes of the (q, n) int64 rankings that evaluate holds at once over
-# all its threads; it bounds evaluate's temporaries whatever the query
-# count.  Blocks well under glibc's 32 MiB mmap ceiling can reuse heap
+# Bytes of the (q, n) int64 rankings of the queries that evaluate has in
+# flight at once on all its threads; it bounds evaluate's temporaries
+# whatever the query count.  Blocks well under glibc's 32 MiB mmap ceiling can reuse heap
 # pages instead of mapping and faulting in fresh ones for every block.
 RANK_BLOCK_BYTES = 4 * 2**20
 
@@ -56,7 +59,8 @@ def rank(queries: BinaryCodeSet, database: BinaryCodeSet) -> np.ndarray:
     query i.  Raises DimensionError if the code lengths differ.
     """
     _check_lengths(queries, database)
-    return _rank_words(queries.words, database)
+    distances = _hamming_distances(queries.words, database.words, database.length)
+    return np.argsort(distances, axis=1, kind="stable")
 
 
 def _check_lengths(queries: BinaryCodeSet, database: BinaryCodeSet) -> None:
@@ -64,12 +68,6 @@ def _check_lengths(queries: BinaryCodeSet, database: BinaryCodeSet) -> None:
         raise DimensionError(
             f"code lengths differ: queries {queries.length}, "
             f"database {database.length}")
-
-
-def _rank_words(words: np.ndarray, database: BinaryCodeSet) -> np.ndarray:
-    """``rank`` for packed query words of the database's code length."""
-    distances = _hamming_distances(words, database.words, database.length)
-    return np.argsort(distances, axis=1, kind="stable")
 
 
 def average_precision(ranking: np.ndarray, relevance: np.ndarray,
@@ -152,30 +150,33 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
     prec = np.zeros(n_q)
     scored = np.zeros(n_q, dtype=bool)
 
+    def rank_and_score(lo, distances):  # on the calling thread, in query order
+        rankings = np.argsort(distances, axis=1, kind="stable")
+        for qi, ranking in enumerate(rankings, start=lo):
+            relevance = database.labels == queries.labels[qi]
+            if not relevance.any():
+                continue
+            scored[qi] = True
+            ap_full[qi] = average_precision(ranking, relevance)
+            if k_map is not None:
+                ap_cut[qi] = average_precision(ranking, relevance, cutoff=k_map)
+            prec[qi] = precision_at_k(ranking, relevance, k_prec)
+
     _check_lengths(queries, database)
-    rows = max(1, RANK_BLOCK_BYTES // (8 * n_db))  # ranked at once
-    threads = min(usable_cpus(), rows)
+    rows = max(1, RANK_BLOCK_BYTES // (8 * n_db))  # queries in flight
+    threads = min(pool_threads(), rows)
     block = rows // threads
-    starts = range(0, n_q, block)
-    for wave in range(0, len(starts), threads):
-        wave_starts = starts[wave:wave + threads]
-        rankings = run_blocks(
-            lambda _slot, lo: _rank_words(queries.words[lo:lo + block], database),
-            wave_starts, threads)
-        for lo, block_rankings in zip(wave_starts, rankings):
-            for qi, ranking in enumerate(block_rankings, start=lo):
-                relevance = database.labels == queries.labels[qi]
-                if not relevance.any():
-                    continue
-                scored[qi] = True
-                ap_full[qi] = average_precision(ranking, relevance)
-                if k_map is not None:
-                    ap_cut[qi] = average_precision(ranking, relevance,
-                                                   cutoff=k_map)
-                prec[qi] = precision_at_k(ranking, relevance, k_prec)
-        # Free this wave's int64 rankings before the next wave allocates
-        # its own, so only one wave is held at a time.
-        del rankings, block_rankings, ranking
+    # One distance block per thread, reused in turn: run_blocks holds at
+    # most ``threads`` blocks, so block i's slot is free again before
+    # block i + threads is measured into it.
+    ring = np.empty((threads, block, n_db), dtype=_distance_dtype(database.length))
+
+    def measure(_slot, lo):
+        words = queries.words[lo:lo + block]
+        return _hamming_distances(words, database.words, database.length,
+                                  out=ring[lo // block % threads, :len(words)])
+
+    run_blocks(measure, range(0, n_q, block), threads, rank_and_score)
 
     n_scored = int(scored.sum())
     if n_scored == 0:

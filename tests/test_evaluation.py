@@ -253,7 +253,7 @@ class TestRankingKernel:
     The lengths straddle the one-word/two-word and the uint8/uint16
     distance-dtype boundaries.  Each case ranks 1 query at a time, 64
     (70 queries make two rounds, 150 make three, the last one ragged)
-    and every query, each round split over the usable CPUs, and the
+    and every query, each round split over the pool's threads, and the
     reports must be bit-identical.
     """
 

@@ -1,26 +1,29 @@
-"""Blocks on every usable CPU: the same bytes for any CPU count.
+"""Blocks on the CPUs the BLAS leaves free: the same bytes for any count.
 
-``os.sched_getaffinity`` is the only source of the thread count, so each
-test sets it to 1, 2 or 4 CPUs, whatever the host has.
+The pool's thread count is the usable CPUs (``os.sched_getaffinity``)
+over the BLAS's threads, so each test sets the CPUs to 1, 2, 4 or 8 and
+the BLAS to one thread, whatever the host has.
 """
 
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hcoh import EvalReport, codec, encode, evaluate, evaluation, init_model
-from hcoh._parallel import run_blocks, usable_cpus
+from hcoh import EvalReport, _parallel, codec, encode, evaluate, evaluation, init_model
+from hcoh._parallel import blas_threads, pool_threads, run_blocks
 from tests.test_evaluation import clustered_bits, make_set
 
 CPU_COUNTS = (1, 2, 4)
 
 
-def set_cpus(monkeypatch, count):
+def set_cpus(monkeypatch, count, blas=1):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
+    monkeypatch.setattr(_parallel, "blas_threads", lambda: blas)
 
 
 @pytest.fixture
@@ -48,19 +51,56 @@ def on_one_thread_each(monkeypatch, module, name, parties=2):
     original = getattr(module, name)
     seen = []
 
-    def wrapped(*args):
+    def wrapped(*args, **kwargs):
         seen.append((threading.current_thread() is threading.main_thread(), args))
         barrier.wait()
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapped)
     return seen
 
 
+def collect(fn, starts, threads):
+    """``run_blocks`` with every (start, result) pair kept in the order used."""
+    used = []
+    run_blocks(fn, starts, threads, lambda start, result: used.append((start, result)))
+    return used
+
+
+class TestPoolThreads:
+    @pytest.mark.parametrize("cpus, blas, threads", [
+        (1, 1, 1), (2, 1, 2), (4, 1, 4), (2, 2, 1), (4, 2, 2), (4, 4, 1), (2, 8, 1)])
+    def test_usable_cpus_over_blas_threads(self, monkeypatch, cpus, blas, threads):
+        set_cpus(monkeypatch, cpus, blas)
+        assert pool_threads() == threads
+
+    def test_platform_without_affinity_counts_one_cpu(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert pool_threads() == 1
+
+    def test_blas_that_cannot_be_asked_counts_every_cpu(self, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        monkeypatch.setattr(_parallel, "blas_threads", blas_threads)
+        monkeypatch.setattr(_parallel, "_openblas_getter", lambda: None)
+        assert blas_threads() == 4
+        assert pool_threads() == 1
+
+    def test_numpy_blas_reports_a_thread_count(self):
+        assert blas_threads() >= 1
+
+    def test_blas_on_every_cpu_starts_no_thread(self, monkeypatch, thread_starts):
+        set_cpus(monkeypatch, 2, blas=2)
+        n = 3 * codec.ENCODE_ROWS + 1
+        codes = encode(init_model(6, 40, eta=0.1, seed=1),
+                       np.random.default_rng(1).standard_normal((n, 6)), np.zeros(n))
+        evaluate(codes.take(slice(0, 30)), codes, k_prec=5)
+        assert thread_starts == []
+
+
 class TestRunBlocks:
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
-    def test_results_in_block_order_on_capped_threads(self, monkeypatch,
-                                                      thread_starts, cpus):
+    def test_results_used_in_block_order_on_capped_threads(self, monkeypatch,
+                                                           thread_starts, cpus):
         set_cpus(monkeypatch, cpus)
         slots = set()
 
@@ -68,14 +108,15 @@ class TestRunBlocks:
             slots.add(slot)
             return start * 10
 
-        assert run_blocks(fn, range(0, 70, 7), usable_cpus()) == list(range(0, 700, 70))
+        assert collect(fn, range(0, 70, 7), pool_threads()) == [
+            (start, start * 10) for start in range(0, 70, 7)]
         assert slots <= set(range(cpus))
         assert len(thread_starts) == cpus - 1
         # Never more threads than blocks.
         thread_starts.clear()
-        assert run_blocks(fn, [5], usable_cpus()) == [50]
+        assert collect(fn, [5], pool_threads()) == [(5, 50)]
         assert thread_starts == []
-        assert run_blocks(fn, [], usable_cpus()) == []
+        assert collect(fn, [], pool_threads()) == []
 
     def test_one_cpu_starts_no_thread(self, monkeypatch, thread_starts):
         set_cpus(monkeypatch, 1)
@@ -85,11 +126,7 @@ class TestRunBlocks:
         evaluate(codes.take(slice(0, 30)), codes, k_prec=5)
         assert thread_starts == []
 
-    def test_platform_without_affinity_counts_one_cpu(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert usable_cpus() == 1
-
-    def test_lowest_failing_block_raised_and_threads_joined(self, monkeypatch):
+    def test_lowest_failing_block_raised_after_earlier_blocks_used(self, monkeypatch):
         set_cpus(monkeypatch, 4)
         before = threading.active_count()
 
@@ -98,30 +135,84 @@ class TestRunBlocks:
                 raise KeyError(start)
             return start
 
+        used = []
         with pytest.raises(KeyError, match="3"):
-            run_blocks(fn, range(8), usable_cpus())
+            run_blocks(fn, range(8), pool_threads(),
+                       lambda start, result: used.append(start))
+        assert used == [0, 1, 2]
         assert threading.active_count() == before
 
-    def test_every_block_runs_once_under_contention(self, monkeypatch):
+    def test_error_in_use_propagates_and_threads_joined(self, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        before = threading.active_count()
+
+        def use(start, result):
+            if start == 6:
+                raise LookupError("use failed")
+
+        with pytest.raises(LookupError, match="use failed"):
+            run_blocks(lambda slot, start: start, range(40), pool_threads(), use)
+        assert threading.active_count() == before
+
+    def test_failed_thread_start_joins_started_workers(self, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        before = threading.active_count()
+        start = threading.Thread.start
+        calls = []
+
+        def second_start_fails(thread):
+            calls.append(thread)
+            if len(calls) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_blocks(lambda slot, start: start, range(100), pool_threads(),
+                       lambda start, result: None)
+        assert len(calls) == 2
+        assert threading.active_count() == before
+
+    def test_every_block_runs_once_and_few_are_held(self, monkeypatch):
         # Eight threads, more than most hosts have cores, switching as often as
-        # the interpreter allows: a block lost or run twice breaks the counts.
+        # the interpreter allows: a block lost or run twice breaks the counts,
+        # and no more than eight blocks may be running or waiting to be used.
         set_cpus(monkeypatch, 8)
         runs = [0] * 3000
+        held = [0, 0]  # now, most
         lock = threading.Lock()
 
         def fn(slot, start):
             with lock:
                 runs[start] += 1
+                held[0] += 1
+                held[1] = max(held)
             return start
 
+        def use(start, result):
+            used.append(result)
+            with lock:
+                held[0] -= 1
+
+        used = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = run_blocks(fn, range(3000), usable_cpus())
+            run_blocks(fn, range(3000), pool_threads(), use)
         finally:
             sys.setswitchinterval(interval)
-        assert results == list(range(3000))
+        assert used == list(range(3000))
         assert runs == [1] * 3000
+        assert held[1] <= 8
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEncodeAnyCpuCount:
@@ -137,17 +228,40 @@ class TestEncodeAnyCpuCount:
     def test_non_finite_row_in_a_worker_block_raises(self, monkeypatch):
         set_cpus(monkeypatch, 2)
         model = init_model(5, 16, eta=0.1, seed=4)
-        feats = np.ones((codec.ENCODE_ROWS + 9, 5))
-        feats[[codec.ENCODE_ROWS + 2, codec.ENCODE_ROWS + 6], 1] = np.inf
-        seen = on_one_thread_each(monkeypatch, codec, "_pack_into")
         before = threading.active_count()
-        with pytest.raises(ValueError,
-                           match=rf"2 feature rows .*first row {codec.ENCODE_ROWS + 2}\)"):
-            encode(model, feats)
-        assert threading.active_count() == before
-        # The caller hashed the first block, a worker the one with the bad rows.
-        assert sorted((on_caller, args[1].shape[0]) for on_caller, args in seen) == [
-            (False, 9), (True, codec.ENCODE_ROWS)]
+        on_worker = []
+        # The bad rows in the first block, then in the second: whichever
+        # block the worker takes, one of the two runs puts them there.
+        for lo in (0, codec.ENCODE_ROWS):
+            feats = np.ones((codec.ENCODE_ROWS + 9, 5))
+            feats[[lo + 2, lo + 6], 1] = np.inf
+            seen = on_one_thread_each(monkeypatch, codec, "_pack_into")
+            with pytest.raises(ValueError,
+                               match=rf"2 feature rows .*first row {lo + 2}\)"):
+                encode(model, feats)
+            assert threading.active_count() == before
+            assert sorted(on_caller for on_caller, _args in seen) == [False, True]
+            on_worker += [args[1].shape[0] == (9 if lo else codec.ENCODE_ROWS)
+                          for on_caller, args in seen if not on_caller]
+            monkeypatch.undo()
+            set_cpus(monkeypatch, 2)
+        assert any(on_worker)
+
+    @pytest.mark.parametrize("cpus", [4, 8])
+    def test_buffers_bounded_whatever_the_cpu_count(self, monkeypatch, thread_starts,
+                                                    cpus):
+        # Blocks of 256 rows at r = 64 take 128 KiB of pre-activations each,
+        # and a 256 KiB budget lets two threads run, however many CPUs.
+        monkeypatch.setattr(codec, "ENCODE_ROWS", 256)
+        monkeypatch.setattr(codec, "ENCODE_BYTES", 2 * 256 * 64 * 8)
+        set_cpus(monkeypatch, cpus)
+        model = init_model(16, 64, eta=0.1, seed=5)
+        feats = np.random.default_rng(5).standard_normal((40 * 256, 16))
+        peak = traced_peak(lambda: encode(model, feats))
+        assert len(thread_starts) == 1
+        # The words, the labels, and at most the budget of pre-activations
+        # plus their sign and packing temporaries.
+        assert peak < 40 * 256 * (8 + 8) + 2 * codec.ENCODE_BYTES
 
 
 def report_bytes(report: EvalReport) -> tuple:
@@ -167,7 +281,7 @@ class TestEvaluateAnyCpuCount:
         queries = make_set(clustered_bits(rng, n_q, r, pool=5), rng.integers(0, 4, n_q))
         if budget_rows is not None:
             # 7 queries at a time: blocks of 3 on 2 CPUs and of 1 on 4,
-            # and 45 queries leave the last wave ragged either way.
+            # and 45 queries leave the last block of 3 ragged.
             monkeypatch.setattr(evaluation, "RANK_BLOCK_BYTES", budget_rows * 8 * n_db)
         reports = []
         for cpus in CPU_COUNTS:
@@ -177,24 +291,60 @@ class TestEvaluateAnyCpuCount:
         for report in reports[1:]:
             assert report_bytes(report) == report_bytes(reports[0])
 
-    def test_error_in_a_worker_ranking_block_propagates(self, monkeypatch):
+    def test_error_in_a_worker_distance_block_propagates(self, monkeypatch):
         set_cpus(monkeypatch, 2)
         rng = np.random.default_rng(22)
         database = make_set(rng.integers(0, 2, (50, 20)), rng.integers(0, 2, 50))
         queries = make_set(rng.integers(0, 2, (4, 20)), rng.integers(0, 2, 4))
         monkeypatch.setattr(evaluation, "RANK_BLOCK_BYTES", 4 * 8 * 50)
-        seen = on_one_thread_each(monkeypatch, evaluation, "_rank_words")
-        original = evaluation._rank_words
+        seen = on_one_thread_each(monkeypatch, evaluation, "_hamming_distances")
+        original = evaluation._hamming_distances
 
-        def failing(words, database):
-            result = original(words, database)
+        def failing(*args, **kwargs):
+            result = original(*args, **kwargs)
             if threading.current_thread() is not threading.main_thread():
-                raise MemoryError("ranking block failed")
+                raise MemoryError("distance block failed")
             return result
 
-        monkeypatch.setattr(evaluation, "_rank_words", failing)
+        monkeypatch.setattr(evaluation, "_hamming_distances", failing)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="ranking block failed"):
+        with pytest.raises(MemoryError, match="distance block failed"):
             evaluate(queries, database, k_prec=5)
         assert threading.active_count() == before
         assert sorted(on_caller for on_caller, _args in seen) == [False, True]
+
+    def test_workers_only_measure_distances(self, monkeypatch):
+        # Rankings are made on the calling thread alone, so no worker's
+        # malloc arena ever holds one.
+        set_cpus(monkeypatch, 4)
+        rng = np.random.default_rng(24)
+        database = make_set(rng.integers(0, 2, (300, 40)), rng.integers(0, 3, 300))
+        queries = make_set(rng.integers(0, 2, (60, 40)), rng.integers(0, 3, 60))
+        monkeypatch.setattr(evaluation, "RANK_BLOCK_BYTES", 8 * 8 * 300)
+        sorted_on = set()
+        argsort = np.argsort
+
+        def recording_argsort(*args, **kwargs):
+            sorted_on.add(threading.current_thread() is threading.main_thread())
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation.np, "argsort", recording_argsort)
+        evaluate(queries, database, k_prec=5)
+        assert sorted_on == {True}
+
+    @pytest.mark.parametrize("cpus", [4, 8])
+    def test_rankings_within_the_budget_whatever_the_cpu_count(self, monkeypatch,
+                                                               cpus):
+        # The same bound as the one-thread memory test: the calling
+        # thread's rankings, the distance slots and the workers' XOR rows
+        # together stay within two budgets.
+        set_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(23)
+        n_db = 4000
+        database = make_set(rng.integers(0, 2, (n_db, 64), dtype=np.uint8),
+                            rng.integers(0, 5, n_db))
+        queries = make_set(rng.integers(0, 2, (200, 64), dtype=np.uint8),
+                           rng.integers(0, 5, 200))
+        monkeypatch.setattr(evaluation, "RANK_BLOCK_BYTES", 16 * 8 * n_db)
+        peak = traced_peak(lambda: evaluate(queries, database, k_prec=10))
+        assert peak < 2 * evaluation.RANK_BLOCK_BYTES
