@@ -12,14 +12,18 @@ thread, the pool takes every CPU.  No option or environment variable of
 this package sets the count.
 
 :func:`run_blocks` runs one function over a list of blocks and hands
-the results to the calling thread in block order.  The calling thread
-takes part: while it waits for the next result it runs a block itself,
-so a descheduled CPU never holds a fixed share of the work, and with
-one thread it runs every block itself and starts none.  ``encode``
-hashes blocks whose bounds do not depend on the thread count;
-``evaluate``'s query blocks shrink as threads are added, but no query's
-ranking depends on its block.  Either way the bytes are the same on any
-number of CPUs.
+the results to the calling thread in block order.  The blocks go to a
+``concurrent.futures.ThreadPoolExecutor`` of one worker fewer than the
+count, never more blocks in flight than threads, and block i always
+runs in slot i % threads, so each slot can own a buffer.  The calling
+thread makes up the count: while it waits for the next result it
+cancels a block no worker has taken yet and runs it itself, so a
+descheduled CPU never holds a fixed share of the work, and with one
+thread it runs every block itself and starts none.  ``encode`` hashes
+blocks whose bounds do not depend on the thread count; ``evaluate``'s
+query blocks shrink as threads are added, but no query's ranking
+depends on its block.  Either way the bytes are the same on any number
+of CPUs.
 
 The functions run on workers touch only private code and the arrays
 their caller hands them; every public call stays on the calling thread,
@@ -30,7 +34,9 @@ one stack, never sees two threads.
 import ctypes
 import functools
 import os
-import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from itertools import islice
 
 # OpenBLAS's thread-count getter under the names numpy builds give it:
 # the scipy-openblas wheels of numpy 2, then 64-bit and plain OpenBLAS.
@@ -79,86 +85,60 @@ def pool_threads() -> int:
     return max(1, _usable_cpus() // blas_threads())
 
 
+def _run_here(fn, *args) -> Future:
+    """``fn(*args)`` run on the calling thread, as a finished future."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:  # raised when the block's turn comes
+        future.set_exception(exc)
+    return future
+
+
 def run_blocks(fn, starts, threads: int, use) -> None:
     """Run ``fn(slot, start)`` for each start; ``use(start, result)`` in order.
 
-    Uses min(threads, len(starts)) threads, at least one.  The calling
-    thread is slot 0 and starts one worker for each further slot; only
-    it calls ``use``, one block after another in the order of
-    ``starts``.  While the next result is not ready it runs the next
-    unstarted block itself.  A slot runs one block at a time, so ``fn``
-    may use per-slot buffers the caller owns.  At most ``threads``
-    blocks are running or waiting for ``use`` at any moment, the one in
-    ``use`` included, so at most that many results are held at once.
+    ``starts`` is a sequence.  Uses min(threads, len(starts)) threads,
+    at least one: the calling thread and a pool of one worker fewer.
+    Only the calling thread calls ``use``, one block after another in
+    the order of ``starts``.  Block i runs as ``fn(i % threads, start)``
+    and is submitted only after block i - threads has gone to ``use``,
+    so no two running blocks share a slot and ``fn`` may use per-slot
+    buffers the caller owns.  At most ``threads`` blocks are running or
+    waiting for ``use`` at any moment, the one in ``use`` included, so
+    at most that many results are held at once.  While the next result
+    is not ready, the calling thread runs the blocks no worker has taken
+    yet itself, newest first.
 
     If a block raises, every block before it still goes to ``use`` and
     then its exception is raised on the calling thread, as on one
     thread.  If ``use`` raises, that exception propagates.  Either way
-    every worker that was started is joined first: no thread outlives
-    the call.
+    the blocks not yet started are cancelled and every worker is joined
+    first: no thread outlives the call.
     """
-    starts = list(starts)
-    results = {}  # block index -> (result, exception)
-    ready = threading.Condition()
-    claimed = used = 0
-    stopped = False
-
-    def claim():  # with ``ready`` held: the next block's index, or None
-        nonlocal claimed
-        if stopped or claimed == len(starts) or claimed - used == threads:
-            return None
-        claimed += 1
-        return claimed - 1
-
-    def run(slot, index):
+    threads = min(threads, len(starts))
+    if threads <= 1:
+        for start in starts:
+            use(start, fn(0, start))
+        return
+    blocks = iter(enumerate(starts))
+    window = deque()  # (slot, start, future) of the blocks not yet used
+    with ThreadPoolExecutor(threads - 1) as pool:
         try:
-            outcome = (fn(slot, starts[index]), None)
-        except BaseException as exc:  # raised by the calling thread
-            outcome = (None, exc)
-        with ready:
-            results[index] = outcome
-            ready.notify_all()
-
-    def work(slot):
-        while True:
-            with ready:
-                index = claim()
-                while index is None:
-                    if stopped or claimed == len(starts):
-                        return
-                    ready.wait()
-                    index = claim()
-            run(slot, index)
-
-    def result(index):  # on the calling thread
-        while True:
-            with ready:
-                if index in results:
-                    return results.pop(index)
-                own = claim()
-                if own is None:
-                    ready.wait()
-                    continue
-            run(0, own)
-
-    workers = []
-    try:
-        for slot in range(1, min(threads, len(starts))):
-            worker = threading.Thread(target=work, args=(slot,))
-            worker.start()
-            workers.append(worker)
-        for index, start in enumerate(starts):
-            value, error = result(index)
-            if error is not None:
-                raise error
-            use(start, value)
-            del value
-            with ready:
-                used += 1
-                ready.notify_all()
-    finally:
-        with ready:
-            stopped = True
-            ready.notify_all()
-        for worker in workers:
-            worker.join()
+            while True:
+                for index, start in islice(blocks, threads - len(window)):
+                    slot = index % threads
+                    window.append((slot, start, pool.submit(fn, slot, start)))
+                if not window:
+                    return
+                for k in reversed(range(len(window))):
+                    if window[0][2].done():
+                        break
+                    slot, start, future = window[k]
+                    if future.cancel():  # no worker has taken it
+                        window[k] = (slot, start, _run_here(fn, slot, start))
+                _slot, start, future = window.popleft()
+                use(start, future.result())
+        finally:
+            for _slot, _start, future in window:
+                future.cancel()

@@ -1,7 +1,8 @@
 """Command-line interface: train, encode, evaluate, benchmark, curve.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (missing or
-malformed files, mismatched shapes), 4 numeric failure during training.
+Exit codes: 0 success, 2 configuration error, 3 data error (missing,
+malformed, unreadable or unwritable files, mismatched shapes), 4 numeric
+failure during training.
 Metric streams are JSON lines; tables go to stdout.
 """
 
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except HcohError as exc:

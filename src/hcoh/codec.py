@@ -16,17 +16,18 @@ about a quarter faster than X_block @ W on 784-wide blocks at r = 32 and
 128, with the same signs.  The blocks run on ``_parallel.pool_threads()``
 threads, the calling thread among them: one per usable CPU when the BLAS
 runs each product on one thread, and one in all when the BLAS already
-spreads each product over the CPUs.  Each thread writes its products
-into its own ENCODE_ROWS x r float64 buffer, and no more threads run
-than ENCODE_BYTES of such buffers allow, whatever the CPU count.  The
-block bounds do not depend on the thread count, so each block is the
-same single GEMM call and the words are the same bytes on any
-number of CPUs.  Hamming distance is XOR plus popcount over the words,
-computed in one place, the private ``_hamming_distances``, which adds up
-the popcounts one word at a time in the narrowest unsigned dtype that
-holds every distance in [0, r], through one n-word XOR row per query;
-numpy's stable argsort is a radix sort on such rows.  Within the
-package, ``evaluation.rank`` and ``evaluation.evaluate`` call it.
+spreads each product over the CPUs.  Each block writes its products
+into the ENCODE_ROWS x r float64 buffer of its ``run_blocks`` slot,
+one buffer per thread, and no more threads run than ENCODE_BYTES of
+such buffers allow, whatever the CPU count.  The block bounds do not
+depend on the thread count, so each block is the same single GEMM call
+and the words are the same bytes on any number of CPUs.  Hamming
+distance is XOR plus popcount over the words, computed in one place,
+the private ``_hamming_distances``, which adds up the popcounts one word
+at a time in the narrowest unsigned dtype that holds every distance in
+[0, r], through one n-word XOR row per query; numpy's stable argsort is
+a radix sort on such rows.  Within the package, ``evaluation.rank`` and
+``evaluation.evaluate`` call it.
 
 Code-set file layout (little-endian throughout):
 

@@ -30,8 +30,9 @@ parts as row indices, and only ``split`` copies them into Datasets of
 their own.
 Training data is then streamed in a seeded random order, single pass,
 in batches of a fixed size, as (features, labels) array pairs: each
-span of up to SPAN_ROWS rows is gathered from the parent dataset by one
-fancy index and yielded a batch-sized slice at a time.
+span of up to ``learner.BLOCK_ROWS`` rows, one training block, is
+gathered from the parent dataset by one fancy index and yielded a
+batch-sized slice at a time.
 """
 
 import gzip
@@ -46,6 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
 from .fileio import atomic_write, check_labels, labels_from_u32, labels_to_u32
+from .learner import BLOCK_ROWS
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -96,17 +98,18 @@ class SplitSpec:
 def _standardize(features: np.ndarray) -> None:
     """Z-score ``features`` in place over its own rows; a zero std counts as 1.
 
-    The standard deviation equals ``features.std(axis=0)`` bit for bit.
-    On a C-ordered array of two or more columns, numpy sums along axis 0
-    one row after another, so the squared deviations can be summed
-    READ_ROWS rows at a time in the same order: each block goes into one
-    reused buffer whose row 0 holds the running sum, instead of into a
-    temporary of the features' size.  numpy sums any other layout
-    pairwise, so that is left to ``std``.
+    ``features`` is C-ordered, as ``load_idx``'s rows are.  The standard
+    deviation equals ``features.std(axis=0)`` bit for bit.  With two or
+    more columns, numpy sums along axis 0 one row after another, so the
+    squared deviations can be summed READ_ROWS rows at a time in the same
+    order: each block goes into one reused buffer whose row 0 holds the
+    running sum, instead of into a temporary of the features' size.  A
+    single column is contiguous along axis 0, which numpy sums pairwise,
+    so that is left to ``std``.
     """
     n = features.shape[0]
     mean = features.mean(axis=0)
-    if features.shape[1] < 2 or not features.flags.c_contiguous:
+    if features.shape[1] < 2:
         std = features.std(axis=0)
     else:
         squares = np.zeros((min(n, READ_ROWS) + 1, features.shape[1]))
@@ -120,27 +123,6 @@ def _standardize(features: np.ndarray) -> None:
     std[std == 0] = 1.0
     features -= mean
     features /= std
-
-
-def normalize(features: np.ndarray, norm: str, out: np.ndarray = None) -> np.ndarray:
-    """Apply one of the NORM_MODES to raw-pixel features.
-
-    The result is written into ``out``, a float64 array of the features'
-    shape, or into a new one when ``out`` is None; the features are cast
-    into it once and scaled there in place, with no other array of their
-    size.  ``"zscore"`` uses the mean and standard deviation of these
-    rows alone.
-    """
-    if norm not in NORM_MODES:
-        raise ConfigError(f"norm must be one of {NORM_MODES}, got {norm!r}")
-    if out is None:
-        out = np.empty(np.shape(features), dtype=np.float64)
-    out[...] = features
-    if norm == "unit255":
-        out /= 255.0
-    elif norm == "zscore":
-        _standardize(out)
-    return out
 
 
 def _open(path):
@@ -390,10 +372,6 @@ def split(dataset: Dataset, spec: SplitSpec):
 # Rows gathered per block by stream's finiteness check: 1,024 rows of 784
 # float64 features is a 6.4 MB temporary.
 CHECK_ROWS = 1024
-# Rows stream gathers by one fancy index, rounded down to whole batches:
-# as many as one training block holds (learner.BLOCK_ROWS); a larger span
-# only makes the gathered copy larger.
-SPAN_ROWS = 128
 
 
 def stream(dataset: Dataset, batch_size: int, seed: int, indices=None):
@@ -401,10 +379,11 @@ def stream(dataset: Dataset, batch_size: int, seed: int, indices=None):
 
     The training rows are ``dataset`` rows ``indices``, or every row when
     ``indices`` is None.  They are gathered from ``dataset`` as the stream
-    goes, SPAN_ROWS rows (or one batch, when a batch is larger) by one
-    fancy index, and each chunk is a slice of its span, so no copy of
-    the training set is made.  Single pass: every instance appears
-    exactly once.  The final chunk may be smaller than ``batch_size``.
+    goes, one training block of ``learner.BLOCK_ROWS`` rows (or one
+    batch, when a batch is larger) by one fancy index, and each chunk is
+    a slice of its span, so no copy of the training set is made.  Single
+    pass: every instance appears exactly once.  The final chunk may be
+    smaller than ``batch_size``.
     Before the first chunk, every training row is checked once, in
     blocks of CHECK_ROWS rows: a NaN or infinite value raises ValueError
     naming its dataset row, so no SGD step runs on a stream that holds
@@ -421,7 +400,8 @@ def stream(dataset: Dataset, batch_size: int, seed: int, indices=None):
                 f"split 'train' holds non-finite feature values (row "
                 f"{block[finite.argmin()]} of dataset {dataset.name!r})")
     order = np.random.default_rng(seed).permutation(len(rows))
-    span = max(1, SPAN_ROWS // batch_size) * batch_size
+    # Whole batches; a span larger than a block only makes the copy larger.
+    span = max(1, BLOCK_ROWS // batch_size) * batch_size
     for lo in range(0, len(order), span):
         chunk = rows[order[lo:lo + span]]
         features, labels = dataset.features[chunk], dataset.labels[chunk]

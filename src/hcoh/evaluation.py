@@ -22,19 +22,20 @@ rule: by distance, then by database index.  :func:`evaluate` measures
 database codes, split into one block per thread of
 ``_parallel.pool_threads()``, never more threads than queries, the
 calling thread among them.  The threads only measure distances, each
-block into its own slot of a buffer that the calling thread owns; the
-calling thread argsorts each block and scores each query's row by
-:func:`average_precision` and :func:`precision_at_k`, in query order,
-while the others measure the next blocks.  So the int64 rankings in
-memory are one block's, at most RANK_BLOCK_BYTES or one query's row,
-whichever is larger, however many queries or threads there are, and
-the threads allocate nothing larger than one n-word XOR row: glibc
-gives each thread a malloc arena of its own that keeps what the thread
-freed, and rankings made there stayed resident.  Only full AP gathers
-the whole ranked relevance list, the cut-off metrics gather their top
-K.  A query's ranking does not depend on which block holds it, and
-per-query results stay in query order, so each mean is reduced over the
-same array for any block size and any number of CPUs.
+block into the ring slot ``run_blocks`` gives it, in a buffer that the
+calling thread owns; the calling thread argsorts each block and scores
+each query's row by :func:`average_precision` and
+:func:`precision_at_k`, in query order, while the workers measure the
+next blocks.  So the int64 rankings in memory are one block's, at most
+RANK_BLOCK_BYTES or one query's row, whichever is larger, however many
+queries or threads there are, and the threads allocate nothing larger
+than one n-word XOR row: glibc gives each thread a malloc arena of its
+own that keeps what the thread freed, and rankings made there stayed
+resident.  Only full AP gathers the whole ranked relevance list, the
+cut-off metrics gather their top K.  A query's ranking does not depend
+on which block holds it, and per-query results stay in query order, so
+each mean is reduced over the same array for any block size and any
+number of CPUs.
 """
 
 from dataclasses import dataclass
@@ -166,15 +167,14 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
     rows = max(1, RANK_BLOCK_BYTES // (8 * n_db))  # queries in flight
     threads = min(pool_threads(), rows)
     block = rows // threads
-    # One distance block per thread, reused in turn: run_blocks holds at
-    # most ``threads`` blocks, so block i's slot is free again before
-    # block i + threads is measured into it.
+    # One distance block per slot: run_blocks starts block i + threads in
+    # block i's slot only after block i has been ranked and scored.
     ring = np.empty((threads, block, n_db), dtype=_distance_dtype(database.length))
 
-    def measure(_slot, lo):
+    def measure(slot, lo):
         words = queries.words[lo:lo + block]
         return _hamming_distances(words, database.words, database.length,
-                                  out=ring[lo // block % threads, :len(words)])
+                                  out=ring[slot, :len(words)])
 
     run_blocks(measure, range(0, n_q, block), threads, rank_and_score)
 

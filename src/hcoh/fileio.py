@@ -26,7 +26,8 @@ def atomic_write(path, chunks) -> None:
     The bytes go to a temp file beside the target, which is then renamed
     over it.  If anything raises before the rename, including the
     iteration of ``chunks``, the temp file is removed and the target is
-    left as it was.
+    left as it was; the error raised is the write's own, not one from
+    removing a temp file that could not be made.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -37,7 +38,7 @@ def atomic_write(path, chunks) -> None:
     except BaseException:
         try:
             os.remove(tmp)
-        except FileNotFoundError:
+        except OSError:
             pass
         raise
 

@@ -127,6 +127,13 @@ class TestTrain:
                                **{"--features": str(tmp_path / "nope.feat")}))
         assert code == 3
 
+    def test_unwritable_checkpoint_exit_data(self, dense_blobs, tmp_path, capsys):
+        (tmp_path / "file").write_bytes(b"")
+        code = main(train_args(dense_blobs, tmp_path,
+                               **{"--checkpoint": tmp_path / "file" / "x.hcoh"}))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_cut_gzip_image_file_exit_data(self, idx_dir, tmp_path, capsys):
         data_dir = tmp_path / "mnist"
         data_dir.mkdir()

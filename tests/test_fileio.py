@@ -29,6 +29,15 @@ class TestAtomicWrite:
         assert target.read_bytes() == b"previous"
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_unwritable_path_raises_the_write_error_alone(self, tmp_path):
+        # The temp file cannot be made under a regular file, and removing it
+        # fails too; that second error must not replace or wrap the first.
+        (tmp_path / "file").write_bytes(b"")
+        with pytest.raises(NotADirectoryError) as info:
+            atomic_write(tmp_path / "file" / "out.bin", [b"ab"])
+        assert info.value.__context__ is None
+        assert list(tmp_path.iterdir()) == [tmp_path / "file"]
+
 
 class TestLabelEncoding:
     def test_round_trip_with_unknown(self):

@@ -177,16 +177,27 @@ class TestRunBlocks:
         # Eight threads, more than most hosts have cores, switching as often as
         # the interpreter allows: a block lost or run twice breaks the counts,
         # and no more than eight blocks may be running or waiting to be used.
+        # Block i runs in slot i % 8, and no two running blocks share a slot,
+        # since encode's buffers and evaluate's distance ring are per slot.
         set_cpus(monkeypatch, 8)
         runs = [0] * 3000
+        slots = [None] * 3000
+        running = [0] * 8  # blocks now running in each slot
+        shared = []  # slots found running a second block
         held = [0, 0]  # now, most
         lock = threading.Lock()
 
         def fn(slot, start):
             with lock:
                 runs[start] += 1
+                slots[start] = slot
+                running[slot] += 1
+                if running[slot] > 1:
+                    shared.append(slot)
                 held[0] += 1
                 held[1] = max(held)
+            with lock:
+                running[slot] -= 1
             return start
 
         def use(start, result):
@@ -203,6 +214,8 @@ class TestRunBlocks:
             sys.setswitchinterval(interval)
         assert used == list(range(3000))
         assert runs == [1] * 3000
+        assert slots == [start % 8 for start in range(3000)]
+        assert shared == []
         assert held[1] <= 8
 
 
