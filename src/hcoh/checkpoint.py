@@ -31,11 +31,13 @@ partial checkpoint behind.
 """
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
-from .fileio import atomic_write, labels_from_u32, labels_to_u32
+from .fileio import (atomic_write, labels_from_u32, labels_to_u32, pack_header,
+                     read_header, size_error)
 from .hadamard import HadamardCodebook
 from .learner import HashModel
 from .lsh import LshReducer
@@ -56,59 +58,43 @@ def save_checkpoint(path, model: HashModel, book: HadamardCodebook,
     pairs = np.column_stack([
         labels_to_u32(labels, path),
         np.array([book.assignment[label] for label in labels], dtype="<u4")])
-    parts = [
-        MAGIC,
-        struct.pack("<BII", VERSION, d, r),
-        struct.pack("<d", model.eta),
-        struct.pack("<Q", model.round),
+    atomic_write(path, [
+        pack_header(MAGIC, VERSION, d, r),
+        struct.pack("<dQ", model.eta, model.round),
         model.weights.astype("<f8").tobytes(),
         model.bias.astype("<f8").tobytes(),
-        struct.pack("<IQ", book.order, book.seed),
-        struct.pack("<I", len(labels)),
+        struct.pack("<IQI", book.order, book.seed, len(labels)),
         pairs.tobytes(),
         struct.pack("<IIQB", reducer.in_dim, reducer.out_dim, reducer.seed,
                     1 if reducer.is_identity else 0),
-    ]
-    atomic_write(path, parts)
+    ])
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, codebook, reducer)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    if len(data) < 29:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    version, d, r = struct.unpack_from("<BII", data, 4)
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    off = 13
-    eta, = struct.unpack_from("<d", data, off); off += 8
-    rnd, = struct.unpack_from("<Q", data, off); off += 8
-    need = off + (d * r + r) * 8 + 16
-    if len(data) < need:
-        raise FormatError(f"{path}: expected at least {need} bytes, got {len(data)}")
-    weights = np.frombuffer(data, dtype="<f8", count=d * r, offset=off)
-    off += d * r * 8
-    bias = np.frombuffer(data, dtype="<f8", count=r, offset=off)
-    off += r * 8
-    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+    data = Path(path).read_bytes()
+    d, r = read_header(data, path, MAGIC, VERSION)
+    off = 29 + (d * r + r) * 8  # past eta, round, W and b
+    if len(data) < off + 16:
+        raise FormatError(
+            f"{path}: expected at least {off + 16} bytes, got {len(data)}")
+    eta, rnd = struct.unpack_from("<dQ", data, 13)
+    params = np.frombuffer(data, dtype="<f8", count=d * r + r, offset=29)
+    if not np.isfinite(params).all():
         raise FormatError(f"{path}: non-finite weights or bias")
-    order, book_seed = struct.unpack_from("<IQ", data, off); off += 12
-    n_assigned, = struct.unpack_from("<I", data, off); off += 4
-    need = off + n_assigned * 8 + 17
+    order, book_seed, n_assigned = struct.unpack_from("<IQI", data, off)
+    need = off + 16 + n_assigned * 8 + 17
     if len(data) != need:
-        raise FormatError(f"{path}: expected {need} bytes, got {len(data)}")
+        raise size_error(path, need, len(data))
     pairs = np.frombuffer(data, dtype="<u4", count=2 * n_assigned,
-                          offset=off).reshape(n_assigned, 2)
-    off += n_assigned * 8
+                          offset=off + 16).reshape(n_assigned, 2)
     assignment = dict(zip(labels_from_u32(pairs[:, 0]).tolist(),
                           pairs[:, 1].tolist()))
-    in_dim, out_dim, red_seed, identity = struct.unpack_from("<IIQB", data, off)
+    in_dim, out_dim, red_seed, identity = struct.unpack_from("<IIQB", data,
+                                                              need - 17)
 
-    model = HashModel(weights=weights.reshape(d, r).astype(np.float64),
-                      bias=bias.astype(np.float64), eta=eta, round=rnd)
+    model = HashModel(weights=params[:d * r].reshape(d, r).astype(np.float64),
+                      bias=params[d * r:].astype(np.float64), eta=eta, round=rnd)
     book = HadamardCodebook.restore(order, book_seed, assignment)
     if (in_dim == out_dim) != bool(identity):
         raise FormatError(

@@ -88,6 +88,18 @@ def _config_from_args(args, repeat: int = 0) -> RunConfig:
     ).validate()
 
 
+def _check_output_dirs(*paths) -> None:
+    """Raise NotADirectoryError unless each given path's directory exists.
+
+    Commands call this before loading any data, so a run that could not
+    save its results fails before it starts.
+    """
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise NotADirectoryError(
+                f"{path}: {Path(path).parent} is not a directory")
+
+
 def _write_records(path, records) -> None:
     atomic_write(path, ((json.dumps(rec, sort_keys=True) + "\n").encode()
                         for rec in records))
@@ -118,11 +130,12 @@ def _add_common_train_flags(p) -> None:
 
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
+    _check_output_dirs(args.checkpoint, args.metrics)
     dataset = _load_dataset(args)
     result = run_training(dataset, config)
-    _write_records(args.metrics, result.records + [result.summary])
     ckpt.save_checkpoint(args.checkpoint, result.model, result.book,
                          result.reducer)
+    _write_records(args.metrics, result.records + [result.summary])
     print(f"codeword order {result.summary['codeword_order']}, "
           f"{result.summary['reducer']} reducer")
     print(f"trained on {config.train_subset} instances: "
@@ -164,10 +177,13 @@ def _cmd_benchmark(args) -> int:
     bits_list = [int(tok) for tok in args.bits_list.split(",") if tok]
     if not bits_list:
         raise ConfigError("--bits-list must name at least one code length")
+    if args.repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
     configs = []
     for bits in bits_list:
         args.bits = bits
         configs.append(_config_from_args(args))
+    _check_output_dirs(args.metrics)
     dataset = _load_dataset(args)
     rows = []
     records = []

@@ -39,15 +39,15 @@ Code-set file layout (little-endian throughout):
     n * u32  label ids, 0xFFFFFFFF for unknown (-1 in memory)
 """
 
-import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ._parallel import pool_threads, run_blocks
 from .errors import DimensionError, FormatError
 from .fileio import (UNKNOWN_LABEL, atomic_write, labels_from_u32,
-                     labels_to_u32)
+                     labels_to_u32, pack_header, read_header, size_error)
 from .learner import HashModel, _checked_features
 
 WORD_BITS = 64
@@ -140,8 +140,8 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
     weights_t = np.ascontiguousarray(model.weights.T)
     bias = model.bias[:, None]
     starts = range(0, n, ENCODE_ROWS)
-    block_bytes = 8 * r * min(n, ENCODE_ROWS)
-    threads = min(pool_threads(), len(starts), max(1, ENCODE_BYTES // block_bytes))
+    threads = min(pool_threads(), len(starts),
+                  max(1, ENCODE_BYTES // (8 * r * ENCODE_ROWS)))
     buffers = [np.empty(r * min(n, ENCODE_ROWS)) for _ in range(threads)]
     bad = []
 
@@ -204,29 +204,20 @@ def save_code_set(path, code_set: BinaryCodeSet) -> None:
     Raises FormatError for any other label outside [0, 0xFFFFFFFF).
     """
     labels = labels_to_u32(code_set.labels, path)
-    header = CODE_MAGIC + struct.pack("<BII", CODE_VERSION, len(code_set),
-                                      code_set.length)
-    atomic_write(path, [header, code_set.words.astype("<u8").tobytes(),
-                        labels.tobytes()])
+    atomic_write(path, [
+        pack_header(CODE_MAGIC, CODE_VERSION, len(code_set), code_set.length),
+        code_set.words.astype("<u8").tobytes(), labels.tobytes()])
 
 
 def load_code_set(path) -> BinaryCodeSet:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != CODE_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:8]!r}, expected {CODE_MAGIC!r}")
-    if len(data) < 17:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    version, n, length = struct.unpack_from("<BII", data, 8)
-    if version != CODE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    data = Path(path).read_bytes()
+    n, length = read_header(data, path, CODE_MAGIC, CODE_VERSION)
     if length < 1:
         raise FormatError(f"{path}: code length {length}, expected at least 1")
     wpc = words_per_code(length)
     expected = 17 + n * wpc * 8 + n * 4
     if len(data) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes, got {len(data)}")
+        raise size_error(path, expected, len(data))
     words = np.frombuffer(data, dtype="<u8", count=n * wpc, offset=17)
     labels = np.frombuffer(data, dtype="<u4", count=n, offset=17 + n * wpc * 8)
     return BinaryCodeSet(words=words.reshape(n, wpc).astype(np.uint64),

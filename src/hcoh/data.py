@@ -46,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
-from .fileio import atomic_write, check_labels, labels_from_u32, labels_to_u32
+from .fileio import (atomic_write, check_labels, labels_from_u32, labels_to_u32,
+                     pack_header, read_header, size_error)
 from .learner import BLOCK_ROWS
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -145,10 +146,6 @@ def _read(fh, path, size: int = -1) -> bytes:
         return fh.read(size)
 
 
-def _size_error(path, expected: int, got: int, what: str = "") -> FormatError:
-    return FormatError(f"{path}: expected {expected} bytes{what}, got {got}")
-
-
 def _check_size(fh, path, expected: int, what: str = "") -> None:
     """Reject a file that cannot be ``expected`` bytes long, before allocating.
 
@@ -160,7 +157,7 @@ def _check_size(fh, path, expected: int, what: str = "") -> None:
     size = os.fstat(fh.fileno()).st_size
     if not isinstance(fh, gzip.GzipFile):
         if size != expected:
-            raise _size_error(path, expected, size, what)
+            raise size_error(path, expected, size, what)
     elif expected > DEFLATE_MAX_RATIO * size:
         raise FormatError(
             f"{path}: header declares {expected} bytes{what}, more than "
@@ -190,7 +187,7 @@ def _read_rows(fh, path, out: np.ndarray, dtype, header: int, what: str = "",
             while filled < block.nbytes:
                 count = fh.readinto(raw[filled:block.nbytes])
                 if not count:
-                    raise _size_error(path, expected, got + filled, what)
+                    raise size_error(path, expected, got + filled, what)
                 filled += count
             got += filled
             if scale is None:
@@ -200,7 +197,7 @@ def _read_rows(fh, path, out: np.ndarray, dtype, header: int, what: str = "",
         while extra := fh.read(1 << 16):
             got += len(extra)
     if got != expected:
-        raise _size_error(path, expected, got, what)
+        raise size_error(path, expected, got, what)
 
 
 def _idx_dims(fh, path, expect_magic: int):
@@ -226,8 +223,8 @@ def _idx_labels(path) -> np.ndarray:
         payload = _read(fh, path)
     expected = header + math.prod(dims)
     if header + len(payload) != expected:
-        raise _size_error(path, expected, header + len(payload),
-                          f" for dims {dims}")
+        raise size_error(path, expected, header + len(payload),
+                         f" for dims {dims}")
     return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
@@ -282,15 +279,8 @@ def load_dense(feature_path, label_path) -> Dataset:
     by block.
     """
     with _open(feature_path) as fh:
-        head = _read(fh, feature_path, 17)
-        if head[:8] != FEAT_MAGIC:
-            raise FormatError(
-                f"{feature_path}: bad magic {head[:8]!r}, expected {FEAT_MAGIC!r}")
-        if len(head) < 17:
-            raise FormatError(f"{feature_path}: truncated header ({len(head)} bytes)")
-        version, n, d = struct.unpack_from("<BII", head, 8)
-        if version != FEAT_VERSION:
-            raise FormatError(f"{feature_path}: unsupported version {version}")
+        n, d = read_header(_read(fh, feature_path, 17), feature_path,
+                           FEAT_MAGIC, FEAT_VERSION)
         _check_size(fh, feature_path, 17 + n * d * 4)
         labels = load_labels(label_path)
         if labels.shape[0] != n:
@@ -305,7 +295,7 @@ def load_dense(feature_path, label_path) -> Dataset:
 def save_dense(path, features: np.ndarray) -> None:
     features = np.atleast_2d(np.asarray(features, dtype=np.float32))
     n, d = features.shape
-    atomic_write(path, [FEAT_MAGIC, struct.pack("<BII", FEAT_VERSION, n, d),
+    atomic_write(path, [pack_header(FEAT_MAGIC, FEAT_VERSION, n, d),
                         features.astype("<f4").tobytes()])
 
 

@@ -1,4 +1,11 @@
-"""What every file writer shares: the atomic write and the u32 label ids.
+"""What the file formats share: the header, the atomic write, the u32 label ids.
+
+Checkpoints, HCOHCODE code sets and HCOHFEAT feature files all start
+with one header: a magic string, a u8 version and two little-endian
+u32 counts.  :func:`pack_header` writes it and :func:`read_header`
+checks it, so a wrong magic, a header cut short or another version is
+the same FormatError for all three; :func:`size_error` is the one
+"expected N bytes, got M" error for a file of the wrong length.
 
 Every file the package writes goes through :func:`atomic_write`, so a
 reader never sees a partial file and a failed write leaves nothing
@@ -11,6 +18,7 @@ id that no file can hold fails before any training.
 """
 
 import os
+import struct
 
 import numpy as np
 
@@ -41,6 +49,35 @@ def atomic_write(path, chunks) -> None:
         except OSError:
             pass
         raise
+
+
+def pack_header(magic: bytes, version: int, first: int, second: int) -> bytes:
+    """The common header: ``magic``, u8 ``version``, u32 ``first`` and ``second``."""
+    return magic + struct.pack("<BII", version, first, second)
+
+
+def read_header(data: bytes, path, magic: bytes, version: int):
+    """The two u32 counts of the common header at the start of ``data``.
+
+    ``data`` holds at least the header's bytes when the file has them.
+    Raises FormatError, naming ``path``, when ``data`` does not start
+    with ``magic``, is shorter than the header, or holds a version other
+    than ``version``.
+    """
+    if data[:len(magic)] != magic:
+        raise FormatError(
+            f"{path}: bad magic {data[:len(magic)]!r}, expected {magic!r}")
+    if len(data) < len(magic) + 9:
+        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
+    found, first, second = struct.unpack_from("<BII", data, len(magic))
+    if found != version:
+        raise FormatError(f"{path}: unsupported version {found}")
+    return first, second
+
+
+def size_error(path, expected: int, got: int, what: str = "") -> FormatError:
+    """The error for a file of ``got`` bytes that should hold ``expected``."""
+    return FormatError(f"{path}: expected {expected} bytes{what}, got {got}")
 
 
 def check_labels(labels, where) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from hcoh import (Dataset, SplitSpec, derive_seeds, encode, load_dense,
                   load_labels, pack_bits, save_code_set, save_dense,
                   save_labels, split)
+from hcoh import cli
 from hcoh.checkpoint import load_checkpoint
 from hcoh.cli import MNIST_FILES, main
 from hcoh.codec import CODE_MAGIC, BinaryCodeSet, load_code_set
@@ -127,12 +128,30 @@ class TestTrain:
                                **{"--features": str(tmp_path / "nope.feat")}))
         assert code == 3
 
-    def test_unwritable_checkpoint_exit_data(self, dense_blobs, tmp_path, capsys):
+    def test_unwritable_checkpoint_exit_data(self, dense_blobs, tmp_path, capsys,
+                                             monkeypatch):
+        # The output directory is checked before any data is loaded, so no
+        # training runs and no metrics are written for a run that cannot
+        # save its checkpoint.
+        calls = []
+        monkeypatch.setattr(cli, "run_training",
+                            lambda *args: calls.append(args))
         (tmp_path / "file").write_bytes(b"")
         code = main(train_args(dense_blobs, tmp_path,
                                **{"--checkpoint": tmp_path / "file" / "x.hcoh"}))
         assert code == 3
         assert capsys.readouterr().err.startswith("data error: ")
+        assert calls == []
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_failed_checkpoint_write_writes_no_metrics(self, dense_blobs, tmp_path,
+                                                       capsys, monkeypatch):
+        def fail(*args):
+            raise OSError("disk full")
+        monkeypatch.setattr(cli.ckpt, "save_checkpoint", fail)
+        assert main(train_args(dense_blobs, tmp_path)) == 3
+        assert capsys.readouterr().err == "data error: disk full\n"
+        assert not (tmp_path / "metrics.jsonl").exists()
 
     def test_cut_gzip_image_file_exit_data(self, idx_dir, tmp_path, capsys):
         data_dir = tmp_path / "mnist"
@@ -231,6 +250,18 @@ class TestEncode:
                      "--labels", str(dense_blobs / "blobs.lab"),
                      "--out", str(tmp_path / "x.hcode")])
         assert code == 3
+
+    def test_empty_feature_file_gives_empty_code_set(self, tmp_path, checkpoint):
+        save_dense(tmp_path / "empty.feat", np.zeros((0, 8), dtype=np.float32))
+        save_labels(tmp_path / "empty.lab", [])
+        out = tmp_path / "empty.hcode"
+        assert main(["encode", "--checkpoint", str(checkpoint),
+                     "--features", str(tmp_path / "empty.feat"),
+                     "--labels", str(tmp_path / "empty.lab"),
+                     "--out", str(out)]) == 0
+        assert out.stat().st_size == 17
+        codes = load_code_set(out)
+        assert (len(codes), codes.length) == (0, 16)
 
     def test_dimension_mismatch_names_both_dims(self, tmp_path, checkpoint, capsys):
         save_dense(tmp_path / "wide.feat", np.ones((4, 11), dtype=np.float32))
@@ -359,13 +390,19 @@ class TestBenchmarkAndCurve:
         assert [a["bits"] for a in aggregates] == [8, 16]
         assert all(len(a["map_per_repeat"]) == 2 for a in aggregates)
 
-    def test_benchmark_checks_every_order_before_loading(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, error", [
+        (["--bits-list", f"8,{2**21}"], "exceeds the cap"),
+        (["--repeats", "0"], "repeats must be >= 1, got 0"),
+    ], ids=["order", "repeats"])
+    def test_benchmark_checks_every_order_before_loading(self, tmp_path, capsys,
+                                                         flags, error):
+        # The feature file does not exist: exit 2 rather than 3 shows the
+        # flags were checked before any data was read.
         code = main(["benchmark", "--dataset", "dense",
                      "--features", str(tmp_path / "nope.feat"),
-                     "--labels", str(tmp_path / "nope.lab"),
-                     "--bits-list", f"8,{2**21}"])
+                     "--labels", str(tmp_path / "nope.lab"), *flags])
         assert code == 2
-        assert "exceeds the cap" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     def test_curve_csv_extraction(self, dense_blobs, tmp_path):
         main(train_args(dense_blobs, tmp_path))

@@ -95,6 +95,14 @@ class TestEncode:
         with pytest.raises(ValueError, match=rf"2 feature rows .*first row {bad}\)"):
             encode(model, feats)
 
+    def test_zero_rows_give_an_empty_code_set(self, tmp_path):
+        model = init_model(3, 70, eta=0.1, seed=5)
+        codes = encode(model, np.zeros((0, 3)))
+        assert (len(codes), codes.words.shape, codes.length) == (0, (0, 2), 70)
+        save_code_set(tmp_path / "empty.hcode", codes)
+        loaded = load_code_set(tmp_path / "empty.hcode")
+        assert (len(loaded), loaded.words.shape, loaded.length) == (0, (0, 2), 70)
+
     def test_labels_carried_alongside(self):
         model = init_model(3, 4, eta=0.1, seed=5)
         codes = encode(model, np.zeros((3, 3)), labels=[7, 8, 9])
