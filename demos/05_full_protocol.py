@@ -8,13 +8,21 @@ runs as well.
 """
 
 import os
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from hcoh import RunConfig, load_dense, run_repeats, run_training, save_dense, save_labels
-from hcoh.cli import main as hcoh_cli
+from hcoh.cli import main
+
+
+def hcoh_cli(argv):
+    """Run one hcoh command; a failed one ends the demo with its exit code."""
+    code = main(argv)
+    if code:
+        sys.exit(code)
 
 rng = np.random.default_rng(5)
 centers = rng.standard_normal((6, 24)) * 4.0

@@ -12,7 +12,7 @@ Layout, all little-endian, in order:
     u32      codebook order
     u64      codebook seed
     u32      number of assigned labels, then that many (u32 label, u32 column),
-             label 0xFFFFFFFF for the unknown label -1
+             each label once, label 0xFFFFFFFF for the unknown label -1
     u32 u32  reducer in_dim, out_dim
     u64      reducer seed
     u8       reducer identity flag
@@ -88,8 +88,12 @@ def load_checkpoint(path):
         raise size_error(path, need, len(data))
     pairs = np.frombuffer(data, dtype="<u4", count=2 * n_assigned,
                           offset=off + 16).reshape(n_assigned, 2)
-    assignment = dict(zip(labels_from_u32(pairs[:, 0]).tolist(),
-                          pairs[:, 1].tolist()))
+    labels = labels_from_u32(pairs[:, 0])
+    assignment = dict(zip(labels.tolist(), pairs[:, 1].tolist()))
+    if len(assignment) < n_assigned:
+        values, counts = np.unique(labels, return_counts=True)
+        raise FormatError(
+            f"{path}: label {values[counts > 1][0]} is assigned more than once")
     in_dim, out_dim, red_seed, identity = struct.unpack_from("<IIQB", data,
                                                               need - 17)
 

@@ -2,11 +2,14 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error (missing,
 malformed, unreadable or unwritable files, mismatched shapes), 4 numeric
-failure during training.
+failure during training; each error class carries its own as
+``exit_code``.  A flag that sets a ``RunConfig`` field has no default of
+its own: ``RunConfig`` decides what a flag left out means.
 Metric streams are JSON lines; tables go to stdout.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -15,15 +18,12 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import codec, data
-from .errors import (CodebookExhaustedError, ConfigError, FormatError,
-                     HcohError, NumericFailureError)
+from .errors import ConfigError, FormatError, HcohError
 from .evaluation import evaluate
 from .fileio import atomic_write
 from .pipeline import RunConfig, run_repeats, run_training
 
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+ERROR_PREFIXES = {2: "config error", 3: "data error", 4: "numeric failure"}
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -67,25 +67,21 @@ def _load_dataset(args) -> data.Dataset:
     return data.load_dense(args.features, args.labels)
 
 
-def _parse_milestones(text):
-    if not text:
-        return ()
+def _int_list(flag, text) -> tuple:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok)
     except ValueError:
-        raise ConfigError(f"--milestones must be comma-separated integers, got {text!r}")
+        raise ConfigError(
+            f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def _config_from_args(args, repeat: int = 0) -> RunConfig:
-    return RunConfig(
-        bits=args.bits, eta=args.eta, batch_size=args.batch_size,
-        seed=args.seed, repeat=repeat,
-        milestones=_parse_milestones(args.milestones),
-        max_labels=args.max_labels,
-        test_per_class=args.test_per_class, train_subset=args.train_size,
-        k_prec=args.k_prec, k_map=args.k_map,
-        gradient="sigmoid" if args.paper_gradient else "exact",
-    ).validate()
+def _config_from_args(args, **fields) -> RunConfig:
+    """The validated RunConfig of the run flags given, updated by ``fields``."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+             if hasattr(args, f.name)}
+    if "milestones" in given:
+        given["milestones"] = _int_list("--milestones", given["milestones"])
+    return RunConfig(**{**given, **fields}).validate()
 
 
 def _check_output_dirs(*paths) -> None:
@@ -105,27 +101,34 @@ def _write_records(path, records) -> None:
                         for rec in records))
 
 
-def _add_common_train_flags(p) -> None:
+def _run_flag(parser, *names, **kwargs) -> None:
+    """A flag that sets a RunConfig field: absent from args unless given."""
+    parser.add_argument(*names, default=argparse.SUPPRESS, **kwargs)
+
+
+def _add_common_train_flags(p, bits: bool) -> None:
     p.add_argument("--dataset", choices=("mnist", "dense"), required=True)
     p.add_argument("--data-dir", help="directory with the four MNIST IDX files")
     p.add_argument("--features", help="HCOHFEAT feature file (dense dataset)")
     p.add_argument("--labels", help="u32 label file (dense dataset)")
-    p.add_argument("--bits", type=int, default=32, help="code length r")
-    p.add_argument("--eta", type=float, default=0.2, help="SGD learning rate")
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--milestones", default="",
-                   help="comma-separated instance counts for mAP-curve checkpoints")
+    if bits:  # hcoh benchmark takes its code lengths from --bits-list
+        _run_flag(p, "--bits", type=int, help="code length r")
+    _run_flag(p, "--eta", type=float, help="SGD learning rate")
+    _run_flag(p, "--batch-size", type=int)
+    _run_flag(p, "--seed", type=int, help="master seed")
+    _run_flag(p, "--milestones",
+              help="comma-separated instance counts for mAP-curve checkpoints")
     p.add_argument("--norm", choices=data.NORM_MODES, default="unit255")
-    p.add_argument("--max-labels", type=int, default=2,
-                   help="declared lower bound on the number of stream labels")
-    p.add_argument("--test-per-class", type=int, default=100)
-    p.add_argument("--train-size", type=int, default=20000)
-    p.add_argument("--k-prec", type=int, default=500)
-    p.add_argument("--k-map", type=int, default=None)
-    p.add_argument("--paper-gradient", action="store_true",
-                   help="use the (1 - tanh(u)) * tanh(u) gradient factor instead "
-                        "of the exact tanh derivative 1 - tanh(u)^2")
+    _run_flag(p, "--max-labels", type=int,
+              help="declared lower bound on the number of stream labels")
+    _run_flag(p, "--test-per-class", type=int)
+    _run_flag(p, "--train-size", type=int, dest="train_subset", metavar="TRAIN_SIZE")
+    _run_flag(p, "--k-prec", type=int)
+    _run_flag(p, "--k-map", type=int)
+    _run_flag(p, "--paper-gradient", action="store_const", const="sigmoid",
+              dest="gradient",
+              help="use the (1 - tanh(u)) * tanh(u) gradient factor instead "
+                   "of the exact tanh derivative 1 - tanh(u)^2")
 
 
 def _cmd_train(args) -> int:
@@ -158,9 +161,10 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    config = _config_from_args(args)
     queries = codec.load_code_set(args.queries)
     database = codec.load_code_set(args.database)
-    report = evaluate(queries, database, k_prec=args.k_prec, k_map=args.k_map)
+    report = evaluate(queries, database, k_prec=config.k_prec, k_map=config.k_map)
     record = report.to_record()
     print(json.dumps(record, sort_keys=True))
     print(f"{'metric':<18}{'value':>10}")
@@ -174,19 +178,15 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    bits_list = [int(tok) for tok in args.bits_list.split(",") if tok]
+    bits_list = _int_list("--bits-list", args.bits_list)
     if not bits_list:
         raise ConfigError("--bits-list must name at least one code length")
     if args.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
-    configs = []
-    for bits in bits_list:
-        args.bits = bits
-        configs.append(_config_from_args(args))
+    configs = [_config_from_args(args, bits=bits) for bits in bits_list]
     _check_output_dirs(args.metrics)
     dataset = _load_dataset(args)
-    rows = []
-    records = []
+    rows, records = [], []
     for config in configs:
         results, aggregate = run_repeats(dataset, config, args.repeats)
         rows.append(aggregate)
@@ -195,15 +195,12 @@ def _cmd_benchmark(args) -> int:
         records.append(aggregate)
     if args.metrics:
         _write_records(args.metrics, records)
-    name_w = 12
-    print(f"{'':<{name_w}}" + "".join(f"{b}-bit".rjust(10) for b in bits_list))
-    print(f"{'mAP':<{name_w}}"
-          + "".join(f"{row['map_mean']:>10.3f}" for row in rows))
-    print(f"{'P@' + str(args.k_prec):<{name_w}}"
-          + "".join(f"{row['precision_mean']:>10.3f}" for row in rows))
+    table = [("mAP", "map_mean"), (f"P@{configs[0].k_prec}", "precision_mean")]
     if all(row["auc_mean"] is not None for row in rows):
-        print(f"{'AUC':<{name_w}}"
-              + "".join(f"{row['auc_mean']:>10.3f}" for row in rows))
+        table.append(("AUC", "auc_mean"))
+    print(" " * 12 + "".join(f"{b}-bit".rjust(10) for b in bits_list))
+    for name, key in table:
+        print(f"{name:<12}" + "".join(f"{row[key]:>10.3f}" for row in rows))
     return 0
 
 
@@ -239,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="stream-train hash functions, "
                              "evaluate at milestones, write a checkpoint")
-    _add_common_train_flags(p_train)
+    _add_common_train_flags(p_train, bits=True)
     p_train.add_argument("--checkpoint", required=True)
     p_train.add_argument("--metrics", required=True, help="JSONL output path")
     p_train.set_defaults(func=_cmd_train)
@@ -256,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "query code set against a database code set")
     p_eval.add_argument("--queries", required=True)
     p_eval.add_argument("--database", required=True)
-    p_eval.add_argument("--k-prec", type=int, default=500)
-    p_eval.add_argument("--k-map", type=int, default=None)
+    _run_flag(p_eval, "--k-prec", type=int)
+    _run_flag(p_eval, "--k-map", type=int)
     p_eval.add_argument("--out", help="optional JSONL output path")
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_bench = sub.add_parser("benchmark", help="full protocol over several "
                              "code lengths with seeded repeats")
-    _add_common_train_flags(p_bench)
+    _add_common_train_flags(p_bench, bits=False)
     p_bench.add_argument("--bits-list", default="8,16,32,64,128",
                          help="comma-separated code lengths")
     p_bench.add_argument("--repeats", type=int, default=3)
@@ -278,25 +275,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("HCOH_LOG", "WARNING"),
-                        format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _configure_logging() -> None:
+    """Log to stderr at the level HCOH_LOG names, WARNING by default."""
     try:
+        logging.basicConfig(level=os.environ.get("HCOH_LOG", "WARNING"),
+                            format="%(levelname)s %(name)s: %(message)s")
+    except ValueError as exc:
+        raise ConfigError(f"HCOH_LOG: {exc}") from None
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        _configure_logging()
         return args.func(args)
-    except (ConfigError, CodebookExhaustedError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericFailureError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (OSError, ValueError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except HcohError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except (HcohError, OSError, ValueError) as exc:
+        code = getattr(exc, "exit_code", HcohError.exit_code)
+        print(f"{ERROR_PREFIXES[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

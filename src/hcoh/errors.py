@@ -1,13 +1,16 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit 2, data
-problems (unreadable or malformed files, mismatched shapes) exit 3, and
-numeric failures during training exit 4.
+Each class carries the exit code the CLI gives it as ``exit_code``:
+configuration problems exit 2, data problems (unreadable or malformed
+files, mismatched shapes) exit 3, and numeric failures during training
+exit 4.  A subclass that sets none inherits the data error's 3.
 """
 
 
 class HcohError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 3
 
 
 class InvalidOrderError(HcohError, ValueError):
@@ -21,6 +24,8 @@ class CodebookExhaustedError(HcohError, RuntimeError):
     codes handed out so far; rebuild with a larger declared label bound.
     """
 
+    exit_code = 2
+
 
 class DimensionError(HcohError, ValueError):
     """Operands have incompatible shapes or lengths."""
@@ -28,6 +33,8 @@ class DimensionError(HcohError, ValueError):
 
 class NumericFailureError(HcohError, ArithmeticError):
     """A training update produced a non-finite parameter value."""
+
+    exit_code = 4
 
     def __init__(self, message, round_index=None):
         super().__init__(message)
@@ -44,3 +51,5 @@ class FormatError(HcohError, ValueError):
 
 class ConfigError(HcohError, ValueError):
     """Invalid run configuration (bad flag values, infeasible splits)."""
+
+    exit_code = 2

@@ -140,7 +140,14 @@ class EvalReport:
 
 def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
              k_map: int = None) -> EvalReport:
-    """Score every query against the database; aggregate means."""
+    """Score every query against the database; aggregate means.
+
+    Raises DimensionError, before any other check, if either set holds
+    no codes.
+    """
+    for side, codes in (("query", queries), ("database", database)):
+        if len(codes) == 0:
+            raise DimensionError(f"the {side} code set is empty")
     n_q, n_db = len(queries), len(database)
     if not 1 <= k_prec <= n_db:
         raise ValueError(f"k_prec must be in [1, {n_db}], got {k_prec}")

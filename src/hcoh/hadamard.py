@@ -82,7 +82,7 @@ class HadamardCodebook:
     order: int
     seed: int
     assignment: dict = field(default_factory=dict)
-    _draw: np.ndarray = None
+    _draw: np.ndarray = field(default=None, compare=False, repr=False)
 
     @classmethod
     def create(cls, order: int, seed: int) -> "HadamardCodebook":

@@ -64,6 +64,14 @@ class TestRoundTrip:
         _, loaded, _ = load_checkpoint(path)
         assert loaded.assignment == book.assignment
 
+    def test_restored_codebook_equals_the_saved_one(self, tmp_path):
+        model, book, reducer = make_state()
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, model, book, reducer)
+        _, loaded, _ = load_checkpoint(path)
+        assert loaded == book
+        assert "_draw" not in repr(loaded)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         model, book, reducer = make_state()
         a, b = tmp_path / "a.hcoh", tmp_path / "b.hcoh"
@@ -98,6 +106,44 @@ class TestCorruption:
         blob[-21:-17] = spare.to_bytes(4, "little")  # the last pair's column
         path.write_bytes(bytes(blob))
         with pytest.raises(InvalidOrderError, match="first 3 draws"):
+            load_checkpoint(path)
+
+    def test_repeated_label_rejected(self, tmp_path):
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, *make_state())
+        blob = bytearray(path.read_bytes())
+        # The three (label, column) pairs sit sorted by label, 0, 4, 9,
+        # just before the 17 reducer bytes; label 0 becomes a second 4.
+        blob[-41:-37] = (4).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError,
+                           match="model.hcoh: label 4 is assigned more than once"):
+            load_checkpoint(path)
+
+    def test_cut_after_the_header_rejected(self, tmp_path):
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, *make_state())
+        path.write_bytes(path.read_bytes()[:40])
+        # 29 bytes to W, 5 x 8 weights and 8 biases, then the 16 codebook bytes.
+        need = 29 + (5 * 8 + 8) * 8 + 16
+        with pytest.raises(FormatError,
+                           match=f"model.hcoh: expected at least {need} bytes, got 40"):
+            load_checkpoint(path)
+
+    # The last 17 bytes are the reducer's u32 in_dim, u32 out_dim, u64 seed
+    # and u8 identity flag.
+    @pytest.mark.parametrize("where, value, error", [
+        (slice(-1, None), b"\x01", "identity flag 1 inconsistent with dims 16x8"),
+        (slice(-17, -13), (32).to_bytes(4, "little"),
+         "reducer dims 32x8 inconsistent with order 16 and code length 8"),
+    ], ids=["identity-flag", "reducer-dims"])
+    def test_inconsistent_reducer_rejected(self, tmp_path, where, value, error):
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, *make_state())
+        blob = bytearray(path.read_bytes())
+        blob[where] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"model.hcoh: {error}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("what, value", [("weight", np.nan),

@@ -1,16 +1,20 @@
 import gzip
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hcoh import (Dataset, SplitSpec, derive_seeds, encode, load_dense,
-                  load_labels, pack_bits, save_code_set, save_dense,
-                  save_labels, split)
+from hcoh import (Dataset, RunConfig, SplitSpec, derive_seeds, encode,
+                  load_dense, load_labels, pack_bits, save_code_set,
+                  save_dense, save_labels, split)
 from hcoh import cli
 from hcoh.checkpoint import load_checkpoint
-from hcoh.cli import MNIST_FILES, main
+from hcoh.cli import MNIST_FILES, _config_from_args, build_parser, main
 from hcoh.codec import CODE_MAGIC, BinaryCodeSet, load_code_set
 from tests.conftest import blob_dataset
 from tests.test_data import idx_image_bytes, idx_label_bytes
@@ -171,6 +175,12 @@ class TestTrain:
         labels.write_bytes((dense_blobs / "blobs.lab").read_bytes())
         assert main(train_args(dense_blobs, tmp_path, **{"--labels": labels})) == 3
         assert f"{labels}: damaged gzip data" in capsys.readouterr().err
+
+    def test_no_run_flags_give_run_config_defaults(self, tmp_path):
+        args = build_parser().parse_args(
+            ["train", "--dataset", "dense", "--checkpoint", str(tmp_path / "m"),
+             "--metrics", str(tmp_path / "m.jsonl")])
+        assert _config_from_args(args) == RunConfig()
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +373,26 @@ class TestEvaluate:
         assert main(["evaluate", "--queries", str(tmp_path / "o.hcode"),
                      "--database", str(db), "--k-prec", "2"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--k-prec", "--k-map"])
+    def test_k_below_one_exit_config_before_loading(self, tmp_path, capsys, flag):
+        # The code files do not exist: exit 2 rather than 3 shows the flag
+        # was rejected before any file was read.
+        assert main(["evaluate", "--queries", str(tmp_path / "nope.hcode"),
+                     "--database", str(tmp_path / "nope.hcode"), flag, "0"]) == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"config error: {name} must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("side", ["query", "database"])
+    def test_empty_code_set_exit_data_naming_its_side(self, toy_codes, tmp_path,
+                                                      capsys, side):
+        empty = tmp_path / "empty.hcode"
+        save_code_set(empty, BinaryCodeSet(pack_bits(np.zeros((0, 4))), [], 4))
+        assert empty.stat().st_size == 17
+        q, db = (empty, toy_codes[1]) if side == "query" else (toy_codes[0], empty)
+        assert main(["evaluate", "--queries", str(q), "--database", str(db),
+                     "--k-prec", "2"]) == 3
+        assert capsys.readouterr().err == f"data error: the {side} code set is empty\n"
+
     def test_zero_length_codes_exit_data(self, tmp_path, capsys):
         empty = tmp_path / "empty.hcode"
         empty.write_bytes(CODE_MAGIC + struct.pack("<BII", 1, 2, 0)
@@ -404,6 +434,22 @@ class TestBenchmarkAndCurve:
         assert code == 2
         assert error in capsys.readouterr().err
 
+    def test_non_integer_bits_list_exit_config(self, tmp_path, capsys):
+        code = main(["benchmark", "--dataset", "dense",
+                     "--features", str(tmp_path / "nope.feat"),
+                     "--labels", str(tmp_path / "nope.lab"), "--bits-list", "8,x"])
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: --bits-list must be "
+                                           "comma-separated integers, got '8,x'\n")
+
+    def test_benchmark_bits_reads_as_bits_list(self):
+        # hcoh benchmark has no --bits of its own, so argparse's prefix
+        # matching takes --bits for --bits-list.
+        args = build_parser().parse_args(["benchmark", "--dataset", "dense",
+                                          "--bits", "16"])
+        assert args.bits_list == "16"
+        assert not hasattr(args, "bits")
+
     def test_curve_csv_extraction(self, dense_blobs, tmp_path):
         main(train_args(dense_blobs, tmp_path))
         out = tmp_path / "curve.csv"
@@ -430,3 +476,17 @@ class TestBenchmarkAndCurve:
         assert main(["curve", "--metrics", str(metrics), "--out", str(out)]) == 3
         assert f"metrics.jsonl line 2: {error}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_log_level_exit_config(self, tmp_path):
+        # In a fresh process, as a user runs it: logging.basicConfig checks
+        # the level only while the root logger has no handler.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, HCOH_LOG="bogus", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hcoh.cli", "curve",
+             "--metrics", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "c.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: HCOH_LOG: ")
+        assert "bogus" in proc.stderr

@@ -154,6 +154,30 @@ class TestRunBlocks:
             run_blocks(lambda slot, start: start, range(40), pool_threads(), use)
         assert threading.active_count() == before
 
+    def test_block_taken_back_by_the_calling_thread_raises_after_use(self):
+        # Block 0 holds the one worker until block 1 has run, so no worker
+        # can take block 1: the calling thread takes it back and runs it,
+        # and its exception is raised once block 0 has gone to use.
+        before = threading.active_count()
+        caller = threading.current_thread()
+        block_1_threads = []
+        released = threading.Event()
+
+        def fn(slot, start):
+            if start == 0:
+                released.wait(timeout=30)
+                return "block 0"
+            block_1_threads.append(threading.current_thread())
+            released.set()
+            raise KeyError("block 1")
+
+        used = []
+        with pytest.raises(KeyError, match="block 1"):
+            run_blocks(fn, [0, 1], 2, lambda start, result: used.append((start, result)))
+        assert used == [(0, "block 0")]
+        assert block_1_threads == [caller]
+        assert threading.active_count() == before
+
     def test_failed_thread_start_joins_started_workers(self, monkeypatch):
         set_cpus(monkeypatch, 4)
         before = threading.active_count()
