@@ -3,6 +3,8 @@
 Run from the repo root:  python demos/03_streaming_sgd.py
 """
 
+from itertools import islice
+
 import numpy as np
 
 from hcoh import (HadamardCodebook, LshReducer, encode, evaluate, init_model,
@@ -22,20 +24,19 @@ book = HadamardCodebook.create(16, seed=1)
 reducer = LshReducer.create(16, 16, seed=2)
 model = init_model(d=16, r=16, eta=0.2, seed=3)
 
-# One instance per round, single pass, loss sampled along the way.
+# One instance per round, single pass, trained in stretches so the loss
+# can be sampled between them.
 batches = ((features[i:i + 1], labels[i:i + 1]) for i in range(1500))
 probe_features, probe_labels = features[1500:], labels[1500:]
 
-
-def report(seen, current):
+print("streaming 1500 single-instance rounds:")
+seen = 0
+for stop in (1, 50, 250, 750, 1500):
+    model = train_stream(model, islice(batches, stop - seen), book, reducer)
+    seen = stop
     targets = lsh.targets(probe_labels, book, reducer)
     print(f"  after {seen:>5} instances: held-out loss "
-          f"{loss(current, probe_features, targets):8.3f}")
-
-
-print("streaming 1500 single-instance rounds:")
-model = train_stream(model, batches, book, reducer,
-                     milestones=(1, 50, 250, 750, 1500), hook=report)
+          f"{loss(model, probe_features, targets):8.3f}")
 
 # Hash the held-out instances and retrieve against them.
 codes = encode(model, probe_features, probe_labels)

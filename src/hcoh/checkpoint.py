@@ -30,6 +30,7 @@ temp file followed by an atomic rename, so a crashed run never leaves a
 partial checkpoint behind.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -79,6 +80,8 @@ def load_checkpoint(path):
         raise FormatError(
             f"{path}: expected at least {off + 16} bytes, got {len(data)}")
     eta, rnd = struct.unpack_from("<dQ", data, 13)
+    if not (eta > 0 and math.isfinite(eta)):
+        raise FormatError(f"{path}: learning rate {eta} is not positive and finite")
     params = np.frombuffer(data, dtype="<f8", count=d * r + r, offset=29)
     if not np.isfinite(params).all():
         raise FormatError(f"{path}: non-finite weights or bias")

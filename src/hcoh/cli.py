@@ -58,10 +58,20 @@ def load_mnist_dir(directory, norm: str = "unit255") -> data.Dataset:
 
 
 def _load_dataset(args) -> data.Dataset:
-    if args.dataset == "mnist":
+    mnist = args.dataset == "mnist"
+    flags = {"--data-dir": (args.data_dir, mnist), "--norm": (args.norm, mnist),
+             "--features": (args.features, not mnist),
+             "--labels": (args.labels, not mnist)}
+    stray = [flag for flag, (value, applies) in flags.items()
+             if value is not None and not applies]
+    if stray:
+        raise ConfigError(
+            f"--dataset {args.dataset} does not take {' or '.join(stray)}")
+    if mnist:
         if not args.data_dir:
             raise ConfigError("--dataset mnist requires --data-dir")
-        return load_mnist_dir(args.data_dir, norm=args.norm)
+        return load_mnist_dir(args.data_dir,
+                              **({"norm": args.norm} if args.norm else {}))
     if not (args.features and args.labels):
         raise ConfigError("--dataset dense requires --features and --labels")
     return data.load_dense(args.features, args.labels)
@@ -118,7 +128,7 @@ def _add_common_train_flags(p, bits: bool) -> None:
     _run_flag(p, "--seed", type=int, help="master seed")
     _run_flag(p, "--milestones",
               help="comma-separated instance counts for mAP-curve checkpoints")
-    p.add_argument("--norm", choices=data.NORM_MODES, default="unit255")
+    p.add_argument("--norm", choices=data.NORM_MODES)
     _run_flag(p, "--max-labels", type=int,
               help="declared lower bound on the number of stream labels")
     _run_flag(p, "--test-per-class", type=int)
@@ -206,11 +216,13 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_curve(args) -> int:
     points = []
-    with open(args.metrics) as fh:
+    with open(args.metrics, "rb") as fh:
         for number, line in enumerate(fh, 1):
             where = f"{args.metrics} line {number}"
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode())
+            except UnicodeDecodeError:
+                raise FormatError(f"{where}: not UTF-8 text") from None
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{where}: not JSON ({exc.msg})") from None
             if not isinstance(rec, dict):
@@ -276,12 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    """Log to stderr at the level HCOH_LOG names, WARNING by default."""
-    try:
-        logging.basicConfig(level=os.environ.get("HCOH_LOG", "WARNING"),
-                            format="%(levelname)s %(name)s: %(message)s")
-    except ValueError as exc:
-        raise ConfigError(f"HCOH_LOG: {exc}") from None
+    """Log to stderr at the level HCOH_LOG names, WARNING by default.
+
+    The level is checked even when the root logger already has a
+    handler, where ``logging.basicConfig`` does nothing.
+    """
+    name = os.environ.get("HCOH_LOG", "WARNING")
+    level = logging.getLevelName(name)
+    if not isinstance(level, int):
+        raise ConfigError(f"HCOH_LOG: unknown level {name!r}")
+    logging.basicConfig(level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def main(argv=None) -> int:

@@ -42,19 +42,20 @@ arithmetic with a different rounding from the per-step loop (the tests
 hold it to 1e-10 relative at small eta).  A block of one step is the
 plain dense update, byte for byte.
 
-``train_stream`` ends a block after BLOCK_ROWS rows, at every milestone
-crossing (so its hook sees the model at the exact instance count), at
-the end of the stream, and before a step with a different row count.
-It holds each step's features and labels until then, and resolves the
-whole block's labels to targets with one ``lsh.targets`` call (a gather
-from the reducer's target table) before the block's ``sgd_step``.  A
-block's steps are never applied to W one at a time, so when a block
-leaves W or b non-finite it is replayed one step at a time from its
-starting W and b, and NumericFailureError names the first failing round
-(should every replayed step stay finite, the replay's result stands).
-Every step updates and checks all of W: there is no separate sparse-row
-update, since a block already spreads the cost of the dense products
-over its steps.
+``train_stream`` ends a block after BLOCK_ROWS rows, at the end of its
+input, and before a step with a different row count.  A caller that
+needs the model at given instance counts (the pipeline's evaluation
+schedule) trains in stretches, one ``train_stream`` call each.  It
+holds each step's features and labels until the block ends, and
+resolves the whole block's labels to targets with one ``lsh.targets``
+call (a gather from the reducer's target table) before the block's
+``sgd_step``.  A block's steps are never applied to W one at a time,
+so when a block leaves W or b non-finite it is replayed one step at a
+time from its starting W and b, and NumericFailureError names the first
+failing round (should every replayed step stay finite, the replay's
+result stands).  Every step updates and checks all of W: there is no
+separate sparse-row update, since a block already spreads the cost of
+the dense products over its steps.
 """
 
 from dataclasses import dataclass
@@ -94,8 +95,8 @@ def init_model(d: int, r: int, eta: float, seed: int) -> HashModel:
     """Fresh model with W and b drawn i.i.d. standard normal from ``seed``."""
     if d < 1 or r < 1:
         raise DimensionError(f"model dims must be positive, got d={d}, r={r}")
-    if eta <= 0:
-        raise ValueError(f"learning rate must be positive, got {eta}")
+    if not (eta > 0 and np.isfinite(eta)):
+        raise ValueError(f"learning rate must be positive and finite, got {eta}")
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal((d, r))
     bias = rng.standard_normal(r)
@@ -209,25 +210,20 @@ def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
 
 
 def train_stream(model: HashModel, batches, book: HadamardCodebook,
-                 reducer: lsh.LshReducer, milestones=(), hook=None,
-                 gradient: str = "exact") -> HashModel:
+                 reducer: lsh.LshReducer, gradient: str = "exact") -> HashModel:
     """Consume an ordered stream of (features, labels) batches, one SGD step each.
 
     Consecutive steps run in blocks through :func:`sgd_step`, up to
     BLOCK_ROWS rows of equal-sized steps each (see module docstring).
     A block's labels are resolved to target codes by one
     :func:`lsh.targets` call just before its steps run, so labels new to
-    the codebook take their columns in stream order.  Whenever the
-    cumulative instance count crosses the next milestone,
-    ``hook(instances_seen, model)`` is called, if given, with the live
-    model after exactly that many instances; a hook that keeps the model
-    past its call must copy it.  A block whose labels cannot be resolved
-    raises before any of its steps is applied.
+    the codebook take their columns in stream order.  A block whose
+    labels cannot be resolved raises before any of its steps is applied.
+    Every step of ``batches`` has been applied when the call returns, so
+    a stream trained in stretches (``itertools.islice`` of one iterator,
+    one call each) can be evaluated between them.
     Returns the trained model, which is ``model`` updated in place.
     """
-    milestones = sorted(int(m) for m in milestones)
-    next_ms = 0
-    seen = 0
     block = []      # (features, labels) per step, all with the same rows
 
     def run_block():
@@ -243,12 +239,5 @@ def train_stream(model: HashModel, batches, book: HadamardCodebook,
                       or len(labels) * (len(block) + 1) > BLOCK_ROWS):
             run_block()
         block.append((features, labels))
-        seen += len(labels)
-        if next_ms < len(milestones) and seen >= milestones[next_ms]:
-            while next_ms < len(milestones) and milestones[next_ms] <= seen:
-                next_ms += 1
-            run_block()
-            if hook is not None:
-                hook(seen, model)
     run_block()
     return model

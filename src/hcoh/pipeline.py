@@ -14,8 +14,10 @@ configuration.
 """
 
 import logging
+import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -62,8 +64,8 @@ class RunConfig:
             raise ConfigError(
                 f"seed and repeat must be non-negative, got {self.seed}, "
                 f"{self.repeat}")
-        if self.eta <= 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         ms = list(self.milestones)
@@ -110,10 +112,15 @@ class TrainResult:
 def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
     """Split, stream, train, and evaluate at milestones and at the end.
 
-    Emits one checkpoint record per milestone crossing (plus a final one
-    when the stream ends past the last milestone) and a closing summary
-    record carrying the curve AUC.  Raises ConfigError before any
-    training when ``k_prec`` exceeds the retrieval set.
+    The training stream runs in stretches of whole batches, one
+    ``train_stream`` call each, and the model is evaluated after each:
+    after the first batch that takes the instance count to or past a
+    milestone, and after the last batch.  So milestones inside one batch
+    share one checkpoint record, milestones past the stream share the
+    final one, and an empty training split gives one record at 0
+    instances.  A closing summary record carries the curve AUC.  Raises
+    ConfigError before any training when ``k_prec`` exceeds the
+    retrieval set.
 
     The split is kept as row indices into ``dataset``: the stream
     gathers its chunks from it, and each evaluation hashes every row
@@ -139,7 +146,7 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
 
     records = []
 
-    def check_in(instances_seen, model):
+    def check_in(instances_seen):
         codes = encode(model, dataset.features, dataset.labels)
         report = evaluate(codes.take(test_idx), codes.take(retrieval_idx),
                           k_prec=config.k_prec, k_map=config.k_map)
@@ -149,12 +156,18 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
         log.info("instances=%d mAP=%.4f P@%d=%.4f", instances_seen,
                  report.map, config.k_prec, report.precision_at_k)
 
+    # Milestone m falls in batch ceil(m / batch_size), counted from 1: the
+    # first after which the stream holds at least m instances.
+    n_batches = -(-len(train_idx) // config.batch_size)
+    stops = sorted({min(-(-int(m) // config.batch_size), n_batches)
+                    for m in config.milestones} | {n_batches})
     batches = stream(dataset, config.batch_size, seeds.stream, train_idx)
-    train_stream(model, batches, book, reducer,
-                 milestones=config.milestones, hook=check_in,
-                 gradient=config.gradient)
-    if not records or records[-1]["instances_seen"] < len(train_idx):
-        check_in(len(train_idx), model)
+    done = 0
+    for stop in stops:
+        train_stream(model, islice(batches, stop - done), book, reducer,
+                     gradient=config.gradient)
+        done = stop
+        check_in(min(stop * config.batch_size, len(train_idx)))
 
     curve = [(rec["instances_seen"], rec["map"]) for rec in records]
     auc = map_curve_auc(curve) if len(curve) >= 2 else None

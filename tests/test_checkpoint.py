@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,16 @@ class TestCorruption:
         path = tmp_path / "model.hcoh"
         save_checkpoint(path, model, book, reducer)
         with pytest.raises(FormatError, match="model.hcoh: non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("eta", [np.nan, -1.0])
+    def test_rate_not_positive_and_finite_rejected(self, tmp_path, eta):
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, *make_state())
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, 13, eta)  # eta follows the 13-byte header
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="model.hcoh: learning rate"):
             load_checkpoint(path)
 
     def test_no_partial_file_left_on_failed_write(self, tmp_path):

@@ -1,5 +1,6 @@
 import gzip
 import json
+import logging
 import os
 import struct
 import subprocess
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcoh import (Dataset, RunConfig, SplitSpec, derive_seeds, encode,
-                  load_dense, load_labels, pack_bits, save_code_set,
-                  save_dense, save_labels, split)
+from hcoh import (Dataset, NumericFailureError, RunConfig, SplitSpec,
+                  derive_seeds, encode, load_dense, load_labels, pack_bits,
+                  save_code_set, save_dense, save_labels, split)
 from hcoh import cli
 from hcoh.checkpoint import load_checkpoint
 from hcoh.cli import MNIST_FILES, _config_from_args, build_parser, main
@@ -80,8 +81,29 @@ class TestTrain:
     def test_bad_eta_exit_config(self, dense_blobs, tmp_path):
         assert main(train_args(dense_blobs, tmp_path, **{"--eta": "-0.1"})) == 2
 
-    def test_infinite_eta_exit_numeric(self, dense_blobs, tmp_path):
-        assert main(train_args(dense_blobs, tmp_path, **{"--eta": "1e309"})) == 4
+    @pytest.mark.parametrize("eta", ["nan", "inf", "1e309"])
+    def test_non_finite_eta_exit_config_before_loading(self, dense_blobs,
+                                                       tmp_path, capsys, eta):
+        # The feature file does not exist: exit 2 rather than 3 shows the
+        # rate was rejected before any data was read.
+        code = main(train_args(dense_blobs, tmp_path,
+                               **{"--eta": eta,
+                                  "--features": str(tmp_path / "nope.feat")}))
+        assert code == 2
+        assert "eta must be positive and finite" in capsys.readouterr().err
+
+    def test_numeric_failure_exit_numeric(self, dense_blobs, tmp_path,
+                                          monkeypatch, capsys):
+        # tanh saturates before a finite rate overflows W on these blobs,
+        # so the failure is raised in place of training.
+        def fail(dataset, config):
+            raise NumericFailureError(
+                "non-finite parameters after update at round 1", round_index=1)
+
+        monkeypatch.setattr(cli, "run_training", fail)
+        assert main(train_args(dense_blobs, tmp_path)) == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite parameters after update at round 1\n")
 
     def test_codebook_exhaustion_exit_config(self, dense_blobs, tmp_path):
         code = main(train_args(dense_blobs, tmp_path,
@@ -176,6 +198,16 @@ class TestTrain:
         assert main(train_args(dense_blobs, tmp_path, **{"--labels": labels})) == 3
         assert f"{labels}: damaged gzip data" in capsys.readouterr().err
 
+    def test_missing_mnist_file_exit_data(self, idx_dir, tmp_path, capsys):
+        data_dir = tmp_path / "mnist"
+        data_dir.mkdir()
+        for key, name in MNIST_FILES.items():
+            if key != "test_labels":
+                (data_dir / name).write_bytes((idx_dir / name).read_bytes())
+        assert main(idx_train_args(data_dir, tmp_path, "unit255")) == 3
+        assert (f"missing MNIST file {MNIST_FILES['test_labels']}(.gz) under "
+                f"{data_dir}") in capsys.readouterr().err
+
     def test_no_run_flags_give_run_config_defaults(self, tmp_path):
         args = build_parser().parse_args(
             ["train", "--dataset", "dense", "--checkpoint", str(tmp_path / "m"),
@@ -220,6 +252,51 @@ class TestNorm:
             main(idx_train_args(idx_dir, tmp_path, "l2"))
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDatasetFlags:
+    """Each --dataset kind takes its own input flags and no other's."""
+
+    @staticmethod
+    def _args(dense_blobs, tmp_path, dataset):
+        # Neither the feature file nor the MNIST directory exists: exit 2
+        # rather than 3 shows the flags were checked before any data was read.
+        if dataset == "dense":
+            return train_args(dense_blobs, tmp_path,
+                              **{"--features": tmp_path / "nope.feat"})
+        return idx_train_args(tmp_path / "nope", tmp_path, "unit255")
+
+    @pytest.mark.parametrize("dataset, flag, value", [
+        ("dense", "--norm", "zscore"), ("dense", "--data-dir", "mnist"),
+        ("mnist", "--features", "x.feat"), ("mnist", "--labels", "x.lab"),
+    ])
+    def test_flag_of_the_other_kind_exit_config_before_loading(
+            self, dense_blobs, tmp_path, capsys, dataset, flag, value):
+        args = self._args(dense_blobs, tmp_path, dataset)
+        assert main(args + [flag, value]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --dataset {dataset} does not take {flag}\n")
+
+    @pytest.mark.parametrize("dataset, drop, error", [
+        ("mnist", "--data-dir", "--dataset mnist requires --data-dir"),
+        ("dense", "--labels", "--dataset dense requires --features and --labels"),
+    ])
+    def test_kind_without_its_inputs_exit_config(self, dense_blobs, tmp_path,
+                                                 capsys, dataset, drop, error):
+        args = self._args(dense_blobs, tmp_path, dataset)
+        at = args.index(drop)
+        assert main(args[:at] + args[at + 2:]) == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
+
+    def test_mnist_norm_defaults_to_unit255(self, idx_dir, tmp_path):
+        given, left = tmp_path / "given", tmp_path / "left"
+        given.mkdir(), left.mkdir()
+        assert main(idx_train_args(idx_dir, given, "unit255")) == 0
+        args = idx_train_args(idx_dir, left, "unit255")
+        at = args.index("--norm")
+        assert main(args[:at] + args[at + 2:]) == 0
+        assert ((given / "unit255.hcoh").read_bytes()
+                == (left / "unit255.hcoh").read_bytes())
 
 
 class TestEncode:
@@ -361,6 +438,14 @@ class TestEvaluate:
         # relevant at ranks 1 and 3, two relevant total: AP@2 = (1/1) / 2
         assert record["map_at_k"] == pytest.approx(0.5)
 
+    def test_out_writes_the_printed_record(self, toy_codes, tmp_path, capsys):
+        q, db = toy_codes
+        out = tmp_path / "eval.jsonl"
+        assert main(["evaluate", "--queries", str(q), "--database", str(db),
+                     "--k-prec", "4", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        assert out.read_text() == printed + "\n"
+
     def test_oversized_k_prec_exit_data(self, toy_codes):
         q, db = toy_codes
         assert main(["evaluate", "--queries", str(q), "--database", str(db),
@@ -420,10 +505,22 @@ class TestBenchmarkAndCurve:
         assert [a["bits"] for a in aggregates] == [8, 16]
         assert all(len(a["map_per_repeat"]) == 2 for a in aggregates)
 
+    def test_benchmark_with_milestones_prints_auc_row(self, dense_blobs, capsys):
+        code = main(["benchmark", "--dataset", "dense",
+                     "--features", str(dense_blobs / "blobs.feat"),
+                     "--labels", str(dense_blobs / "blobs.lab"),
+                     "--bits-list", "8", "--repeats", "1", "--max-labels", "4",
+                     "--test-per-class", "10", "--train-size", "200",
+                     "--k-prec", "20", "--milestones", "100,200"])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows[1:]] == ["mAP", "P@20", "AUC"]
+
     @pytest.mark.parametrize("flags, error", [
         (["--bits-list", f"8,{2**21}"], "exceeds the cap"),
         (["--repeats", "0"], "repeats must be >= 1, got 0"),
-    ], ids=["order", "repeats"])
+        (["--bits-list", ","], "--bits-list must name at least one code length"),
+    ], ids=["order", "repeats", "no-bits"])
     def test_benchmark_checks_every_order_before_loading(self, tmp_path, capsys,
                                                          flags, error):
         # The feature file does not exist: exit 2 rather than 3 shows the
@@ -466,7 +563,8 @@ class TestBenchmarkAndCurve:
         ('{"record": "checkpoint", "instances_seen": 100}',
          "checkpoint record lacks ['map']"),
         ('[1, 2]', "not a JSON object"),
-    ], ids=["no-instances", "no-map", "not-an-object"])
+        ('{"record": ', "not JSON (Expecting value)"),
+    ], ids=["no-instances", "no-map", "not-an-object", "not-json"])
     def test_malformed_curve_record_exit_data(self, tmp_path, capsys, line,
                                               error):
         metrics = tmp_path / "metrics.jsonl"
@@ -477,9 +575,34 @@ class TestBenchmarkAndCurve:
         assert f"metrics.jsonl line 2: {error}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_binary_metrics_file_exit_data_naming_it(self, tmp_path, capsys):
+        metrics = tmp_path / "model.hcoh"
+        metrics.write_bytes(b"HCOH\x01\x80\x00\x00\n")
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--metrics", str(metrics), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {metrics} line 1: not UTF-8 text\n")
+        assert not out.exists()
+
+    def test_bad_log_level_exit_config_under_a_root_handler(self, tmp_path,
+                                                           monkeypatch, capsys):
+        # logging.basicConfig does nothing once the root logger has a
+        # handler, as it has in a program that set up logging first.
+        handler = logging.NullHandler()
+        logging.getLogger().addHandler(handler)
+        monkeypatch.setenv("HCOH_LOG", "bogus")
+        try:
+            code = main(["curve", "--metrics", str(tmp_path / "m.jsonl"),
+                         "--out", str(tmp_path / "c.csv")])
+        finally:
+            logging.getLogger().removeHandler(handler)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: HCOH_LOG: unknown level 'bogus'\n")
+
     def test_bad_log_level_exit_config(self, tmp_path):
-        # In a fresh process, as a user runs it: logging.basicConfig checks
-        # the level only while the root logger has no handler.
+        # In a fresh process, as a user runs it, where the root logger has
+        # no handler yet.
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, HCOH_LOG="bogus", PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])))

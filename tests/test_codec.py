@@ -49,6 +49,15 @@ class TestPacking:
         with pytest.raises(DimensionError, match="code length"):
             BinaryCodeSet(np.zeros((2, 0), dtype=np.uint64), [0, 1], 0)
 
+    @pytest.mark.parametrize("words, labels, error", [
+        (np.zeros((2, 1)), [0, 1, 2], "2 codes but 3 labels"),
+        (np.zeros((2, 2)), [0, 1], "2 words per code, expected 1"),
+    ], ids=["code-count", "word-width"])
+    def test_mismatched_shape_rejected_at_construction(self, words, labels,
+                                                       error):
+        with pytest.raises(DimensionError, match=error):
+            BinaryCodeSet(words.astype(np.uint64), labels, 10)
+
 
 class TestEncode:
     def test_zero_model_sets_every_bit(self):

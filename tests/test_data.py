@@ -101,6 +101,17 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="expected"):
             load_idx(cut, lab)
 
+    @pytest.mark.parametrize("part, keep, error", [
+        (0, 2, "truncated, no magic (2 bytes)"),
+        (0, 10, "truncated IDX header"),
+        (1, -1, "expected 10 bytes for dims (2,), got 9"),
+    ], ids=["in-magic", "in-dims", "label-payload"])
+    def test_cut_file_rejected_naming_it(self, idx_pair, part, keep, error):
+        path = idx_pair[part]
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {error}")):
+            load_idx(*idx_pair)
+
     def test_count_mismatch_rejected(self, idx_pair, tmp_path):
         img, _ = idx_pair
         lab3 = tmp_path / "three-labels-idx1-ubyte"
@@ -426,6 +437,10 @@ class TestDataset:
     def test_unstorable_label_rejected(self, label):
         with pytest.raises(FormatError, match=f"dataset 'x': label {label}"):
             Dataset(np.zeros((2, 2)), [0, label], "x")
+
+    def test_more_rows_than_labels_rejected(self):
+        with pytest.raises(DimensionError, match="3 feature rows but 2 labels"):
+            Dataset(np.zeros((3, 2)), [0, 1])
 
 
 def synthetic(n_classes=10, per_class=70, dim=6, seed=0):

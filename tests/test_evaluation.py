@@ -110,6 +110,14 @@ class TestAveragePrecision:
     def test_no_relevant_with_cutoff_scores_zero(self):
         assert average_precision(np.arange(4), np.zeros(4, bool), cutoff=2) == 0.0
 
+    @pytest.mark.parametrize("relevance, cutoff, error", [
+        (np.ones(3, bool), None, DimensionError),
+        (np.ones(4, bool), 0, ValueError),
+    ], ids=["length-mismatch", "zero-cutoff"])
+    def test_bad_arguments_rejected(self, relevance, cutoff, error):
+        with pytest.raises(error):
+            average_precision(np.arange(4), relevance, cutoff=cutoff)
+
     def test_cutoff_denominator_keeps_ap_at_most_one(self):
         # 3 relevant items, cutoff 2, both top slots relevant: AP@2 = 1.
         relevance = np.array([1, 1, 1, 0], dtype=bool)
@@ -197,6 +205,12 @@ class TestEvaluate:
         report = evaluate(queries, database, k_prec=2)
         assert report.n_skipped == 1
         assert report.map == pytest.approx(1.0)
+
+    def test_no_query_with_relevant_items_is_undefined(self):
+        database = make_set([[0, 0], [0, 1]], [0, 0])
+        queries = make_set([[0, 0], [1, 1]], [7, 9])
+        with pytest.raises(UndefinedAPError, match="no query"):
+            evaluate(queries, database, k_prec=2)
 
     def test_random_codes_score_near_class_prior(self):
         rng = np.random.default_rng(5)

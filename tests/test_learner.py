@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,11 @@ class TestInitModel:
             init_model(0, 4, eta=0.2, seed=0)
         with pytest.raises(DimensionError):
             init_model(4, 0, eta=0.2, seed=0)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0])
+    def test_rejects_rate_not_positive_and_finite(self, eta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            init_model(4, 4, eta=eta, seed=0)
 
 
 class TestRelaxedCodes:
@@ -170,6 +177,19 @@ class TestSgdStep:
         with pytest.raises(NumericFailureError) as err:
             sgd_step(model, np.array([[1.0]]), np.array([[1.0]]))
         assert err.value.round_index == 42
+
+    @pytest.mark.parametrize("kwargs, targets, error", [
+        (dict(gradient="nonsense"), np.ones((2, 3)), "gradient must be one of"),
+        ({}, np.ones((2, 4)), "targets have shape"),
+    ], ids=["unknown-gradient", "target-shape"])
+    def test_bad_arguments_rejected_without_a_step(self, kwargs, targets,
+                                                   error):
+        model = init_model(5, 3, eta=0.2, seed=0)
+        weights = model.weights.copy()
+        with pytest.raises(ValueError, match=error):
+            sgd_step(model, np.ones((2, 5)), targets, **kwargs)
+        assert model.round == 0
+        assert np.array_equal(model.weights, weights)
 
     def test_empty_block_rejected_without_a_step(self):
         model = init_model(3, 2, eta=0.1, seed=0)
@@ -368,21 +388,6 @@ class TestTrainStream:
 
         assert np.array_equal(run().weights, run().weights)
 
-    def test_milestones_snapshot_at_crossings(self):
-        book, reducer = self._handles()
-        model = init_model(3, 8, eta=0.2, seed=0)
-        rng = np.random.default_rng(2)
-        batches = [(rng.standard_normal((3, 3)), rng.integers(0, 4, 3))
-                   for _ in range(10)]  # 30 instances in steps of 3
-        calls = []
-        final = train_stream(model, batches, book, reducer,
-                             milestones=(5, 12, 30),
-                             hook=lambda seen, m: calls.append((seen, m, m.round)))
-        assert [seen for seen, _, _ in calls] == [6, 12, 30]
-        # the hook sees the live model, as it stands at each crossing
-        assert [rnd for _, _, rnd in calls] == [2, 4, 10]
-        assert all(m is final for _, m, _ in calls)
-
     @staticmethod
     def _per_step_snapshots(model, batches, book, reducer, milestones):
         """The stream as a loop of dense steps: (seen, round, W) at crossings."""
@@ -417,11 +422,14 @@ class TestTrainStream:
             return real(model, features, targets, **kwargs)
 
         monkeypatch.setattr(learner, "sgd_step", counted)
-        seen = []
-        final = train_stream(start.copy(), batches, *self._handles(32, 32),
-                             milestones=milestones,
-                             hook=lambda n, m: seen.append(
-                                 (n, m.round, m.weights.copy())))
+        # One stretch up to the batch in which each milestone falls.
+        final, handles = start.copy(), self._handles(32, 32)
+        stream, done, seen = iter(batches), 0, []
+        for stop in sorted({-(-m // batch) for m in milestones}):
+            train_stream(final, islice(stream, stop - done), *handles)
+            done = stop
+            seen.append((min(stop * batch, len(rows)), final.round,
+                         final.weights.copy()))
         assert [s[:2] for s in seen] == [s[:2] for s in expected]
         assert final.round == len(batches)
         for (_n, _rnd, weights), (_, _, reference) in zip(seen, expected):
@@ -437,8 +445,8 @@ class TestTrainStream:
 
     def test_one_sgd_step_call_per_block(self, monkeypatch):
         # The benchmark's traced runs time one span per sgd_step call and
-        # need at least one; a 300-row stream cut at (100, 200) runs as at
-        # most ceil(300 / BLOCK_ROWS) + 2 blocks.
+        # need at least one; a 300-row stream trained in stretches of 100
+        # runs as at most ceil(300 / BLOCK_ROWS) + 2 blocks.
         calls, real = [], learner.sgd_step
 
         def counted(*args, **kwargs):
@@ -450,7 +458,9 @@ class TestTrainStream:
         batches = [(rng.standard_normal((1, 5)), [int(rng.integers(4))])
                    for _ in range(300)]
         model = init_model(5, 8, eta=0.2, seed=0)
-        train_stream(model, batches, *self._handles(), milestones=(100, 200))
+        handles, stream = self._handles(), iter(batches)
+        for _ in range(3):
+            train_stream(model, islice(stream, 100), *handles)
         assert 1 < len(calls) <= -(-300 // BLOCK_ROWS) + 2
         assert model.round == 300
 

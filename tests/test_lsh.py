@@ -64,6 +64,10 @@ class TestReduce:
         with pytest.raises(InvalidOrderError):
             LshReducer.create(12, 4, 0)
 
+    def test_create_rejects_zero_output_bits(self):
+        with pytest.raises(DimensionError, match="must be positive, got 0"):
+            LshReducer.create(16, 0, 0)
+
 
 class TestTargetCodeTable:
     def _setup(self, order=16, bits=8):

@@ -44,6 +44,7 @@ class TestRunConfigValidation:
         dict(max_labels=2**20 + 1), dict(bits=2**21),  # order above the cap
         dict(train_subset=-5), dict(test_per_class=0), dict(test_per_class=-1),
         dict(bits=2**16), dict(max_labels=2**20, bits=128),  # table above the cap
+        dict(eta=np.nan), dict(eta=np.inf),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -96,6 +97,20 @@ class TestRunTraining:
         result = run_training(blobs, blob_config())
         assert [r["instances_seen"] for r in result.records] == [1000]
         assert result.summary["auc"] is None
+
+    def test_milestones_snapshot_at_crossings(self, blobs):
+        # Batches of 3: milestones 5 and 6 fall in batch 2, 12 in batch 4,
+        # and 30 and 5000 (past the stream) in the last, batch 10.
+        result = run_training(blobs, blob_config(
+            batch_size=3, train_subset=30, milestones=(5, 6, 12, 30, 5000)))
+        assert [r["instances_seen"] for r in result.records] == [6, 12, 30]
+        assert result.model.round == 10
+
+    def test_empty_training_split_gives_one_record_at_zero(self, blobs):
+        result = run_training(blobs, blob_config(train_subset=0,
+                                                 milestones=(5, 10)))
+        assert [r["instances_seen"] for r in result.records] == [0]
+        assert result.model.round == 0
 
     def test_identity_reducer_when_bits_cover_labels(self, blobs):
         result = run_training(blobs, blob_config())
