@@ -16,6 +16,7 @@ import numpy as np
 
 from hcoh import RunConfig, load_dense, run_repeats, run_training, save_dense, save_labels
 from hcoh.cli import main
+from hcoh.data import mnist_paths
 
 
 def hcoh_cli(argv):
@@ -82,8 +83,12 @@ with tempfile.TemporaryDirectory(prefix="hcoh-demo-") as tmp:
     # The real thing, when the data is on disk.
     # -----------------------------------------------------------------------
     mnist = Path(os.environ.get("HCOH_MNIST_DIR", "data/mnist"))
-    if (mnist / "train-images-idx3-ubyte").exists() or \
-            (mnist / "train-images-idx3-ubyte.gz").exists():
+    try:
+        mnist_paths(mnist)
+    except FileNotFoundError as missing:
+        print(f"\n{missing}; skipping the real protocol. Drop the four IDX "
+              "files there (gzipped is fine) to run it.")
+    else:
         print("\nMNIST found; running the full 32-bit protocol (takes a minute)")
         hcoh_cli(["train", "--dataset", "mnist", "--data-dir", str(mnist),
                   "--bits", "32", "--eta", "0.2", "--seed", "0",
@@ -92,6 +97,3 @@ with tempfile.TemporaryDirectory(prefix="hcoh-demo-") as tmp:
                   ",".join(str(m) for m in range(2000, 20001, 2000)),
                   "--checkpoint", str(workdir / "mnist.hcoh"),
                   "--metrics", str(workdir / "mnist-metrics.jsonl")])
-    else:
-        print(f"\nMNIST not found under {mnist}; skipping the real protocol. "
-              "Drop the four IDX files there (gzipped is fine) to run it.")

@@ -8,8 +8,9 @@ ranking (mAP, Precision@K, and the AUC of mAP-vs-instances curves).
 """
 
 from .codec import BinaryCodeSet, encode, load_code_set, pack_bits, save_code_set
-from .data import (Dataset, SplitSpec, load_dense, load_idx, load_labels,
-                   save_dense, save_labels, split, split_indices, stream)
+from .data import (MNIST_FILES, Dataset, SplitSpec, load_dense, load_idx,
+                   load_labels, load_mnist_dir, save_dense, save_labels, split,
+                   split_indices, stream)
 from .errors import (CodebookExhaustedError, ConfigError, DimensionError,
                      FormatError, HcohError, InvalidOrderError,
                      NumericFailureError, UndefinedAPError)

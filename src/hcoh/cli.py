@@ -2,9 +2,13 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error (missing,
 malformed, unreadable or unwritable files, mismatched shapes), 4 numeric
-failure during training; each error class carries its own as
+failure (a non-finite parameter after an update, or weights that
+overflow a pre-activation); each error class carries its own as
 ``exit_code``.  A flag that sets a ``RunConfig`` field has no default of
-its own: ``RunConfig`` decides what a flag left out means.
+its own: ``RunConfig`` decides what a flag left out means, and the
+library's other rules stay in their modules too: ``data.load_mnist_dir``
+finds and reads an MNIST directory, and ``LshReducer.create`` bounds
+the codebook.
 Metric streams are JSON lines; tables go to stdout.
 """
 
@@ -18,43 +22,13 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import codec, data
+from .data import load_mnist_dir
 from .errors import ConfigError, FormatError, HcohError
 from .evaluation import evaluate
 from .fileio import atomic_write
 from .pipeline import RunConfig, run_repeats, run_training
 
 ERROR_PREFIXES = {2: "config error", 3: "data error", 4: "numeric failure"}
-
-MNIST_FILES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
-}
-
-
-def _find_mnist_file(directory: Path, stem: str) -> Path:
-    for candidate in (directory / stem, directory / (stem + ".gz")):
-        if candidate.exists():
-            return candidate
-    raise FileNotFoundError(f"missing MNIST file {stem}(.gz) under {directory}")
-
-
-def load_mnist_dir(directory, norm: str = "unit255") -> data.Dataset:
-    """All 70K MNIST instances: the train IDX pair's rows, then the test pair's.
-
-    Each of the two image files is normalised on its own, straight into
-    its rows of the one float64 feature matrix: with ``norm="zscore"``
-    the train rows are standardized by the train file's per-pixel mean
-    and std, and the test rows by the test file's.
-    """
-    directory = Path(directory)
-    train, test = ((_find_mnist_file(directory, MNIST_FILES[f"{part}_images"]),
-                    _find_mnist_file(directory, MNIST_FILES[f"{part}_labels"]))
-                   for part in ("train", "test"))
-    dataset = data.load_idx(*train, norm=norm, extra_pairs=[test])
-    dataset.name = "mnist"
-    return dataset
 
 
 def _load_dataset(args) -> data.Dataset:

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import pool_threads, run_blocks
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, NumericFailureError
 from .fileio import (UNKNOWN_LABEL, atomic_write, labels_from_u32,
                      labels_to_u32, pack_header, read_header, size_error)
 from .learner import HashModel, _checked_features
@@ -127,12 +127,14 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
 
     Labels are carried alongside the codes for retrieval evaluation; pass
     None to fill with -1 when they are unknown.  Rows are hashed in
-    blocks of ENCODE_ROWS on the pool's threads.  Raises ValueError
-    if any pre-activation W.T x + b is NaN or infinite, as a non-finite
-    feature makes every entry of its row; the message counts such rows
-    over all blocks and names the first as an index into ``features``
-    (a whole-dataset row index when ``run_training`` hashes at a
-    milestone).
+    blocks of ENCODE_ROWS on the pool's threads.  When any
+    pre-activation W.T x + b is NaN or infinite, the error counts such
+    rows over all blocks and names the first as an index into
+    ``features`` (a whole-dataset row index when ``run_training`` hashes
+    at a milestone).  The first such row decides which error: a
+    non-finite feature there, which makes every entry of its row
+    non-finite, raises ValueError; finite features there mean W overflowed
+    the product, and raise NumericFailureError.
     """
     features = _checked_features(model, features)
     n, r = features.shape[0], model.code_length
@@ -156,6 +158,10 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
 
     run_blocks(hash_block, starts, threads, lambda _lo, rows: bad.extend(rows))
     if bad:
+        if np.isfinite(features[bad[0]]).all():
+            raise NumericFailureError(
+                f"the model's weights overflow: {len(bad)} feature rows give a "
+                f"non-finite pre-activation (first row {bad[0]}, which is finite)")
         raise ValueError(
             f"{len(bad)} feature rows give a non-finite pre-activation "
             f"(first row {bad[0]}); features must be finite")

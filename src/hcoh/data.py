@@ -13,6 +13,9 @@ Two on-disk feature carriers are supported (byte layouts in FORMATS.md):
 
 Feature and label files ending in .gz are decompressed as they are
 read, and a damaged gzip stream raises FormatError naming the file.
+An MNIST directory holds the four IDX files named in MNIST_FILES, each
+plain or gzipped; ``mnist_paths`` finds them and ``load_mnist_dir``
+loads all four into one Dataset.
 
 A loaded dataset holds one float64 feature matrix, and training and
 evaluation index into it instead of copying it.  Loading checks every
@@ -42,6 +45,7 @@ import struct
 import zlib
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +56,13 @@ from .learner import BLOCK_ROWS
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+# The four IDX files of an MNIST directory, each plain or gzipped.
+MNIST_FILES = {
+    "train_images": "train-images-idx3-ubyte",
+    "train_labels": "train-labels-idx1-ubyte",
+    "test_images": "t10k-images-idx3-ubyte",
+    "test_labels": "t10k-labels-idx1-ubyte",
+}
 FEAT_MAGIC = b"HCOHFEAT"
 FEAT_VERSION = 1
 NORM_MODES = ("unit255", "zscore", "none")
@@ -269,6 +280,38 @@ def load_idx(image_path, label_path, norm: str = "unit255",
                 _standardize(rows)
             lo += dims[0]
     return Dataset(features, np.concatenate(labels), name="idx")
+
+
+def mnist_paths(directory) -> list:
+    """The paths of the MNIST_FILES under ``directory``, in their order.
+
+    A file is taken as it is named, or with ``.gz`` appended when only
+    that exists.  Raises FileNotFoundError naming the first file missing
+    in both forms.
+    """
+    directory, paths = Path(directory), []
+    for stem in MNIST_FILES.values():
+        plain, gz = directory / stem, directory / f"{stem}.gz"
+        if not (plain.exists() or gz.exists()):
+            raise FileNotFoundError(
+                f"missing MNIST file {stem}(.gz) under {directory}")
+        paths.append(plain if plain.exists() else gz)
+    return paths
+
+
+def load_mnist_dir(directory, norm: str = "unit255") -> Dataset:
+    """All 70K MNIST instances: the train IDX pair's rows, then the test pair's.
+
+    The files are found by :func:`mnist_paths`.  Each of the two image
+    files is normalised on its own, straight into its rows of the one
+    float64 feature matrix: with ``norm="zscore"`` the train rows are
+    standardized by the train file's per-pixel mean and std, and the
+    test rows by the test file's.
+    """
+    train_images, train_labels, *test = mnist_paths(directory)
+    dataset = load_idx(train_images, train_labels, norm=norm, extra_pairs=[test])
+    dataset.name = "mnist"
+    return dataset
 
 
 def load_dense(feature_path, label_path) -> Dataset:

@@ -14,7 +14,11 @@ class HcohError(Exception):
 
 
 class InvalidOrderError(HcohError, ValueError):
-    """Requested Hadamard order is not a power of two or exceeds the cap."""
+    """A codebook order or a reducer's target table is out of bounds.
+
+    The order must be a power of two no larger than MAX_ORDER, and a
+    reducer's order x r table must hold at most MAX_TABLE_ENTRIES entries.
+    """
 
 
 class CodebookExhaustedError(HcohError, RuntimeError):
@@ -32,7 +36,12 @@ class DimensionError(HcohError, ValueError):
 
 
 class NumericFailureError(HcohError, ArithmeticError):
-    """A training update produced a non-finite parameter value."""
+    """The model's numbers overflowed.
+
+    A training update produced a non-finite parameter value, or
+    ``encode`` found weights that overflow a pre-activation of finite
+    features.
+    """
 
     exit_code = 4
 

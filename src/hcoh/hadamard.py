@@ -22,7 +22,11 @@ reducer's target table sign(H @ P) applies the recursion to P directly
 The codebook hands columns out to class labels as they first appear in a
 stream: the k-th new label gets the k-th column of a permutation drawn
 from a seeded generator, so runs are reproducible and no label count has
-to be fixed up front beyond the order itself.
+to be fixed up front beyond the order itself.  An order above the code
+length r buys room for more labels at a price: the targets then come
+through the Gaussian reducer, distributed like i.i.d. random codes
+rather than as orthogonal columns.  The order is capped here at
+MAX_ORDER; the order x r table cap lives with the table, in ``lsh``.
 """
 
 from dataclasses import dataclass, field
@@ -36,13 +40,8 @@ from .errors import CodebookExhaustedError, InvalidOrderError
 # at 2**20 rows and 32 bits, and builds it from a transient order x r float64
 # projection, 256 MiB there.  An identity reducer (r == order) builds its
 # order x order table from an int8 identity, 2 * order**2 bytes at the peak.
+# ``lsh.MAX_TABLE_ENTRIES`` bounds that table for every r.
 MAX_ORDER = 2**20
-
-# Largest order x r target table, in entries: 64 MiB as int8, the table of
-# a MAX_ORDER codebook at 64 bits (its transient projection is 512 MiB).
-# MAX_ORDER alone does not bound r, and an identity reducer's table grows
-# as r**2: 4 GiB at 65,536 bits.
-MAX_TABLE_ENTRIES = MAX_ORDER * 64
 
 
 def codeword_order(r: int, known_labels: int = 0) -> int:
@@ -56,11 +55,7 @@ def codeword_order(r: int, known_labels: int = 0) -> int:
     """
     if r < 1:
         raise InvalidOrderError(f"code length must be >= 1, got {r}")
-    order = 2
-    target = max(r, known_labels)
-    while order < target:
-        order *= 2
-    return order
+    return max(2, 1 << (int(max(r, known_labels)) - 1).bit_length())
 
 
 def _check_order(order: int) -> None:
@@ -119,7 +114,10 @@ class HadamardCodebook:
         if len(self.assignment) >= self.order:
             raise CodebookExhaustedError(
                 f"all {self.order} codewords assigned; cannot admit label {label}. "
-                f"Rebuild with a larger declared label bound (see --max-labels).")
+                f"Rebuild with a larger declared label bound (see --max-labels), "
+                f"though an order above the code length makes the targets "
+                f"Gaussian-LSH codes, distributed like i.i.d. random codes, "
+                f"instead of orthogonal Hadamard columns.")
         column = int(self._draw[len(self.assignment)])
         self.assignment[label] = column
         return column

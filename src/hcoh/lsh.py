@@ -20,7 +20,9 @@ fast Walsh-Hadamard transform of P (log2(order) butterfly stages of
 elementwise adds and subtracts, in a fixed order, so T does not depend
 on the BLAS build or thread count) and keeps it as a read-only
 order x r int8 array; P itself is dropped.  For the identity reducer P
-is the int8 identity matrix and T is H itself.
+is the int8 identity matrix and T is H itself.  MAX_TABLE_ENTRIES caps
+order x r, and ``LshReducer.create`` is where every reducer, from a run
+configuration, library code or a checkpoint, is checked against it.
 """
 
 from dataclasses import dataclass
@@ -28,8 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError
-from .hadamard import HadamardCodebook, _check_order
+from .errors import DimensionError, InvalidOrderError
+from .hadamard import MAX_ORDER, HadamardCodebook, _check_order
+
+# Largest order x r target table, in entries: 64 MiB as int8, the table of
+# a MAX_ORDER codebook at 64 bits (its transient projection is 512 MiB).
+# MAX_ORDER alone does not bound r, and an identity reducer's table grows
+# as r**2: 4 GiB at 65,536 bits.
+MAX_TABLE_ENTRIES = MAX_ORDER * 64
 
 # Entries of P that one butterfly pass adds and subtracts at a time: its
 # sums then take a 2**16-entry buffer (512 KiB in float64) rather than
@@ -88,7 +96,10 @@ class LshReducer:
     order in_dim must be a power of two, as the transform needs.
     Everything is regenerable from (in_dim, out_dim, seed), which is all
     that checkpoints persist, and nothing is drawn until ``table`` is
-    first read.
+    first read.  ``create`` enforces the table limits for every caller,
+    ``RunConfig.validate`` and ``load_checkpoint`` among them: in_dim at
+    most MAX_ORDER and in_dim * out_dim at most MAX_TABLE_ENTRIES, raising
+    InvalidOrderError otherwise.
     """
 
     in_dim: int
@@ -100,6 +111,9 @@ class LshReducer:
         _check_order(in_dim)
         if out_dim < 1:
             raise DimensionError(f"reducer output must be positive, got {out_dim}")
+        if in_dim * out_dim > MAX_TABLE_ENTRIES:
+            raise InvalidOrderError(f"target table of {in_dim} x {out_dim} entries "
+                                    f"exceeds the cap {MAX_TABLE_ENTRIES}")
         return cls(in_dim=in_dim, out_dim=out_dim, seed=seed)
 
     @property

@@ -23,10 +23,9 @@ import numpy as np
 
 from .codec import encode
 from .data import Dataset, SplitSpec, split_indices, stream
-from .errors import ConfigError
+from .errors import ConfigError, InvalidOrderError
 from .evaluation import evaluate, map_curve_auc
-from .hadamard import (MAX_ORDER, MAX_TABLE_ENTRIES, HadamardCodebook,
-                       codeword_order)
+from .hadamard import HadamardCodebook, codeword_order
 from .learner import GRADIENT_FACTORS, init_model, train_stream
 from .lsh import LshReducer
 
@@ -58,8 +57,6 @@ class RunConfig:
     gradient: str = "exact"
 
     def validate(self):
-        if self.bits < 1:
-            raise ConfigError(f"bits must be >= 1, got {self.bits}")
         if self.seed < 0 or self.repeat < 0:
             raise ConfigError(
                 f"seed and repeat must be non-negative, got {self.seed}, "
@@ -77,15 +74,12 @@ class RunConfig:
                 f"gradient must be one of {GRADIENT_FACTORS}, got {self.gradient!r}")
         if self.max_labels < 1:
             raise ConfigError(f"max_labels must be >= 1, got {self.max_labels}")
-        order = codeword_order(self.bits, self.max_labels)
-        if order > MAX_ORDER:
+        try:  # the code length and table limits; create builds no table
+            LshReducer.create(codeword_order(self.bits, self.max_labels),
+                              self.bits, 0)
+        except InvalidOrderError as exc:
             raise ConfigError(
-                f"codebook order {order} for {self.bits} bits and "
-                f"{self.max_labels} labels exceeds the cap {MAX_ORDER}")
-        if order * self.bits > MAX_TABLE_ENTRIES:
-            raise ConfigError(
-                f"target table of {order} x {self.bits} entries exceeds the "
-                f"cap {MAX_TABLE_ENTRIES}")
+                f"{self.bits} bits, {self.max_labels} labels: {exc}") from None
         if self.train_subset < 0:
             raise ConfigError(
                 f"train_subset must be >= 0, got {self.train_subset}")
@@ -126,7 +120,8 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
     gathers its chunks from it, and each evaluation hashes every row
     once (test and retrieval together are the whole dataset) and takes
     the query and database codes by index.  A non-finite feature row
-    therefore raises ValueError naming its row in ``dataset``.
+    therefore raises ValueError naming its row in ``dataset``, and
+    weights that overflow on finite rows raise NumericFailureError.
     """
     config.validate()
     seeds = derive_seeds(config.seed, config.repeat)

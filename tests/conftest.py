@@ -1,19 +1,16 @@
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hcoh import Dataset, NumericFailureError
+from hcoh import (Dataset, HadamardCodebook, LshReducer, NumericFailureError,
+                  init_model)
+from hcoh.checkpoint import save_checkpoint
+from hcoh.data import mnist_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-MNIST_STEMS = (
-    "train-images-idx3-ubyte",
-    "train-labels-idx1-ubyte",
-    "t10k-images-idx3-ubyte",
-    "t10k-labels-idx1-ubyte",
-)
 
 
 def mnist_dir():
@@ -23,9 +20,10 @@ def mnist_dir():
     Files may be gzipped.
     """
     directory = Path(os.environ.get("HCOH_MNIST_DIR", REPO_ROOT / "data" / "mnist"))
-    for stem in MNIST_STEMS:
-        if not ((directory / stem).exists() or (directory / f"{stem}.gz").exists()):
-            return None
+    try:
+        mnist_paths(directory)
+    except FileNotFoundError:
+        return None
     return directory
 
 
@@ -33,9 +31,54 @@ def require_mnist():
     directory = mnist_dir()
     if directory is None:
         pytest.skip(
-            "MNIST IDX files not found; place the four ubyte files (optionally "
+            "MNIST IDX files not found; place the four IDX files (optionally "
             "gzipped) under data/mnist or point HCOH_MNIST_DIR at them")
     return directory
+
+
+def save_over_cap_checkpoint(path):
+    """A checkpoint whose 2**20 x 128 reducer is twice the target-table cap.
+
+    The reducer is built directly, past ``LshReducer.create``'s check; W
+    is 1 x 128 and the codebook holds no label.
+    """
+    save_checkpoint(path, init_model(1, 128, eta=0.1, seed=0),
+                    HadamardCodebook.create(2**20, seed=0),
+                    LshReducer(2**20, 128, seed=0))
+
+
+def idx_image_bytes(pixels):
+    pixels = np.asarray(pixels, dtype=np.uint8)
+    n, rows, cols = pixels.shape
+    return struct.pack(">IIII", 0x00000803, n, rows, cols) + pixels.tobytes()
+
+
+def idx_label_bytes(labels):
+    labels = np.asarray(labels, dtype=np.uint8)
+    return struct.pack(">II", 0x00000801, labels.shape[0]) + labels.tobytes()
+
+
+# --- Independent brute-force retrieval oracle ----------------------------
+# Codes as python ints, ranking via sorted() on (distance, index) tuples,
+# AP by explicit loop.  Shares nothing with the library implementation.
+
+def oracle_rank(query_bits, db_bits):
+    q = int("".join(map(str, query_bits)), 2)
+    dists = [bin(q ^ int("".join(map(str, row)), 2)).count("1")
+             for row in db_bits]
+    return sorted(range(len(db_bits)), key=lambda i: (dists[i], i))
+
+
+def oracle_ap(ranking, relevance, cutoff=None):
+    total = sum(relevance)
+    top = ranking if cutoff is None else ranking[:cutoff]
+    denom = total if cutoff is None else min(total, cutoff)
+    hits, acc = 0, 0.0
+    for pos, idx in enumerate(top, start=1):
+        if relevance[idx]:
+            hits += 1
+            acc += hits / pos
+    return acc / denom
 
 
 def blob_dataset(n_classes=4, dim=16, per_class=600, spread=5.0, noise=1.0,

@@ -15,8 +15,7 @@ import pytest
 
 import hcoh
 from hcoh.checkpoint import save_checkpoint
-from hcoh.cli import load_mnist_dir
-from tests.conftest import blob_dataset, require_mnist
+from tests.conftest import blob_dataset, oracle_ap, oracle_rank, require_mnist
 
 
 def _verdict(name, ok, detail=""):
@@ -105,22 +104,6 @@ def test_c2_gradient_oracle():
 
 # --- 3. mAP oracle equivalence -------------------------------------------
 
-def _oracle_rank(query_bits, db_bits):
-    q = int("".join(map(str, query_bits)), 2)
-    rows = [int("".join(map(str, row)), 2) for row in db_bits]
-    dists = [(q ^ row).bit_count() for row in rows]
-    return sorted(range(len(rows)), key=lambda i: (dists[i], i))
-
-
-def _oracle_ap(ranking, relevance):
-    hits, acc = 0, 0.0
-    for pos, idx in enumerate(ranking, start=1):
-        if relevance[idx]:
-            hits += 1
-            acc += hits / pos
-    return acc / hits
-
-
 def test_c3_map_matches_brute_force():
     started = time.monotonic()
     rng = np.random.default_rng(3)
@@ -140,12 +123,12 @@ def test_c3_map_matches_brute_force():
         aps, precs = [], []
         fast_rankings = hcoh.rank(queries, database)
         for qi in range(n_q):
-            ranking = _oracle_rank(q_bits[qi], db_bits)
+            ranking = oracle_rank(q_bits[qi], db_bits)
             assert list(fast_rankings[qi]) == ranking
             relevance = [db_labels[i] == q_labels[qi] for i in range(n_db)]
             if not any(relevance):
                 continue
-            aps.append(_oracle_ap(ranking, relevance))
+            aps.append(oracle_ap(ranking, relevance))
             precs.append(sum(relevance[i] for i in ranking[:k]) / k)
         assert abs(report.map - np.mean(aps)) < 1e-12
         assert abs(report.precision_at_k - np.mean(precs)) < 1e-12
@@ -187,7 +170,7 @@ _MNIST = {}
 def _mnist_dataset():
     directory = require_mnist()
     if "dataset" not in _MNIST:
-        _MNIST["dataset"] = load_mnist_dir(directory, norm="unit255")
+        _MNIST["dataset"] = hcoh.load_mnist_dir(directory, norm="unit255")
     return _MNIST["dataset"]
 
 

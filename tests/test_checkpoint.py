@@ -6,6 +6,7 @@ import pytest
 from hcoh import (FormatError, HadamardCodebook, InvalidOrderError, LshReducer,
                   encode, init_model)
 from hcoh.checkpoint import load_checkpoint, save_checkpoint
+from tests.conftest import save_over_cap_checkpoint
 
 
 def make_state(bits=8, order=16, d=5):
@@ -146,6 +147,13 @@ class TestCorruption:
         blob[where] = value
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=f"model.hcoh: {error}"):
+            load_checkpoint(path)
+
+    def test_reducer_above_the_table_cap_rejected(self, tmp_path):
+        path = tmp_path / "model.hcoh"
+        save_over_cap_checkpoint(path)
+        with pytest.raises(InvalidOrderError,
+                           match=f"target table of {2**20} x 128 entries"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("what, value", [("weight", np.nan),

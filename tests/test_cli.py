@@ -14,11 +14,12 @@ from hcoh import (Dataset, NumericFailureError, RunConfig, SplitSpec,
                   derive_seeds, encode, load_dense, load_labels, pack_bits,
                   save_code_set, save_dense, save_labels, split)
 from hcoh import cli
-from hcoh.checkpoint import load_checkpoint
-from hcoh.cli import MNIST_FILES, _config_from_args, build_parser, main
+from hcoh.checkpoint import load_checkpoint, save_checkpoint
+from hcoh.cli import _config_from_args, build_parser, main
 from hcoh.codec import CODE_MAGIC, BinaryCodeSet, load_code_set
-from tests.conftest import blob_dataset
-from tests.test_data import idx_image_bytes, idx_label_bytes
+from hcoh.data import MNIST_FILES
+from tests.conftest import (blob_dataset, idx_image_bytes, idx_label_bytes,
+                            save_over_cap_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +351,32 @@ class TestEncode:
         codes = load_code_set(out)
         assert (len(codes), codes.length) == (0, 16)
 
+    def test_reducer_above_the_table_cap_exit_data(self, dense_blobs, tmp_path,
+                                                    capsys):
+        save_over_cap_checkpoint(tmp_path / "big.hcoh")
+        out = tmp_path / "x.hcode"
+        code = main(["encode", "--checkpoint", str(tmp_path / "big.hcoh"),
+                     "--features", str(dense_blobs / "blobs.feat"),
+                     "--labels", str(dense_blobs / "blobs.lab"),
+                     "--out", str(out)])
+        assert code == 3
+        assert "target table" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_weights_exit_numeric(self, dense_blobs, tmp_path,
+                                              checkpoint, capsys):
+        model, book, reducer = load_checkpoint(checkpoint)
+        model.weights[...] = 1e308
+        save_checkpoint(tmp_path / "big.hcoh", model, book, reducer)
+        out = tmp_path / "x.hcode"
+        code = main(["encode", "--checkpoint", str(tmp_path / "big.hcoh"),
+                     "--features", str(dense_blobs / "blobs.feat"),
+                     "--labels", str(dense_blobs / "blobs.lab"),
+                     "--out", str(out)])
+        assert code == 4
+        assert "weights overflow" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_mismatch_names_both_dims(self, tmp_path, checkpoint, capsys):
         save_dense(tmp_path / "wide.feat", np.ones((4, 11), dtype=np.float32))
         save_labels(tmp_path / "wide.lab", [0, 1, 2, 3])
@@ -396,6 +423,15 @@ class TestNonFiniteFeatures:
         feats = self.poisoned(dense_blobs, tmp_path, row)
         assert main(train_args(dense_blobs, tmp_path, **{"--features": feats})) == 3
         assert "non-finite pre-activation" in capsys.readouterr().err
+        assert not (tmp_path / "model.hcoh").exists()
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_overflowed_model_exit_numeric_without_output(self, dense_blobs,
+                                                          tmp_path, capsys):
+        # Finite features, but a rate of 1e308 leaves W so large that the
+        # first evaluation's pre-activations overflow.
+        assert main(train_args(dense_blobs, tmp_path, **{"--eta": "1e308"})) == 4
+        assert "weights overflow" in capsys.readouterr().err
         assert not (tmp_path / "model.hcoh").exists()
         assert not (tmp_path / "metrics.jsonl").exists()
 

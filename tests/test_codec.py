@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hcoh import (BinaryCodeSet, DimensionError, FormatError, HashModel,
-                  encode, init_model, load_code_set, pack_bits, rank,
-                  save_code_set)
+                  NumericFailureError, encode, init_model, load_code_set,
+                  pack_bits, rank, save_code_set)
 from hcoh.codec import ENCODE_ROWS, _hamming_distances
 from tests.conftest import unpack_bits
 
@@ -126,9 +126,11 @@ class TestEncode:
             encode(model, feats)
 
     def test_overflowing_pre_activation_rejected(self):
-        # Finite features; only the second row's product with W overflows.
+        # Finite features; only the second row's product with W overflows,
+        # so the weights are to blame, not the features.
         model = HashModel(np.array([[1e308], [1e308]]), np.zeros(1), eta=0.1)
-        with pytest.raises(ValueError, match=r"1 feature rows .*first row 1"):
+        with pytest.raises(NumericFailureError,
+                           match=r"weights overflow: 1 feature rows .*first row 1"):
             encode(model, np.array([[1.0, -1.0], [1.0, 1.0]]))
 
 

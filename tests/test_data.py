@@ -10,19 +10,8 @@ from hcoh import (ConfigError, Dataset, DimensionError, FormatError, SplitSpec,
                   load_dense, load_idx, load_labels, save_dense,
                   save_labels, split, split_indices, stream)
 from hcoh import data
-from hcoh.data import CHECK_ROWS
-from hcoh.cli import MNIST_FILES, load_mnist_dir
-
-
-def idx_image_bytes(pixels):
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    n, rows, cols = pixels.shape
-    return struct.pack(">IIII", 0x00000803, n, rows, cols) + pixels.tobytes()
-
-
-def idx_label_bytes(labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    return struct.pack(">II", 0x00000801, labels.shape[0]) + labels.tobytes()
+from hcoh.data import CHECK_ROWS, MNIST_FILES, load_mnist_dir
+from tests.conftest import idx_image_bytes, idx_label_bytes
 
 
 # Ways a gzip file can be damaged, each met by a different exception of

@@ -7,29 +7,7 @@ from hcoh import (BinaryCodeSet, DimensionError, UndefinedAPError,
                   average_precision, evaluate, map_curve_auc, pack_bits,
                   precision_at_k, rank)
 from hcoh import evaluation
-
-
-# --- Independent brute-force oracle -------------------------------------
-# Codes as python ints, ranking via sorted() on (distance, index) tuples,
-# AP by explicit loop.  Shares nothing with the library implementation.
-
-def oracle_rank(query_bits, db_bits):
-    q = int("".join(map(str, query_bits)), 2)
-    dists = [bin(q ^ int("".join(map(str, row)), 2)).count("1")
-             for row in db_bits]
-    return sorted(range(len(db_bits)), key=lambda i: (dists[i], i))
-
-
-def oracle_ap(ranking, relevance, cutoff=None):
-    total = sum(relevance)
-    top = ranking if cutoff is None else ranking[:cutoff]
-    denom = total if cutoff is None else min(total, cutoff)
-    hits, acc = 0, 0.0
-    for pos, idx in enumerate(top, start=1):
-        if relevance[idx]:
-            hits += 1
-            acc += hits / pos
-    return acc / denom
+from tests.conftest import oracle_ap, oracle_rank
 
 
 def oracle_scores(q_bits, q_labels, db_bits, db_labels, k_prec, k_map=None):

@@ -68,6 +68,14 @@ class TestReduce:
         with pytest.raises(DimensionError, match="must be positive, got 0"):
             LshReducer.create(16, 0, 0)
 
+    def test_create_bounds_the_target_table(self):
+        with pytest.raises(InvalidOrderError,
+                           match=f"target table of {2**20} x 128 entries"):
+            LshReducer.create(2**20, 128, seed=0)
+        at_cap = LshReducer.create(2**20, 64, seed=0)
+        assert at_cap.in_dim * at_cap.out_dim == lsh.MAX_TABLE_ENTRIES
+        assert "table" not in vars(at_cap)
+
 
 class TestTargetCodeTable:
     def _setup(self, order=16, bits=8):
