@@ -20,11 +20,14 @@ Layout, all little-endian, in order:
 Neither the codebook matrix nor the reducer's target table is stored.
 The codebook is rebuilt from (order, seed); its seed fixes the column
 draw order, and ``HadamardCodebook.restore`` accepts the recorded
-assignment only if it holds exactly the first k draws.  W and b must be
-finite, so a file cannot hand training or encoding a NaN or infinite
-parameter.  The reducer is restored as (dims, seed): its target table
-is regenerated from them only when first read, so loading a checkpoint
-to encode builds none.
+assignment only if it holds exactly the first k draws.  d and r are at
+least 1, and W and b must be finite, so a file cannot hand training or
+encoding an empty model or a NaN or infinite parameter.  Order, r and
+the reducer seed determine the reducer, so its record must read (order,
+r, seed, 1 if order == r else 0); it is rebuilt by
+``LshReducer.create(order, r, seed)``, whose target table is generated
+only when first read, so loading a checkpoint to encode builds none.
+Every rejection names the file.
 This keeps checkpoints small and loads deterministic.  Writes go to a
 temp file followed by an atomic rename, so a crashed run never leaves a
 partial checkpoint behind.
@@ -36,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DimensionError, FormatError, InvalidOrderError
 from .fileio import (atomic_write, labels_from_u32, labels_to_u32, pack_header,
                      read_header, size_error)
 from .hadamard import HadamardCodebook
@@ -52,9 +55,15 @@ def save_checkpoint(path, model: HashModel, book: HadamardCodebook,
     """Write a checkpoint atomically.
 
     Raises FormatError for an assigned label that a u32 cannot hold:
-    anything outside [0, 0xFFFFFFFF) other than the unknown label -1.
+    anything outside [0, 0xFFFFFFFF) other than the unknown label -1, and
+    DimensionError for a reducer that is not book.order x r, which
+    ``load_checkpoint`` would refuse.  Either way no file is written.
     """
     d, r = model.feature_dim, model.code_length
+    if (reducer.in_dim, reducer.out_dim) != (book.order, r):
+        raise DimensionError(
+            f"{path}: reducer {reducer.in_dim}x{reducer.out_dim} does not "
+            f"match order {book.order} and code length {r}")
     labels = sorted(book.assignment)
     pairs = np.column_stack([
         labels_to_u32(labels, path),
@@ -75,6 +84,9 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (model, codebook, reducer)."""
     data = Path(path).read_bytes()
     d, r = read_header(data, path, MAGIC, VERSION)
+    if d < 1 or r < 1:
+        raise FormatError(f"{path}: feature dimension {d} and code length {r} "
+                          f"must both be positive")
     off = 29 + (d * r + r) * 8  # past eta, round, W and b
     if len(data) < off + 16:
         raise FormatError(
@@ -99,16 +111,15 @@ def load_checkpoint(path):
             f"{path}: label {values[counts > 1][0]} is assigned more than once")
     in_dim, out_dim, red_seed, identity = struct.unpack_from("<IIQB", data,
                                                               need - 17)
-
+    if (in_dim, out_dim, identity) != (order, r, int(order == r)):
+        raise FormatError(
+            f"{path}: reducer record {in_dim}x{out_dim}, identity flag "
+            f"{identity}, does not match order {order} and code length {r}")
     model = HashModel(weights=params[:d * r].reshape(d, r).astype(np.float64),
                       bias=params[d * r:].astype(np.float64), eta=eta, round=rnd)
-    book = HadamardCodebook.restore(order, book_seed, assignment)
-    if (in_dim == out_dim) != bool(identity):
-        raise FormatError(
-            f"{path}: identity flag {identity} inconsistent with dims "
-            f"{in_dim}x{out_dim}")
-    if in_dim != order or out_dim != r:
-        raise FormatError(
-            f"{path}: reducer dims {in_dim}x{out_dim} inconsistent with "
-            f"order {order} and code length {r}")
-    return model, book, LshReducer.create(in_dim, out_dim, red_seed)
+    try:
+        reducer = LshReducer.create(order, r, red_seed)
+        book = HadamardCodebook.restore(order, book_seed, assignment)
+    except InvalidOrderError as err:
+        raise InvalidOrderError(f"{path}: {err}") from err
+    return model, book, reducer

@@ -134,22 +134,16 @@ class LshReducer:
 def targets(labels, book: HadamardCodebook, reducer: LshReducer) -> np.ndarray:
     """(n, out_dim) float64 target codes of ``labels``, row for row.
 
-    Labels new to ``book`` take codebook columns in the order they first
-    appear in ``labels``.  When the codebook runs out mid-call,
+    Each label's column comes from ``book.assign_label``, label by label,
+    so labels new to ``book`` take columns in the order they first appear
+    in ``labels``.  When the codebook runs out mid-call,
     CodebookExhaustedError propagates with the labels before the failing
-    one assigned, as a label-by-label loop would leave them.  Each
-    distinct label's code is the reducer's table row for its column,
-    gathered once and then spread to its rows.
+    one assigned.  Row i is the reducer's table row for label i's column,
+    all gathered in one indexing.
     """
     if book.order != reducer.in_dim:
         raise DimensionError(
             f"codebook order {book.order} does not match reducer input "
             f"{reducer.in_dim}")
-    unique, first, inverse = np.unique(np.asarray(labels, dtype=np.int64),
-                                       return_index=True, return_inverse=True)
-    assignment = book.assignment
-    for label in unique[np.argsort(first)].tolist():
-        if label not in assignment:
-            book.assign_label(label)
-    columns = [assignment[label] for label in unique.tolist()]
-    return reducer.table[columns][inverse].astype(np.float64)
+    columns = [book.assign_label(label) for label in labels]
+    return reducer.table[columns].astype(np.float64)

@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from hcoh import (FormatError, HadamardCodebook, InvalidOrderError, LshReducer,
-                  encode, init_model)
+from hcoh import (DimensionError, FormatError, HadamardCodebook, HashModel,
+                  InvalidOrderError, LshReducer, encode, init_model)
 from hcoh.checkpoint import load_checkpoint, save_checkpoint
 from tests.conftest import save_over_cap_checkpoint
 
@@ -17,6 +17,28 @@ def make_state(bits=8, order=16, d=5):
         book.assign_label(label)
     reducer = LshReducer.create(order, bits, seed=3)
     return model, book, reducer
+
+
+def save_off_the_draw_prefix(path):
+    """make_state's checkpoint with its last column swapped for a spare one."""
+    model, book, reducer = make_state()
+    save_checkpoint(path, model, book, reducer)
+    spare = next(c for c in range(book.order)
+                 if c not in book.assignment.values())
+    blob = bytearray(path.read_bytes())
+    blob[-21:-17] = spare.to_bytes(4, "little")  # the last pair's column
+    path.write_bytes(bytes(blob))
+
+
+def save_order_twelve(path):
+    """make_state's checkpoint with order 12 in the codebook and reducer."""
+    save_checkpoint(path, *make_state())
+    blob = bytearray(path.read_bytes())
+    # The order follows the 13-byte header, eta, round, 5 x 8 weights and
+    # 8 biases; the reducer's in_dim starts its last 17 bytes.
+    struct.pack_into("<I", blob, 29 + (5 * 8 + 8) * 8, 12)
+    struct.pack_into("<I", blob, len(blob) - 17, 12)
+    path.write_bytes(bytes(blob))
 
 
 class TestRoundTrip:
@@ -136,9 +158,11 @@ class TestCorruption:
     # The last 17 bytes are the reducer's u32 in_dim, u32 out_dim, u64 seed
     # and u8 identity flag.
     @pytest.mark.parametrize("where, value, error", [
-        (slice(-1, None), b"\x01", "identity flag 1 inconsistent with dims 16x8"),
+        (slice(-1, None), b"\x01", "reducer record 16x8, identity flag 1, "
+         "does not match order 16 and code length 8"),
         (slice(-17, -13), (32).to_bytes(4, "little"),
-         "reducer dims 32x8 inconsistent with order 16 and code length 8"),
+         "reducer record 32x8, identity flag 0, "
+         "does not match order 16 and code length 8"),
     ], ids=["identity-flag", "reducer-dims"])
     def test_inconsistent_reducer_rejected(self, tmp_path, where, value, error):
         path = tmp_path / "model.hcoh"
@@ -155,6 +179,39 @@ class TestCorruption:
         with pytest.raises(InvalidOrderError,
                            match=f"target table of {2**20} x 128 entries"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, error", [
+        (save_off_the_draw_prefix, "the 3 assigned columns are not the first "
+                                   "3 draws"),
+        (save_order_twelve, "order must be a power of two, got 12"),
+        (save_over_cap_checkpoint, f"target table of {2**20} x 128 entries"),
+    ], ids=["off-the-prefix", "order-12", "over-the-cap"])
+    def test_codebook_and_reducer_errors_name_the_file(self, tmp_path, damage,
+                                                      error):
+        path = tmp_path / "model.hcoh"
+        damage(path)
+        with pytest.raises(InvalidOrderError, match=f"model.hcoh: {error}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("d, r", [(0, 8), (5, 0)], ids=["d0", "r0"])
+    def test_empty_model_rejected(self, tmp_path, d, r):
+        model = HashModel(weights=np.zeros((d, r)), bias=np.zeros(r), eta=0.25)
+        book = HadamardCodebook.create(16, seed=2)
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, model, book, LshReducer(16, r, seed=3))
+        with pytest.raises(FormatError,
+                           match=f"model.hcoh: feature dimension {d} and code "
+                                 f"length {r} must both be positive"):
+            load_checkpoint(path)
+
+    def test_reducer_off_the_book_and_code_length_not_written(self, tmp_path):
+        model, book, _ = make_state(bits=8, order=16, d=3)
+        with pytest.raises(DimensionError,
+                           match="reducer 32x8 does not match order 16 and "
+                                 "code length 8"):
+            save_checkpoint(tmp_path / "model.hcoh", model, book,
+                            LshReducer.create(32, 8, seed=3))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("what, value", [("weight", np.nan),
                                              ("bias", np.inf)])

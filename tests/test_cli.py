@@ -363,6 +363,22 @@ class TestEncode:
         assert "target table" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reseeded_codebook_exit_data_naming_the_file(self, dense_blobs,
+                                                         tmp_path, checkpoint,
+                                                         capsys):
+        model, book, reducer = load_checkpoint(checkpoint)
+        book.seed += 1  # the assigned columns are not this seed's first draws
+        save_checkpoint(tmp_path / "reseeded.hcoh", model, book, reducer)
+        out = tmp_path / "x.hcode"
+        code = main(["encode", "--checkpoint", str(tmp_path / "reseeded.hcoh"),
+                     "--features", str(dense_blobs / "blobs.feat"),
+                     "--labels", str(dense_blobs / "blobs.lab"),
+                     "--out", str(out)])
+        assert code == 3
+        assert f"{tmp_path / 'reseeded.hcoh'}: the 4 assigned columns" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_weights_exit_numeric(self, dense_blobs, tmp_path,
                                               checkpoint, capsys):
         model, book, reducer = load_checkpoint(checkpoint)
