@@ -21,16 +21,22 @@ Neither the codebook matrix nor the reducer's target table is stored.
 The codebook is rebuilt from (order, seed); its seed fixes the column
 draw order, and ``HadamardCodebook.restore`` accepts the recorded
 assignment only if it holds exactly the first k draws.  d and r are at
-least 1, and W and b must be finite, so a file cannot hand training or
-encoding an empty model or a NaN or infinite parameter.  Order, r and
-the reducer seed determine the reducer, so its record must read (order,
-r, seed, 1 if order == r else 0); it is rebuilt by
-``LshReducer.create(order, r, seed)``, whose target table is generated
-only when first read, so loading a checkpoint to encode builds none.
+least 1, eta is positive and finite, and W and b must be finite, so a
+file cannot hand training or encoding an empty model or a NaN or
+infinite parameter.  Order, r and the reducer seed determine the
+reducer, so its record must read (order, r, seed, 1 if order == r else
+0); it is rebuilt by ``LshReducer.create(order, r, seed)``, whose target
+table is generated only when first read, so loading a checkpoint to
+encode builds none.
 Every rejection names the file.
-This keeps checkpoints small and loads deterministic.  Writes go to a
-temp file followed by an atomic rename, so a crashed run never leaves a
-partial checkpoint behind.
+This keeps checkpoints small and loads deterministic.
+
+One parser holds all of these rules.  ``save_checkpoint`` packs the
+file's bytes and parses them with it before writing, so every file it
+writes loads, and a state the loader would refuse fails at save with
+the loader's error and writes nothing.  Writes go to a temp file
+followed by an atomic rename, so a crashed run never leaves a partial
+checkpoint behind.
 """
 
 import math
@@ -39,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, InvalidOrderError
+from .errors import FormatError, InvalidOrderError
 from .fileio import (atomic_write, labels_from_u32, labels_to_u32, pack_header,
                      read_header, size_error)
 from .hadamard import HadamardCodebook
@@ -52,24 +58,21 @@ VERSION = 1
 
 def save_checkpoint(path, model: HashModel, book: HadamardCodebook,
                     reducer: LshReducer) -> None:
-    """Write a checkpoint atomically.
+    """Write a checkpoint atomically, and only one that ``load_checkpoint`` reads.
 
-    Raises FormatError for an assigned label that a u32 cannot hold:
-    anything outside [0, 0xFFFFFFFF) other than the unknown label -1, and
-    DimensionError for a reducer that is not book.order x r, which
-    ``load_checkpoint`` would refuse.  Either way no file is written.
+    The file's bytes are packed in full and parsed by the loader's own
+    code before anything is written, so a state the loader would refuse
+    raises the loader's error, naming ``path``, and no file is written.
+    Packing raises FormatError first for an assigned label that a u32
+    cannot hold: anything outside [0, 0xFFFFFFFF) other than the unknown
+    label -1.
     """
-    d, r = model.feature_dim, model.code_length
-    if (reducer.in_dim, reducer.out_dim) != (book.order, r):
-        raise DimensionError(
-            f"{path}: reducer {reducer.in_dim}x{reducer.out_dim} does not "
-            f"match order {book.order} and code length {r}")
     labels = sorted(book.assignment)
     pairs = np.column_stack([
         labels_to_u32(labels, path),
         np.array([book.assignment[label] for label in labels], dtype="<u4")])
-    atomic_write(path, [
-        pack_header(MAGIC, VERSION, d, r),
+    data = b"".join([
+        pack_header(MAGIC, VERSION, model.feature_dim, model.code_length),
         struct.pack("<dQ", model.eta, model.round),
         model.weights.astype("<f8").tobytes(),
         model.bias.astype("<f8").tobytes(),
@@ -78,11 +81,20 @@ def save_checkpoint(path, model: HashModel, book: HadamardCodebook,
         struct.pack("<IIQB", reducer.in_dim, reducer.out_dim, reducer.seed,
                     1 if reducer.is_identity else 0),
     ])
+    _parse(data, path)
+    atomic_write(path, [data])
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, codebook, reducer)."""
-    data = Path(path).read_bytes()
+    return _parse(Path(path).read_bytes(), path)
+
+
+def _parse(data: bytes, path):
+    """(model, codebook, reducer) of checkpoint bytes ``data``, or the error.
+
+    Every rejection is a FormatError or InvalidOrderError naming ``path``.
+    """
     d, r = read_header(data, path, MAGIC, VERSION)
     if d < 1 or r < 1:
         raise FormatError(f"{path}: feature dimension {d} and code length {r} "

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import checkpoint as ckpt
 from . import codec, data
 from .data import load_mnist_dir
-from .errors import ConfigError, FormatError, HcohError
+from .errors import ConfigError, DimensionError, FormatError, HcohError
 from .evaluation import evaluate
 from .fileio import atomic_write
 from .pipeline import RunConfig, run_repeats, run_training
@@ -138,7 +138,11 @@ def _cmd_train(args) -> int:
 def _cmd_encode(args) -> int:
     model, _book, _reducer = ckpt.load_checkpoint(args.checkpoint)
     features = data.load_dense(args.features, args.labels)
-    codes = codec.encode(model, features.features, features.labels)
+    try:
+        codes = codec.encode(model, features.features, features.labels)
+    except DimensionError as err:
+        raise DimensionError(
+            f"{args.features} and {args.checkpoint}: {err}") from err
     codec.save_code_set(args.out, codes)
     print(f"encoded {len(codes)} instances at {codes.length} bits -> {args.out}")
     return 0
@@ -148,7 +152,12 @@ def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     queries = codec.load_code_set(args.queries)
     database = codec.load_code_set(args.database)
-    report = evaluate(queries, database, k_prec=config.k_prec, k_map=config.k_map)
+    try:
+        report = evaluate(queries, database, k_prec=config.k_prec,
+                          k_map=config.k_map)
+    except DimensionError as err:
+        raise DimensionError(
+            f"{args.queries} and {args.database}: {err}") from err
     record = report.to_record()
     print(json.dumps(record, sort_keys=True))
     print(f"{'metric':<18}{'value':>10}")

@@ -122,6 +122,10 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
     the query and database codes by index.  A non-finite feature row
     therefore raises ValueError naming its row in ``dataset``, and
     weights that overflow on finite rows raise NumericFailureError.
+
+    When the codebook order exceeds ``bits``, one WARNING on the ``hcoh``
+    logger says so: the targets are then Gaussian-LSH codes, distributed
+    like i.i.d. random codes rather than orthogonal columns.
     """
     config.validate()
     seeds = derive_seeds(config.seed, config.repeat)
@@ -136,6 +140,16 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
     reducer = LshReducer.create(order, config.bits, seeds.reducer)
     log.info("codeword order %d for %d bits (%s reducer)", order, config.bits,
              "identity" if reducer.is_identity else "gaussian")
+    if not reducer.is_identity:
+        log.warning(
+            "codeword order %d exceeds %d bits, so the targets are Gaussian-LSH "
+            "codes, distributed like i.i.d. random codes rather than orthogonal "
+            "Hadamard columns; %s", order, config.bits,
+            f"a --max-labels of at most {config.bits} keeps them orthogonal "
+            f"while the stream has at most {config.bits} labels"
+            if codeword_order(config.bits) == config.bits else
+            f"orthogonal targets need a code length that is a power of two, "
+            f"at least 2, which {config.bits} is not")
     model = init_model(dataset.features.shape[1], config.bits, config.eta,
                        seeds.model)
 

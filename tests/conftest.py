@@ -7,7 +7,6 @@ import pytest
 
 from hcoh import (Dataset, HadamardCodebook, LshReducer, NumericFailureError,
                   init_model)
-from hcoh.checkpoint import save_checkpoint
 from hcoh.data import mnist_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -36,15 +35,40 @@ def require_mnist():
     return directory
 
 
-def save_over_cap_checkpoint(path):
-    """A checkpoint whose 2**20 x 128 reducer is twice the target-table cap.
+def checkpoint_bytes(model, book, reducer):
+    """The checkpoint of (model, book, reducer), packed by FORMATS.md alone.
+
+    An independent packer that checks nothing, so tests can write the
+    files ``load_checkpoint`` must refuse: the header, eta and round, W
+    and b, the codebook's order, seed and (label, column) pairs sorted by
+    label with -1 stored as 0xFFFFFFFF, then the reducer record.
+    """
+    d, r = np.shape(model.weights)
+    params = [*np.ravel(model.weights), *np.ravel(model.bias)]
+    pairs = sorted(book.assignment.items())
+    return b"".join([
+        b"HCOH", struct.pack("<BIIdQ", 1, d, r, model.eta, model.round),
+        struct.pack(f"<{len(params)}d", *params),
+        struct.pack("<IQI", book.order, book.seed, len(pairs)),
+        *(struct.pack("<II", label % 2**32, column) for label, column in pairs),
+        struct.pack("<IIQB", reducer.in_dim, reducer.out_dim, reducer.seed,
+                    reducer.in_dim == reducer.out_dim),
+    ])
+
+
+def over_cap_state():
+    """A 2**20 x 128 reducer, twice the target-table cap, with its model and book.
 
     The reducer is built directly, past ``LshReducer.create``'s check; W
     is 1 x 128 and the codebook holds no label.
     """
-    save_checkpoint(path, init_model(1, 128, eta=0.1, seed=0),
-                    HadamardCodebook.create(2**20, seed=0),
-                    LshReducer(2**20, 128, seed=0))
+    return (init_model(1, 128, eta=0.1, seed=0),
+            HadamardCodebook.create(2**20, seed=0), LshReducer(2**20, 128, seed=0))
+
+
+def save_over_cap_checkpoint(path):
+    """Write :func:`over_cap_state` as a checkpoint through the packer."""
+    Path(path).write_bytes(checkpoint_bytes(*over_cap_state()))
 
 
 def idx_image_bytes(pixels):

@@ -3,10 +3,11 @@ import struct
 import numpy as np
 import pytest
 
-from hcoh import (DimensionError, FormatError, HadamardCodebook, HashModel,
+from hcoh import (FormatError, HadamardCodebook, HashModel, HcohError,
                   InvalidOrderError, LshReducer, encode, init_model)
 from hcoh.checkpoint import load_checkpoint, save_checkpoint
-from tests.conftest import save_over_cap_checkpoint
+from tests.conftest import (checkpoint_bytes, over_cap_state,
+                            save_over_cap_checkpoint)
 
 
 def make_state(bits=8, order=16, d=5):
@@ -17,6 +18,13 @@ def make_state(bits=8, order=16, d=5):
         book.assign_label(label)
     reducer = LshReducer.create(order, bits, seed=3)
     return model, book, reducer
+
+
+def refused_at_save(path, model, book, reducer, error, match):
+    """Saving the state raises ``error`` matching ``match`` and writes nothing."""
+    with pytest.raises(error, match=match):
+        save_checkpoint(path, model, book, reducer)
+    assert list(path.parent.iterdir()) == []
 
 
 def save_off_the_draw_prefix(path):
@@ -97,6 +105,21 @@ class TestRoundTrip:
         assert loaded == book
         assert "_draw" not in repr(loaded)
 
+    @pytest.mark.parametrize("bits, labels", [(8, (4, 0, 9)), (16, (4, -1, 0)),
+                                              (8, ())],
+                             ids=["gaussian", "identity-unknown-label",
+                                  "no-label"])
+    def test_independent_packer_writes_the_saved_bytes(self, tmp_path, bits,
+                                                       labels):
+        model, _, _ = make_state(bits=bits)
+        book = HadamardCodebook.create(16, seed=2)
+        for label in labels:
+            book.assign_label(label)
+        reducer = LshReducer.create(16, bits, seed=3)
+        path = tmp_path / "model.hcoh"
+        save_checkpoint(path, model, book, reducer)
+        assert path.read_bytes() == checkpoint_bytes(model, book, reducer)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         model, book, reducer = make_state()
         a, b = tmp_path / "a.hcoh", tmp_path / "b.hcoh"
@@ -175,9 +198,10 @@ class TestCorruption:
 
     def test_reducer_above_the_table_cap_rejected(self, tmp_path):
         path = tmp_path / "model.hcoh"
+        error = f"model.hcoh: target table of {2**20} x 128 entries"
+        refused_at_save(path, *over_cap_state(), InvalidOrderError, error)
         save_over_cap_checkpoint(path)
-        with pytest.raises(InvalidOrderError,
-                           match=f"target table of {2**20} x 128 entries"):
+        with pytest.raises(InvalidOrderError, match=error):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("damage, error", [
@@ -195,23 +219,26 @@ class TestCorruption:
 
     @pytest.mark.parametrize("d, r", [(0, 8), (5, 0)], ids=["d0", "r0"])
     def test_empty_model_rejected(self, tmp_path, d, r):
-        model = HashModel(weights=np.zeros((d, r)), bias=np.zeros(r), eta=0.25)
-        book = HadamardCodebook.create(16, seed=2)
+        state = (HashModel(weights=np.zeros((d, r)), bias=np.zeros(r), eta=0.25),
+                 HadamardCodebook.create(16, seed=2), LshReducer(16, r, seed=3))
         path = tmp_path / "model.hcoh"
-        save_checkpoint(path, model, book, LshReducer(16, r, seed=3))
-        with pytest.raises(FormatError,
-                           match=f"model.hcoh: feature dimension {d} and code "
-                                 f"length {r} must both be positive"):
+        error = (f"model.hcoh: feature dimension {d} and code length {r} must "
+                 f"both be positive")
+        refused_at_save(path, *state, FormatError, error)
+        path.write_bytes(checkpoint_bytes(*state))
+        with pytest.raises(FormatError, match=error):
             load_checkpoint(path)
 
     def test_reducer_off_the_book_and_code_length_not_written(self, tmp_path):
         model, book, _ = make_state(bits=8, order=16, d=3)
-        with pytest.raises(DimensionError,
-                           match="reducer 32x8 does not match order 16 and "
-                                 "code length 8"):
-            save_checkpoint(tmp_path / "model.hcoh", model, book,
-                            LshReducer.create(32, 8, seed=3))
-        assert list(tmp_path.iterdir()) == []
+        reducer = LshReducer.create(32, 8, seed=3)
+        path = tmp_path / "model.hcoh"
+        error = ("model.hcoh: reducer record 32x8, identity flag 0, does not "
+                 "match order 16 and code length 8")
+        refused_at_save(path, model, book, reducer, FormatError, error)
+        path.write_bytes(checkpoint_bytes(model, book, reducer))
+        with pytest.raises(FormatError, match=error):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("what, value", [("weight", np.nan),
                                              ("bias", np.inf)])
@@ -222,7 +249,9 @@ class TestCorruption:
         else:
             model.bias[2] = value
         path = tmp_path / "model.hcoh"
-        save_checkpoint(path, model, book, reducer)
+        refused_at_save(path, model, book, reducer, FormatError,
+                        "model.hcoh: non-finite")
+        path.write_bytes(checkpoint_bytes(model, book, reducer))
         with pytest.raises(FormatError, match="model.hcoh: non-finite"):
             load_checkpoint(path)
 
@@ -250,3 +279,46 @@ class TestCorruption:
         with pytest.raises(FormatError, match=str(label)):
             save_checkpoint(tmp_path / "model.hcoh", model, book, reducer)
         assert list(tmp_path.iterdir()) == []
+
+
+def refused_state(case):
+    """make_state's (model, book, reducer), damaged as ``case`` names."""
+    model, book, reducer = make_state()
+    if case == "d0":
+        model = HashModel(np.zeros((0, 8)), np.zeros(8), eta=0.25)
+    elif case == "r0":
+        model = HashModel(np.zeros((5, 0)), np.zeros(0), eta=0.25)
+        reducer = LshReducer(16, 0, seed=3)
+    elif case.startswith("eta="):
+        model.eta = float(case[4:])
+    elif case == "weight-nan":
+        model.weights[3, 5] = np.nan
+    elif case == "bias-inf":
+        model.bias[2] = np.inf
+    elif case == "bias-of-r-plus-1":
+        model.bias = np.append(model.bias, 0.5)
+    elif case == "reducer-dims":
+        reducer = LshReducer.create(32, 8, seed=3)
+    elif case == "over-the-cap":
+        model, book, reducer = over_cap_state()
+    else:  # "reseeded": the book's seed changed after it assigned its labels
+        book.seed += 1
+    return model, book, reducer
+
+
+@pytest.mark.parametrize("case", [
+    "d0", "r0", "eta=0", "eta=-1", "eta=nan", "eta=inf", "weight-nan",
+    "bias-inf", "bias-of-r-plus-1", "reducer-dims", "over-the-cap",
+    "reseeded"])
+def test_save_refuses_what_load_refuses(tmp_path, case):
+    """Saving raises what loading the state's bytes raises, and writes nothing."""
+    model, book, reducer = refused_state(case)
+    path = tmp_path / "model.hcoh"
+    with pytest.raises(HcohError) as saved:
+        save_checkpoint(path, model, book, reducer)
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(checkpoint_bytes(model, book, reducer))
+    with pytest.raises(HcohError) as loaded:
+        load_checkpoint(path)
+    assert (type(saved.value), str(saved.value)) == (type(loaded.value),
+                                                     str(loaded.value))

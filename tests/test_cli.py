@@ -10,16 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcoh import (Dataset, NumericFailureError, RunConfig, SplitSpec,
-                  derive_seeds, encode, load_dense, load_labels, pack_bits,
-                  save_code_set, save_dense, save_labels, split)
+from hcoh import (Dataset, InvalidOrderError, NumericFailureError, RunConfig,
+                  SplitSpec, derive_seeds, encode, load_dense, load_labels,
+                  pack_bits, save_code_set, save_dense, save_labels, split)
 from hcoh import cli
 from hcoh.checkpoint import load_checkpoint, save_checkpoint
 from hcoh.cli import _config_from_args, build_parser, main
 from hcoh.codec import CODE_MAGIC, BinaryCodeSet, load_code_set
 from hcoh.data import MNIST_FILES
-from tests.conftest import (blob_dataset, idx_image_bytes, idx_label_bytes,
-                            save_over_cap_checkpoint)
+from tests.conftest import (blob_dataset, checkpoint_bytes, idx_image_bytes,
+                            idx_label_bytes, save_over_cap_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +368,12 @@ class TestEncode:
                                                          capsys):
         model, book, reducer = load_checkpoint(checkpoint)
         book.seed += 1  # the assigned columns are not this seed's first draws
-        save_checkpoint(tmp_path / "reseeded.hcoh", model, book, reducer)
+        reseeded = tmp_path / "reseeded.hcoh"
+        with pytest.raises(InvalidOrderError,
+                           match="the 4 assigned columns are not the first"):
+            save_checkpoint(reseeded, model, book, reducer)
+        assert not reseeded.exists()
+        reseeded.write_bytes(checkpoint_bytes(model, book, reducer))
         out = tmp_path / "x.hcode"
         code = main(["encode", "--checkpoint", str(tmp_path / "reseeded.hcoh"),
                      "--features", str(dense_blobs / "blobs.feat"),
@@ -394,15 +399,17 @@ class TestEncode:
         assert not out.exists()
 
     def test_dimension_mismatch_names_both_dims(self, tmp_path, checkpoint, capsys):
-        save_dense(tmp_path / "wide.feat", np.ones((4, 11), dtype=np.float32))
+        wide = tmp_path / "wide.feat"
+        save_dense(wide, np.ones((4, 11), dtype=np.float32))
         save_labels(tmp_path / "wide.lab", [0, 1, 2, 3])
         code = main(["encode", "--checkpoint", str(checkpoint),
-                     "--features", str(tmp_path / "wide.feat"),
+                     "--features", str(wide),
                      "--labels", str(tmp_path / "wide.lab"),
                      "--out", str(tmp_path / "x.hcode")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "11" in err and "8" in err
+        assert err == (f"data error: {wide} and {checkpoint}: features have "
+                       f"shape (4, 11), expected (n, 8)\n")
 
 
 class TestNonFiniteFeatures:
@@ -510,6 +517,19 @@ class TestEvaluate:
         assert main(["evaluate", "--queries", str(tmp_path / "o.hcode"),
                      "--database", str(db), "--k-prec", "2"]) == 3
 
+    def test_mismatched_lengths_name_both_files(self, tmp_path, capsys):
+        paths = []
+        for bits in (16, 32):
+            paths.append(tmp_path / f"c{bits}.hcode")
+            save_code_set(paths[-1], BinaryCodeSet(
+                pack_bits(np.ones((3, bits), dtype=np.uint8)), [0, 1, 0], bits))
+        q, db = paths
+        assert main(["evaluate", "--queries", str(q), "--database", str(db),
+                     "--k-prec", "2"]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {q} and {db}: code lengths differ: queries 16, "
+            f"database 32\n")
+
     @pytest.mark.parametrize("flag", ["--k-prec", "--k-map"])
     def test_k_below_one_exit_config_before_loading(self, tmp_path, capsys, flag):
         # The code files do not exist: exit 2 rather than 3 shows the flag
@@ -528,7 +548,8 @@ class TestEvaluate:
         q, db = (empty, toy_codes[1]) if side == "query" else (toy_codes[0], empty)
         assert main(["evaluate", "--queries", str(q), "--database", str(db),
                      "--k-prec", "2"]) == 3
-        assert capsys.readouterr().err == f"data error: the {side} code set is empty\n"
+        assert capsys.readouterr().err == (
+            f"data error: {q} and {db}: the {side} code set is empty\n")
 
     def test_zero_length_codes_exit_data(self, tmp_path, capsys):
         empty = tmp_path / "empty.hcode"

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -122,6 +123,24 @@ class TestRunTraining:
         assert not result.reducer.is_identity
         assert result.book.order == 16
         assert result.reducer.table.shape == (16, 8)
+
+    @pytest.mark.parametrize("bits, max_labels, advice", [
+        (16, 4, None),
+        (8, 10, "a --max-labels of at most 8 keeps them orthogonal while the "
+                "stream has at most 8 labels"),
+        (12, 4, "orthogonal targets need a code length that is a power of two, "
+                "at least 2, which 12 is not"),
+    ], ids=["identity", "gaussian", "gaussian-not-a-power-of-two"])
+    def test_one_warning_when_the_order_exceeds_bits(self, blobs, caplog, bits,
+                                                     max_labels, advice):
+        with caplog.at_level(logging.WARNING, logger="hcoh"):
+            run_training(blobs, blob_config(bits=bits, max_labels=max_labels))
+        expected = [] if advice is None else [
+            f"codeword order 16 exceeds {bits} bits, so the targets are "
+            f"Gaussian-LSH codes, distributed like i.i.d. random codes rather "
+            f"than orthogonal Hadamard columns; {advice}"]
+        assert [rec.getMessage() for rec in caplog.records
+                if rec.levelno >= logging.WARNING] == expected
 
     def test_repeat_runs_are_identical(self, blobs):
         a = run_training(blobs, blob_config(milestones=(500, 1000)))
