@@ -12,18 +12,16 @@ thread, the pool takes every CPU.  No option or environment variable of
 this package sets the count.
 
 :func:`run_blocks` runs one function over a list of blocks and hands
-the results to the calling thread in block order.  The blocks go to a
-``concurrent.futures.ThreadPoolExecutor`` of one worker fewer than the
-count, never more blocks in flight than threads, and block i always
-runs in slot i % threads, so each slot can own a buffer.  The calling
-thread makes up the count: while it waits for the next result it
-cancels a block no worker has taken yet and runs it itself, so a
-descheduled CPU never holds a fixed share of the work, and with one
-thread it runs every block itself and starts none.  ``encode`` hashes
-blocks whose bounds do not depend on the thread count; ``evaluate``'s
-query blocks shrink as threads are added, but no query's ranking
-depends on its block.  Either way the bytes are the same on any number
-of CPUs.
+the results to the calling thread in block order.  With more than one
+thread, every block goes to a ``concurrent.futures.ThreadPoolExecutor``
+of that many workers, never more blocks in flight than threads, and
+block i always runs in slot i % threads, so each slot can own a buffer.
+The calling thread runs no block: it submits them, waits for each
+result in turn and uses it.  With one thread, or one block, it runs
+every block itself and starts no thread.  ``encode`` hashes blocks
+whose bounds do not depend on the thread count; ``evaluate``'s query
+blocks shrink as threads are added, but no query's ranking depends on
+its block.  Either way the bytes are the same on any number of CPUs.
 
 The functions run on workers touch only private code and the arrays
 their caller hands them; every public call stays on the calling thread,
@@ -35,8 +33,7 @@ import ctypes
 import functools
 import os
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from itertools import islice
+from concurrent.futures import ThreadPoolExecutor
 
 # OpenBLAS's thread-count getter under the names numpy builds give it:
 # the scipy-openblas wheels of numpy 2, then 64-bit and plain OpenBLAS.
@@ -85,30 +82,19 @@ def pool_threads() -> int:
     return max(1, _usable_cpus() // blas_threads())
 
 
-def _run_here(fn, *args) -> Future:
-    """``fn(*args)`` run on the calling thread, as a finished future."""
-    future = Future()
-    try:
-        future.set_result(fn(*args))
-    except Exception as exc:  # raised when the block's turn comes
-        future.set_exception(exc)
-    return future
-
-
 def run_blocks(fn, starts, threads: int, use) -> None:
     """Run ``fn(slot, start)`` for each start; ``use(start, result)`` in order.
 
-    ``starts`` is a sequence.  Uses min(threads, len(starts)) threads,
-    at least one: the calling thread and a pool of one worker fewer.
+    ``starts`` is a sequence.  With min(threads, len(starts)) at most
+    one, the calling thread runs every block itself and starts no
+    thread; otherwise every block runs on a pool of that many workers.
     Only the calling thread calls ``use``, one block after another in
     the order of ``starts``.  Block i runs as ``fn(i % threads, start)``
     and is submitted only after block i - threads has gone to ``use``,
     so no two running blocks share a slot and ``fn`` may use per-slot
     buffers the caller owns.  At most ``threads`` blocks are running or
     waiting for ``use`` at any moment, the one in ``use`` included, so
-    at most that many results are held at once.  While the next result
-    is not ready, the calling thread runs the blocks no worker has taken
-    yet itself, newest first.
+    at most that many results are held at once.
 
     If a block raises, every block before it still goes to ``use`` and
     then its exception is raised on the calling thread, as on one
@@ -121,24 +107,17 @@ def run_blocks(fn, starts, threads: int, use) -> None:
         for start in starts:
             use(start, fn(0, start))
         return
-    blocks = iter(enumerate(starts))
-    window = deque()  # (slot, start, future) of the blocks not yet used
-    with ThreadPoolExecutor(threads - 1) as pool:
+    window = deque()  # (start, future) of the blocks not yet used
+    with ThreadPoolExecutor(threads) as pool:
         try:
-            while True:
-                for index, start in islice(blocks, threads - len(window)):
-                    slot = index % threads
-                    window.append((slot, start, pool.submit(fn, slot, start)))
-                if not window:
-                    return
-                for k in reversed(range(len(window))):
-                    if window[0][2].done():
-                        break
-                    slot, start, future = window[k]
-                    if future.cancel():  # no worker has taken it
-                        window[k] = (slot, start, _run_here(fn, slot, start))
-                _slot, start, future = window.popleft()
-                use(start, future.result())
+            for index, start in enumerate(starts):
+                if len(window) == threads:
+                    oldest, future = window.popleft()
+                    use(oldest, future.result())
+                window.append((start, pool.submit(fn, index % threads, start)))
+            while window:
+                oldest, future = window.popleft()
+                use(oldest, future.result())
         finally:
-            for _slot, _start, future in window:
+            for _start, future in window:
                 future.cancel()

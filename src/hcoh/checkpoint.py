@@ -65,22 +65,28 @@ def save_checkpoint(path, model: HashModel, book: HadamardCodebook,
     raises the loader's error, naming ``path``, and no file is written.
     Packing raises FormatError first for an assigned label that a u32
     cannot hold: anything outside [0, 0xFFFFFFFF) other than the unknown
-    label -1.
+    label -1; and for a count, the model's round or a seed that is not
+    an integer in the range of its u32 or u64 field, such as a negative
+    round or a codebook seed of -1.
     """
     labels = sorted(book.assignment)
     pairs = np.column_stack([
         labels_to_u32(labels, path),
         np.array([book.assignment[label] for label in labels], dtype="<u4")])
-    data = b"".join([
-        pack_header(MAGIC, VERSION, model.feature_dim, model.code_length),
-        struct.pack("<dQ", model.eta, model.round),
-        model.weights.astype("<f8").tobytes(),
-        model.bias.astype("<f8").tobytes(),
-        struct.pack("<IQI", book.order, book.seed, len(labels)),
-        pairs.tobytes(),
-        struct.pack("<IIQB", reducer.in_dim, reducer.out_dim, reducer.seed,
-                    1 if reducer.is_identity else 0),
-    ])
+    try:
+        data = b"".join([
+            pack_header(MAGIC, VERSION, model.feature_dim, model.code_length),
+            struct.pack("<dQ", model.eta, model.round),
+            model.weights.astype("<f8").tobytes(),
+            model.bias.astype("<f8").tobytes(),
+            struct.pack("<IQI", book.order, book.seed, len(labels)),
+            pairs.tobytes(),
+            struct.pack("<IIQB", reducer.in_dim, reducer.out_dim, reducer.seed,
+                        1 if reducer.is_identity else 0),
+        ])
+    except struct.error as err:
+        raise FormatError(f"{path}: a count, round or seed does not fit the "
+                          f"file's unsigned integers ({err})") from None
     _parse(data, path)
     atomic_write(path, [data])
 

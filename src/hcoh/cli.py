@@ -8,7 +8,9 @@ overflow a pre-activation); each error class carries its own as
 its own: ``RunConfig`` decides what a flag left out means, and the
 library's other rules stay in their modules too: ``data.load_mnist_dir``
 finds and reads an MNIST directory, and ``LshReducer.create`` bounds
-the codebook.
+the codebook.  An output path that names one of the command's input
+files or another of its outputs is a configuration error, raised
+before any file is read or written.
 Metric streams are JSON lines; tables go to stdout.
 """
 
@@ -68,13 +70,26 @@ def _config_from_args(args, **fields) -> RunConfig:
     return RunConfig(**{**given, **fields}).validate()
 
 
-def _check_output_dirs(*paths) -> None:
-    """Raise NotADirectoryError unless each given path's directory exists.
+def _check_outputs(args, outputs, inputs=()) -> None:
+    """Refuse output paths that no directory holds or that name another file flag.
 
-    Commands call this before loading any data, so a run that could not
-    save its results fails before it starts.
+    ``outputs`` and ``inputs`` name file flags by their ``args``
+    attribute; a flag left out is skipped.  An output that resolves to
+    an input or to another output raises ConfigError, and one whose
+    directory does not exist raises NotADirectoryError.  Commands call
+    this before reading or writing any file, so a run that would
+    overwrite its own input or could not save its results fails before
+    it starts.
     """
-    for path in filter(None, paths):
+    named = {}  # resolved path -> the first flag that named it
+    for name in (*inputs, *outputs):
+        path = getattr(args, name)
+        if path is None:
+            continue
+        other = named.setdefault(os.path.realpath(path), name)
+        if other != name and name in outputs:
+            raise ConfigError(f"--{name} {path} names the same file as --{other}")
+    for path in filter(None, (getattr(args, name) for name in outputs)):
         if not Path(path).parent.is_dir():
             raise NotADirectoryError(
                 f"{path}: {Path(path).parent} is not a directory")
@@ -117,7 +132,7 @@ def _add_common_train_flags(p, bits: bool) -> None:
 
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
-    _check_output_dirs(args.checkpoint, args.metrics)
+    _check_outputs(args, ("checkpoint", "metrics"), ("features", "labels"))
     dataset = _load_dataset(args)
     result = run_training(dataset, config)
     ckpt.save_checkpoint(args.checkpoint, result.model, result.book,
@@ -136,6 +151,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    _check_outputs(args, ("out",), ("checkpoint", "features", "labels"))
     model, _book, _reducer = ckpt.load_checkpoint(args.checkpoint)
     features = data.load_dense(args.features, args.labels)
     try:
@@ -150,6 +166,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
+    _check_outputs(args, ("out",), ("queries", "database"))
     queries = codec.load_code_set(args.queries)
     database = codec.load_code_set(args.database)
     try:
@@ -177,7 +194,7 @@ def _cmd_benchmark(args) -> int:
     if args.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
     configs = [_config_from_args(args, bits=bits) for bits in bits_list]
-    _check_output_dirs(args.metrics)
+    _check_outputs(args, ("metrics",), ("features", "labels"))
     dataset = _load_dataset(args)
     rows, records = [], []
     for config in configs:
@@ -198,6 +215,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    _check_outputs(args, ("out",), ("metrics",))
     points = []
     with open(args.metrics, "rb") as fh:
         for number, line in enumerate(fh, 1):

@@ -14,8 +14,9 @@ computed as the (r, rows) product W.T @ X_block.T, with W.T made
 contiguous once per call: single-threaded OpenBLAS ran that orientation
 about a quarter faster than X_block @ W on 784-wide blocks at r = 32 and
 128, with the same signs.  The blocks run on ``_parallel.pool_threads()``
-threads, the calling thread among them: one per usable CPU when the BLAS
-runs each product on one thread, and one in all when the BLAS already
+threads: one worker per usable CPU when the BLAS runs each product on
+one thread, while the calling thread collects the non-finite rows each
+block reports, and the calling thread alone when the BLAS already
 spreads each product over the CPUs.  Each block writes its products
 into the ENCODE_ROWS x r float64 buffer of its ``run_blocks`` slot,
 one buffer per thread, and no more threads run than ENCODE_BYTES of

@@ -20,13 +20,14 @@ sort, linear in the database size, and being stable it keeps the tie
 rule: by distance, then by database index.  :func:`evaluate` measures
 ``max(1, RANK_BLOCK_BYTES // (8 * n))`` queries at a time against n
 database codes, split into one block per thread of
-``_parallel.pool_threads()``, never more threads than queries, the
-calling thread among them.  The threads only measure distances, each
-block into the ring slot ``run_blocks`` gives it, in a buffer that the
-calling thread owns; the calling thread argsorts each block and scores
-each query's row by :func:`average_precision` and
-:func:`precision_at_k`, in query order, while the workers measure the
-next blocks.  So the int64 rankings in memory are one block's, at most
+``_parallel.pool_threads()``, never more threads than queries.  With
+more than one thread, worker threads measure every block's distances,
+each into the ring slot ``run_blocks`` gives it, in a buffer that the
+calling thread owns; the calling thread measures none and argsorts
+each block and scores each query's row by :func:`average_precision`
+and :func:`precision_at_k`, in query order, while the workers measure
+the next blocks.  With one thread the calling thread does both.  So
+the int64 rankings in memory are one block's, at most
 RANK_BLOCK_BYTES or one query's row, whichever is larger, however many
 queries or threads there are, and the threads allocate nothing larger
 than one n-word XOR row: glibc gives each thread a malloc arena of its

@@ -280,6 +280,22 @@ class TestCorruption:
             save_checkpoint(tmp_path / "model.hcoh", model, book, reducer)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("field, value", [
+        ("round", -1), ("round", 2.5), ("round", 2**64), ("reducer seed", -1),
+        ("book seed", -1)])
+    def test_field_outside_its_integer_rejected_without_writing(self, tmp_path,
+                                                               field, value):
+        # Packing fails before the loader's rules see the bytes; the error
+        # is still a FormatError naming the file, which cli.main reports.
+        model, book, reducer = make_state(bits=8, order=8)
+        if field == "round":
+            model.round = value
+        elif field == "reducer seed":
+            reducer = LshReducer.create(8, 8, value)
+        else:
+            book.seed = value
+        refused_at_save(tmp_path / "model.hcoh", model, book, reducer, FormatError,
+                        "model.hcoh: .* does not fit")
 
 def refused_state(case):
     """make_state's (model, book, reducer), damaged as ``case`` names."""

@@ -2,6 +2,7 @@ import gzip
 import json
 import logging
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -10,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcoh import (Dataset, InvalidOrderError, NumericFailureError, RunConfig,
-                  SplitSpec, derive_seeds, encode, load_dense, load_labels,
-                  pack_bits, save_code_set, save_dense, save_labels, split)
+from hcoh import (Dataset, HadamardCodebook, InvalidOrderError, LshReducer,
+                  NumericFailureError, RunConfig, SplitSpec, derive_seeds, encode,
+                  init_model, load_dense, load_labels, pack_bits, save_code_set,
+                  save_dense, save_labels, split)
 from hcoh import cli
 from hcoh.checkpoint import load_checkpoint, save_checkpoint
 from hcoh.cli import _config_from_args, build_parser, main
@@ -686,3 +688,105 @@ class TestBenchmarkAndCurve:
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: HCOH_LOG: ")
         assert "bogus" in proc.stderr
+
+
+def run_flags(d, *outputs) -> list:
+    """A small dense run on the copies in ``d``, then the output flags given."""
+    return ["--dataset", "dense", "--features", f"{d}/blobs.feat",
+            "--labels", f"{d}/blobs.lab", "--max-labels", "4",
+            "--test-per-class", "25", "--train-size", "100", "--k-prec", "10",
+            *outputs]
+
+
+# (command line, the flag refused, its path, the flag it clashes with);
+# {d} is the test's directory, and "{d}/./" checks that paths are resolved.
+CLASHES = {
+    "train-metrics-is-checkpoint": (
+        ["train", *run_flags("{d}", "--checkpoint", "{d}/out.hcoh",
+                             "--metrics", "{d}/./out.hcoh")],
+        "--metrics", "{d}/./out.hcoh", "--checkpoint"),
+    "train-metrics-is-features": (
+        ["train", *run_flags("{d}", "--checkpoint", "{d}/out.hcoh",
+                             "--metrics", "{d}/blobs.feat")],
+        "--metrics", "{d}/blobs.feat", "--features"),
+    "train-checkpoint-is-labels": (
+        ["train", *run_flags("{d}", "--checkpoint", "{d}/./blobs.lab",
+                             "--metrics", "{d}/out.jsonl")],
+        "--checkpoint", "{d}/./blobs.lab", "--labels"),
+    "encode-out-is-features": (
+        ["encode", "--checkpoint", "{d}/saved.hcoh", "--features", "{d}/blobs.feat",
+         "--labels", "{d}/blobs.lab", "--out", "{d}/blobs.feat"],
+        "--out", "{d}/blobs.feat", "--features"),
+    "encode-out-is-checkpoint": (
+        ["encode", "--checkpoint", "{d}/saved.hcoh", "--features", "{d}/blobs.feat",
+         "--labels", "{d}/blobs.lab", "--out", "{d}/./saved.hcoh"],
+        "--out", "{d}/./saved.hcoh", "--checkpoint"),
+    "evaluate-out-is-queries": (
+        ["evaluate", "--queries", "{d}/q.hcode", "--database", "{d}/db.hcode",
+         "--k-prec", "1", "--out", "{d}/q.hcode"],
+        "--out", "{d}/q.hcode", "--queries"),
+    "evaluate-out-is-database": (
+        ["evaluate", "--queries", "{d}/q.hcode", "--database", "{d}/db.hcode",
+         "--k-prec", "1", "--out", "{d}/./db.hcode"],
+        "--out", "{d}/./db.hcode", "--database"),
+    "benchmark-metrics-is-features": (
+        ["benchmark", *run_flags("{d}", "--bits-list", "8", "--repeats", "1",
+                                 "--metrics", "{d}/blobs.feat")],
+        "--metrics", "{d}/blobs.feat", "--features"),
+    "benchmark-metrics-is-labels": (
+        ["benchmark", *run_flags("{d}", "--bits-list", "8", "--repeats", "1",
+                                 "--metrics", "{d}/./blobs.lab")],
+        "--metrics", "{d}/./blobs.lab", "--labels"),
+    "curve-out-is-metrics": (
+        ["curve", "--metrics", "{d}/metrics.jsonl", "--out", "{d}/metrics.jsonl"],
+        "--out", "{d}/metrics.jsonl", "--metrics"),
+    "curve-out-links-to-metrics": (
+        ["curve", "--metrics", "{d}/metrics.jsonl", "--out", "{d}/link.jsonl"],
+        "--out", "{d}/link.jsonl", "--metrics"),
+}
+
+
+class TestOutputNamesAnotherFile:
+    @pytest.fixture()
+    def files(self, dense_blobs, tmp_path):
+        """Every command's inputs, copied or written into the test's directory."""
+        for name in ("blobs.feat", "blobs.lab"):
+            shutil.copy(dense_blobs / name, tmp_path / name)
+        save_checkpoint(tmp_path / "saved.hcoh", init_model(8, 16, eta=0.2, seed=1),
+                        HadamardCodebook.create(16, seed=2),
+                        LshReducer.create(16, 16, seed=3))
+        save_code_set(tmp_path / "q.hcode",
+                      BinaryCodeSet(pack_bits([[0, 1, 0, 1]]), [0], 4))
+        save_code_set(tmp_path / "db.hcode",
+                      BinaryCodeSet(pack_bits([[0, 0, 0, 0], [1, 1, 1, 1]]), [0, 1], 4))
+        (tmp_path / "metrics.jsonl").write_text(
+            '{"record": "checkpoint", "instances_seen": 50, "map": 0.25}\n')
+        (tmp_path / "link.jsonl").symlink_to("metrics.jsonl")
+        return tmp_path
+
+    @pytest.mark.parametrize("case", list(CLASHES))
+    def test_exit_config_before_any_file_is_read_or_written(self, files, capsys,
+                                                            case):
+        argv, flag, path, other = CLASHES[case]
+        before = {p.name: p.read_bytes() for p in files.iterdir()}
+        assert main([arg.format(d=files) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {flag} {path.format(d=files)} names the same file "
+            f"as {other}\n")
+        assert {p.name: p.read_bytes() for p in files.iterdir()} == before
+        assert (files / "link.jsonl").is_symlink()
+
+    def test_inputs_may_name_the_same_file(self, files):
+        assert main(["evaluate", "--queries", f"{files}/db.hcode",
+                     "--database", f"{files}/./db.hcode", "--k-prec", "1",
+                     "--out", f"{files}/eval.jsonl"]) == 0
+        assert (files / "eval.jsonl").exists()
+
+    def test_output_on_a_symlink_loop_is_written(self, files):
+        # Resolving a path that loops does not fail: the loop is no input,
+        # so the CSV replaces the link.
+        (files / "loop-a").symlink_to("loop-b")
+        (files / "loop-b").symlink_to("loop-a")
+        assert main(["curve", "--metrics", f"{files}/metrics.jsonl",
+                     "--out", f"{files}/loop-a"]) == 0
+        assert (files / "loop-a").read_text().startswith("instances_seen,map\n")

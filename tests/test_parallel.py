@@ -103,15 +103,19 @@ class TestRunBlocks:
                                                            thread_starts, cpus):
         set_cpus(monkeypatch, cpus)
         slots = set()
+        on_caller = set()
 
         def fn(slot, start):
             slots.add(slot)
+            on_caller.add(threading.current_thread() is threading.main_thread())
             return start * 10
 
         assert collect(fn, range(0, 70, 7), pool_threads()) == [
             (start, start * 10) for start in range(0, 70, 7)]
         assert slots <= set(range(cpus))
-        assert len(thread_starts) == cpus - 1
+        # One worker per thread, and no block on the calling thread.
+        assert len(thread_starts) == (cpus if cpus > 1 else 0)
+        assert on_caller == {cpus == 1}
         # Never more threads than blocks.
         thread_starts.clear()
         assert collect(fn, [5], pool_threads()) == [(5, 50)]
@@ -152,30 +156,6 @@ class TestRunBlocks:
 
         with pytest.raises(LookupError, match="use failed"):
             run_blocks(lambda slot, start: start, range(40), pool_threads(), use)
-        assert threading.active_count() == before
-
-    def test_block_taken_back_by_the_calling_thread_raises_after_use(self):
-        # Block 0 holds the one worker until block 1 has run, so no worker
-        # can take block 1: the calling thread takes it back and runs it,
-        # and its exception is raised once block 0 has gone to use.
-        before = threading.active_count()
-        caller = threading.current_thread()
-        block_1_threads = []
-        released = threading.Event()
-
-        def fn(slot, start):
-            if start == 0:
-                released.wait(timeout=30)
-                return "block 0"
-            block_1_threads.append(threading.current_thread())
-            released.set()
-            raise KeyError("block 1")
-
-        used = []
-        with pytest.raises(KeyError, match="block 1"):
-            run_blocks(fn, [0, 1], 2, lambda start, result: used.append((start, result)))
-        assert used == [(0, "block 0")]
-        assert block_1_threads == [caller]
         assert threading.active_count() == before
 
     def test_failed_thread_start_joins_started_workers(self, monkeypatch):
@@ -266,9 +246,8 @@ class TestEncodeAnyCpuCount:
         set_cpus(monkeypatch, 2)
         model = init_model(5, 16, eta=0.1, seed=4)
         before = threading.active_count()
-        on_worker = []
-        # The bad rows in the first block, then in the second: whichever
-        # block the worker takes, one of the two runs puts them there.
+        # The bad rows in the first block, then in the second: either way
+        # the error names the first bad row, and both blocks ran on workers.
         for lo in (0, codec.ENCODE_ROWS):
             feats = np.ones((codec.ENCODE_ROWS + 9, 5))
             feats[[lo + 2, lo + 6], 1] = np.inf
@@ -277,25 +256,23 @@ class TestEncodeAnyCpuCount:
                                match=rf"2 feature rows .*first row {lo + 2}\)"):
                 encode(model, feats)
             assert threading.active_count() == before
-            assert sorted(on_caller for on_caller, _args in seen) == [False, True]
-            on_worker += [args[1].shape[0] == (9 if lo else codec.ENCODE_ROWS)
-                          for on_caller, args in seen if not on_caller]
+            assert sorted(on_caller for on_caller, _args in seen) == [False, False]
             monkeypatch.undo()
             set_cpus(monkeypatch, 2)
-        assert any(on_worker)
 
     @pytest.mark.parametrize("cpus", [4, 8])
     def test_buffers_bounded_whatever_the_cpu_count(self, monkeypatch, thread_starts,
                                                     cpus):
         # Blocks of 256 rows at r = 64 take 128 KiB of pre-activations each,
-        # and a 256 KiB budget lets two threads run, however many CPUs.
+        # and a 256 KiB budget lets two threads run, however many CPUs:
+        # two workers, and the calling thread only collects the results.
         monkeypatch.setattr(codec, "ENCODE_ROWS", 256)
         monkeypatch.setattr(codec, "ENCODE_BYTES", 2 * 256 * 64 * 8)
         set_cpus(monkeypatch, cpus)
         model = init_model(16, 64, eta=0.1, seed=5)
         feats = np.random.default_rng(5).standard_normal((40 * 256, 16))
         peak = traced_peak(lambda: encode(model, feats))
-        assert len(thread_starts) == 1
+        assert len(thread_starts) == 2
         # The words, the labels, and at most the budget of pre-activations
         # plus their sign and packing temporaries.
         assert peak < 40 * 256 * (8 + 8) + 2 * codec.ENCODE_BYTES
@@ -348,7 +325,7 @@ class TestEvaluateAnyCpuCount:
         with pytest.raises(MemoryError, match="distance block failed"):
             evaluate(queries, database, k_prec=5)
         assert threading.active_count() == before
-        assert sorted(on_caller for on_caller, _args in seen) == [False, True]
+        assert sorted(on_caller for on_caller, _args in seen) == [False, False]
 
     def test_workers_only_measure_distances(self, monkeypatch):
         # Rankings are made on the calling thread alone, so no worker's
