@@ -3,8 +3,8 @@
 :func:`pool_threads` is the thread count: the CPUs this process may run
 on (``os.sched_getaffinity``) divided by the threads over which the BLAS
 already spreads each product, and at least one.  OpenBLAS by default
-runs each product on every CPU, which gives one thread: hashing and
-ranking then run in the calling thread as if this module did not exist.
+runs each product on every CPU, which gives one thread: hashing then
+runs in the calling thread as if this module did not exist.
 Two pools on the same CPUs would only get in each other's way:
 OpenBLAS's threads spin for a while after each product, and a second
 thread that calls into the BLAS waits for them.  With the BLAS on one
@@ -18,10 +18,11 @@ of that many workers, never more blocks in flight than threads, and
 block i always runs in slot i % threads, so each slot can own a buffer.
 The calling thread runs no block: it submits them, waits for each
 result in turn and uses it.  With one thread, or one block, it runs
-every block itself and starts no thread.  ``encode`` hashes blocks
-whose bounds do not depend on the thread count; ``evaluate``'s query
-blocks shrink as threads are added, but no query's ranking depends on
-its block.  Either way the bytes are the same on any number of CPUs.
+every block itself and starts no thread.  ``codec.encode`` is the only
+caller: it hashes blocks whose bounds do not depend on the thread
+count, so its bytes are the same on any number of CPUs.  Its GEMMs
+release the GIL, so its blocks do run at once; ``evaluate`` runs on the
+calling thread, since its sorting and scoring hold the GIL.
 
 The functions run on workers touch only private code and the arrays
 their caller hands them; every public call stays on the calling thread,

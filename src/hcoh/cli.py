@@ -9,8 +9,9 @@ its own: ``RunConfig`` decides what a flag left out means, and the
 library's other rules stay in their modules too: ``data.load_mnist_dir``
 finds and reads an MNIST directory, and ``LshReducer.create`` bounds
 the codebook.  An output path that names one of the command's input
-files or another of its outputs is a configuration error, raised
-before any file is read or written.
+files (an MNIST file under --data-dir, plain or gzipped, included) or
+another of its outputs is a configuration error, raised before any
+file is read or written.
 Metric streams are JSON lines; tables go to stdout.
 """
 
@@ -74,21 +75,28 @@ def _check_outputs(args, outputs, inputs=()) -> None:
     """Refuse output paths that no directory holds or that name another file flag.
 
     ``outputs`` and ``inputs`` name file flags by their ``args``
-    attribute; a flag left out is skipped.  An output that resolves to
-    an input or to another output raises ConfigError, and one whose
-    directory does not exist raises NotADirectoryError.  Commands call
-    this before reading or writing any file, so a run that would
-    overwrite its own input or could not save its results fails before
-    it starts.
+    attribute; a flag left out is skipped.  With ``--dataset mnist``,
+    both names of each MNIST file under ``--data-dir``
+    (``data.mnist_candidates``) count as inputs too, whether they exist
+    or not: a plain file written beside a gzipped one would be read in
+    its place.  An output that resolves to an input or to another output
+    raises ConfigError, and one whose directory does not exist raises
+    NotADirectoryError.  Commands call this before reading or writing
+    any file, so a run that would overwrite its own input or could not
+    save its results fails before it starts.
     """
     named = {}  # resolved path -> the first flag that named it
+    if getattr(args, "dataset", None) == "mnist" and args.data_dir:
+        for pair in data.mnist_candidates(args.data_dir):
+            for path in pair:
+                named[os.path.realpath(path)] = f"--data-dir's {path.name}"
     for name in (*inputs, *outputs):
-        path = getattr(args, name)
+        path, flag = getattr(args, name), f"--{name}"
         if path is None:
             continue
-        other = named.setdefault(os.path.realpath(path), name)
-        if other != name and name in outputs:
-            raise ConfigError(f"--{name} {path} names the same file as --{other}")
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag and name in outputs:
+            raise ConfigError(f"{flag} {path} names the same file as {other}")
     for path in filter(None, (getattr(args, name) for name in outputs)):
         if not Path(path).parent.is_dir():
             raise NotADirectoryError(

@@ -14,8 +14,9 @@ Two on-disk feature carriers are supported (byte layouts in FORMATS.md):
 Feature and label files ending in .gz are decompressed as they are
 read, and a damaged gzip stream raises FormatError naming the file.
 An MNIST directory holds the four IDX files named in MNIST_FILES, each
-plain or gzipped; ``mnist_paths`` finds them and ``load_mnist_dir``
-loads all four into one Dataset.
+plain or gzipped; ``mnist_candidates`` names both forms of each,
+``mnist_paths`` finds them and ``load_mnist_dir`` loads all four into
+one Dataset.
 
 A loaded dataset holds one float64 feature matrix, and training and
 evaluation index into it instead of copying it.  Loading checks every
@@ -282,6 +283,16 @@ def load_idx(image_path, label_path, norm: str = "unit255",
     return Dataset(features, np.concatenate(labels), name="idx")
 
 
+def mnist_candidates(directory) -> list:
+    """The (plain, gzipped) paths of each of the MNIST_FILES under ``directory``.
+
+    In the order of MNIST_FILES, whether or not the files exist.
+    """
+    directory = Path(directory)
+    return [(directory / stem, directory / f"{stem}.gz")
+            for stem in MNIST_FILES.values()]
+
+
 def mnist_paths(directory) -> list:
     """The paths of the MNIST_FILES under ``directory``, in their order.
 
@@ -289,12 +300,11 @@ def mnist_paths(directory) -> list:
     that exists.  Raises FileNotFoundError naming the first file missing
     in both forms.
     """
-    directory, paths = Path(directory), []
-    for stem in MNIST_FILES.values():
-        plain, gz = directory / stem, directory / f"{stem}.gz"
+    paths = []
+    for plain, gz in mnist_candidates(directory):
         if not (plain.exists() or gz.exists()):
             raise FileNotFoundError(
-                f"missing MNIST file {stem}(.gz) under {directory}")
+                f"missing MNIST file {plain.name}(.gz) under {plain.parent}")
         paths.append(plain if plain.exists() else gz)
     return paths
 

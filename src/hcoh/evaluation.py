@@ -9,7 +9,8 @@ precision is the non-interpolated form
 
 with R the number of relevant items, clipped to the cutoff K when one is
 given (so AP@K <= 1 always).  Queries with no relevant item in the
-database are skipped and counted, not scored as zero.
+database, or with the unknown label, are skipped and counted, not
+scored as zero.
 
 :func:`rank` orders a set of queries against a database in one call.
 The distances come from ``hcoh.codec._hamming_distances`` in the
@@ -17,40 +18,38 @@ narrowest unsigned dtype that holds the code length (uint8 below 256
 bits, uint16 below 65,536), and one ``argsort(kind="stable")`` orders
 every row.  On 8- and 16-bit integers numpy's stable sort is a radix
 sort, linear in the database size, and being stable it keeps the tie
-rule: by distance, then by database index.  :func:`evaluate` measures
+rule: by distance, then by database index.  :func:`evaluate` runs on
+the calling thread and starts none: it takes
 ``max(1, RANK_BLOCK_BYTES // (8 * n))`` queries at a time against n
-database codes, split into one block per thread of
-``_parallel.pool_threads()``, never more threads than queries.  With
-more than one thread, worker threads measure every block's distances,
-each into the ring slot ``run_blocks`` gives it, in a buffer that the
-calling thread owns; the calling thread measures none and argsorts
-each block and scores each query's row by :func:`average_precision`
-and :func:`precision_at_k`, in query order, while the workers measure
-the next blocks.  With one thread the calling thread does both.  So
-the int64 rankings in memory are one block's, at most
-RANK_BLOCK_BYTES or one query's row, whichever is larger, however many
-queries or threads there are, and the threads allocate nothing larger
-than one n-word XOR row: glibc gives each thread a malloc arena of its
-own that keeps what the thread freed, and rankings made there stayed
-resident.  Only full AP gathers the whole ranked relevance list, the
-cut-off metrics gather their top K.  A query's ranking does not depend
-on which block holds it, and per-query results stay in query order, so
-each mean is reduced over the same array for any block size and any
-number of CPUs.
+database codes, measures their distances into one (block, n) buffer
+that it allocates once per call and reuses for every block, argsorts
+the block and scores each query's row by :func:`average_precision` and
+:func:`precision_at_k`, in query order.  So the int64 rankings in
+memory are one block's, at most RANK_BLOCK_BYTES or one query's row,
+whichever is larger, however many queries there are.  Only full AP
+gathers the whole ranked relevance list, the cut-off metrics gather
+their top K.  A query with the unknown label -1 (``fileio.UNKNOWN_LABEL``,
+stored as 0xFFFFFFFF) has no class, so it is skipped and counted like
+a query with no relevant item, and a database code with that label is
+relevant to no query.  A query's ranking does not depend on which
+block holds it, and per-query results stay in query order, so each
+mean is reduced over the same array for any block size.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import pool_threads, run_blocks
 from .codec import BinaryCodeSet, _distance_dtype, _hamming_distances
 from .errors import DimensionError, UndefinedAPError
+from .fileio import UNKNOWN_LABEL
 
-# Bytes of the (q, n) int64 rankings of the queries that evaluate has in
-# flight at once on all its threads; it bounds evaluate's temporaries
-# whatever the query count.  Blocks well under glibc's 32 MiB mmap ceiling can reuse heap
-# pages instead of mapping and faulting in fresh ones for every block.
+# Bytes of the (q, n) int64 rankings of one block of queries, the queries
+# that evaluate measures, sorts and scores at once on the calling thread;
+# with the block's distances, in one buffer reused for every block, it
+# bounds evaluate's temporaries whatever the query count.  Blocks well
+# under glibc's 32 MiB mmap ceiling can reuse heap pages instead of
+# mapping and faulting in fresh ones for every block.
 RANK_BLOCK_BYTES = 4 * 2**20
 
 
@@ -144,7 +143,8 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
     """Score every query against the database; aggregate means.
 
     Raises DimensionError, before any other check, if either set holds
-    no codes.
+    no codes, and UndefinedAPError if no query is scored: each has the
+    unknown label or no relevant database item.
     """
     for side, codes in (("query", queries), ("database", database)):
         if len(codes) == 0:
@@ -159,11 +159,13 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
     prec = np.zeros(n_q)
     scored = np.zeros(n_q, dtype=bool)
 
-    def rank_and_score(lo, distances):  # on the calling thread, in query order
+    # One call per block, so that a block's rankings are freed before the
+    # next block is sorted.
+    def rank_and_score(lo, distances):
         rankings = np.argsort(distances, axis=1, kind="stable")
         for qi, ranking in enumerate(rankings, start=lo):
             relevance = database.labels == queries.labels[qi]
-            if not relevance.any():
+            if queries.labels[qi] == UNKNOWN_LABEL or not relevance.any():
                 continue
             scored[qi] = True
             ap_full[qi] = average_precision(ranking, relevance)
@@ -172,19 +174,12 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
             prec[qi] = precision_at_k(ranking, relevance, k_prec)
 
     _check_lengths(queries, database)
-    rows = max(1, RANK_BLOCK_BYTES // (8 * n_db))  # queries in flight
-    threads = min(pool_threads(), rows)
-    block = rows // threads
-    # One distance block per slot: run_blocks starts block i + threads in
-    # block i's slot only after block i has been ranked and scored.
-    ring = np.empty((threads, block, n_db), dtype=_distance_dtype(database.length))
-
-    def measure(slot, lo):
+    block = max(1, RANK_BLOCK_BYTES // (8 * n_db))  # queries at a time
+    distances = np.empty((block, n_db), dtype=_distance_dtype(database.length))
+    for lo in range(0, n_q, block):
         words = queries.words[lo:lo + block]
-        return _hamming_distances(words, database.words, database.length,
-                                  out=ring[slot, :len(words)])
-
-    run_blocks(measure, range(0, n_q, block), threads, rank_and_score)
+        rank_and_score(lo, _hamming_distances(words, database.words, database.length,
+                                              out=distances[:len(words)]))
 
     n_scored = int(scored.sum())
     if n_scored == 0:

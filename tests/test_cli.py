@@ -746,6 +746,37 @@ CLASHES = {
 }
 
 
+class TestOutputNamesAnMnistFile:
+    @pytest.mark.parametrize("command, flag", [("train", "--checkpoint"),
+                                               ("benchmark", "--metrics")],
+                             ids=["train", "benchmark"])
+    @pytest.mark.parametrize("stored, named", [("", ""), (".gz", ".gz"), (".gz", "")],
+                             ids=["plain", "gz", "plain-beside-gz"])
+    def test_exit_config_and_the_directory_unchanged(self, idx_dir, tmp_path, capsys,
+                                                     command, flag, stored, named):
+        # An output over an IDX file, plain or gzipped, or a plain file
+        # beside the gzipped one, which the next load would read instead.
+        data_dir = tmp_path / "mnist"
+        data_dir.mkdir()
+        for name in MNIST_FILES.values():
+            raw = (idx_dir / name).read_bytes()
+            (data_dir / (name + stored)).write_bytes(gzip.compress(raw) if stored else raw)
+        before = {p.name: p.read_bytes() for p in data_dir.iterdir()}
+        target = data_dir / (MNIST_FILES["train_labels"] + named)
+        outputs = {"train": ["--bits", "8", "--checkpoint", str(target),
+                             "--metrics", str(tmp_path / "out.jsonl")],
+                   "benchmark": ["--bits-list", "8", "--repeats", "1",
+                                 "--metrics", str(target)]}
+        assert main([command, "--dataset", "mnist", "--data-dir", str(data_dir),
+                     "--max-labels", "4", "--test-per-class", "5", "--train-size",
+                     "100", "--k-prec", "10", *outputs[command]]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {flag} {target} names the same file as "
+            f"--data-dir's {target.name}\n")
+        assert {p.name: p.read_bytes() for p in data_dir.iterdir()} == before
+        assert not (tmp_path / "out.jsonl").exists()
+
+
 class TestOutputNamesAnotherFile:
     @pytest.fixture()
     def files(self, dense_blobs, tmp_path):

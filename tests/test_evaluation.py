@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hcoh import (BinaryCodeSet, DimensionError, UndefinedAPError,
-                  average_precision, evaluate, map_curve_auc, pack_bits,
-                  precision_at_k, rank)
+                  average_precision, encode, evaluate, init_model, map_curve_auc,
+                  pack_bits, precision_at_k, rank)
 from hcoh import evaluation
+from hcoh.fileio import UNKNOWN_LABEL
 from tests.conftest import oracle_ap, oracle_rank
 
 
@@ -190,6 +191,38 @@ class TestEvaluate:
         with pytest.raises(UndefinedAPError, match="no query"):
             evaluate(queries, database, k_prec=2)
 
+    def test_unlabelled_queries_are_skipped_and_counted(self):
+        # The unknown label -1 is no class: such a query is skipped, a
+        # database code with it is relevant to no query, and the other
+        # queries score as the oracle says.
+        rng = np.random.default_rng(25)
+        n_q, n_db, r = 40, 150, 24
+        db_bits = clustered_bits(rng, n_db, r, pool=5)
+        q_bits = clustered_bits(rng, n_q, r, pool=5)
+        db_labels = rng.integers(-1, 3, n_db)
+        q_labels = rng.integers(-1, 3, n_q)
+        report = evaluate(make_set(q_bits, q_labels), make_set(db_bits, db_labels),
+                          k_prec=10, k_map=12)
+        known = q_labels != UNKNOWN_LABEL
+        expected = oracle_scores(q_bits[known], q_labels[known], db_bits, db_labels,
+                                 10, 12)
+        assert report.n_skipped == n_q - len(expected) > 0
+        np.testing.assert_allclose(report.per_query_ap, [e[0] for e in expected],
+                                   rtol=0, atol=1e-12)
+        assert report.map_at_k == pytest.approx(
+            np.mean([e[1] for e in expected]), abs=1e-12)
+        assert report.precision_at_k == pytest.approx(
+            np.mean([e[2] for e in expected]), abs=1e-12)
+
+    def test_codes_encoded_without_labels_are_undefined(self):
+        # encode without labels gives every code the unknown label, which
+        # does not make them one class.
+        features = np.random.default_rng(26).standard_normal((60, 8))
+        codes = encode(init_model(8, 16, eta=0.1, seed=26), features)
+        assert (codes.labels == UNKNOWN_LABEL).all()
+        with pytest.raises(UndefinedAPError, match="no query"):
+            evaluate(codes.take(slice(0, 20)), codes, k_prec=10)
+
     def test_random_codes_score_near_class_prior(self):
         rng = np.random.default_rng(5)
         maps = []
@@ -244,9 +277,8 @@ class TestRankingKernel:
 
     The lengths straddle the one-word/two-word and the uint8/uint16
     distance-dtype boundaries.  Each case ranks 1 query at a time, 64
-    (70 queries make two rounds, 150 make three, the last one ragged)
-    and every query, each round split over the pool's threads, and the
-    reports must be bit-identical.
+    (70 queries make two blocks, 150 make three, the last one ragged)
+    and every query at a time, and the reports must be bit-identical.
     """
 
     CASES = ([(r, k_map, 70, 120) for k_map in (None, 9)

@@ -182,7 +182,7 @@ class TestRunBlocks:
         # the interpreter allows: a block lost or run twice breaks the counts,
         # and no more than eight blocks may be running or waiting to be used.
         # Block i runs in slot i % 8, and no two running blocks share a slot,
-        # since encode's buffers and evaluate's distance ring are per slot.
+        # since encode's buffers are per slot.
         set_cpus(monkeypatch, 8)
         runs = [0] * 3000
         slots = [None] * 3000
@@ -287,15 +287,15 @@ def report_bytes(report: EvalReport) -> tuple:
 class TestEvaluateAnyCpuCount:
     @pytest.mark.parametrize("k_map", [None, 12])
     @pytest.mark.parametrize("budget_rows", [None, 7])
-    def test_reports_bit_equal_across_cpu_counts(self, monkeypatch, k_map,
-                                                 budget_rows):
+    def test_reports_bit_equal_across_cpu_counts(self, monkeypatch, thread_starts,
+                                                 k_map, budget_rows):
         rng = np.random.default_rng(21)
         n_q, n_db, r = 45, 400, 70
         database = make_set(clustered_bits(rng, n_db, r, pool=5), rng.integers(0, 3, n_db))
         queries = make_set(clustered_bits(rng, n_q, r, pool=5), rng.integers(0, 4, n_q))
         if budget_rows is not None:
-            # 7 queries at a time: blocks of 3 on 2 CPUs and of 1 on 4,
-            # and 45 queries leave the last block of 3 ragged.
+            # 7 queries at a time, and 45 queries leave the last block of 3
+            # ragged.
             monkeypatch.setattr(evaluation, "RANK_BLOCK_BYTES", budget_rows * 8 * n_db)
         reports = []
         for cpus in CPU_COUNTS:
@@ -304,54 +304,15 @@ class TestEvaluateAnyCpuCount:
         assert reports[0].n_skipped > 0
         for report in reports[1:]:
             assert report_bytes(report) == report_bytes(reports[0])
-
-    def test_error_in_a_worker_distance_block_propagates(self, monkeypatch):
-        set_cpus(monkeypatch, 2)
-        rng = np.random.default_rng(22)
-        database = make_set(rng.integers(0, 2, (50, 20)), rng.integers(0, 2, 50))
-        queries = make_set(rng.integers(0, 2, (4, 20)), rng.integers(0, 2, 4))
-        monkeypatch.setattr(evaluation, "RANK_BLOCK_BYTES", 4 * 8 * 50)
-        seen = on_one_thread_each(monkeypatch, evaluation, "_hamming_distances")
-        original = evaluation._hamming_distances
-
-        def failing(*args, **kwargs):
-            result = original(*args, **kwargs)
-            if threading.current_thread() is not threading.main_thread():
-                raise MemoryError("distance block failed")
-            return result
-
-        monkeypatch.setattr(evaluation, "_hamming_distances", failing)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="distance block failed"):
-            evaluate(queries, database, k_prec=5)
-        assert threading.active_count() == before
-        assert sorted(on_caller for on_caller, _args in seen) == [False, False]
-
-    def test_workers_only_measure_distances(self, monkeypatch):
-        # Rankings are made on the calling thread alone, so no worker's
-        # malloc arena ever holds one.
-        set_cpus(monkeypatch, 4)
-        rng = np.random.default_rng(24)
-        database = make_set(rng.integers(0, 2, (300, 40)), rng.integers(0, 3, 300))
-        queries = make_set(rng.integers(0, 2, (60, 40)), rng.integers(0, 3, 60))
-        monkeypatch.setattr(evaluation, "RANK_BLOCK_BYTES", 8 * 8 * 300)
-        sorted_on = set()
-        argsort = np.argsort
-
-        def recording_argsort(*args, **kwargs):
-            sorted_on.add(threading.current_thread() is threading.main_thread())
-            return argsort(*args, **kwargs)
-
-        monkeypatch.setattr(evaluation.np, "argsort", recording_argsort)
-        evaluate(queries, database, k_prec=5)
-        assert sorted_on == {True}
+        # With the BLAS on one thread, 2 and 4 CPUs would give encode a
+        # pool; evaluate runs on the calling thread alone.
+        assert thread_starts == []
 
     @pytest.mark.parametrize("cpus", [4, 8])
     def test_rankings_within_the_budget_whatever_the_cpu_count(self, monkeypatch,
                                                                cpus):
-        # The same bound as the one-thread memory test: the calling
-        # thread's rankings, the distance slots and the workers' XOR rows
-        # together stay within two budgets.
+        # The same bound as the one-thread memory test: the rankings, the
+        # distance buffer and the XOR row together stay within two budgets.
         set_cpus(monkeypatch, cpus)
         rng = np.random.default_rng(23)
         n_db = 4000
