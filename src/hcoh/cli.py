@@ -7,11 +7,11 @@ overflow a pre-activation); each error class carries its own as
 ``exit_code``.  A flag that sets a ``RunConfig`` field has no default of
 its own: ``RunConfig`` decides what a flag left out means, and the
 library's other rules stay in their modules too: ``data.load_mnist_dir``
-finds and reads an MNIST directory, and ``LshReducer.create`` bounds
-the codebook.  An output path that names one of the command's input
-files (an MNIST file under --data-dir, plain or gzipped, included) or
-another of its outputs is a configuration error, raised before any
-file is read or written.
+finds and reads an MNIST directory, ``LshReducer.create`` bounds the
+codebook and ``pipeline.check_repeats`` checks ``--repeats``.  An
+output path that names one of the command's input files (an MNIST file
+under --data-dir, plain or gzipped, included) or another of its outputs
+is a configuration error, raised before any file is read or written.
 Metric streams are JSON lines; tables go to stdout.
 """
 
@@ -29,7 +29,7 @@ from .data import load_mnist_dir
 from .errors import ConfigError, DimensionError, FormatError, HcohError
 from .evaluation import evaluate
 from .fileio import atomic_write
-from .pipeline import RunConfig, run_repeats, run_training
+from .pipeline import RunConfig, check_repeats, run_repeats, run_training
 
 ERROR_PREFIXES = {2: "config error", 3: "data error", 4: "numeric failure"}
 
@@ -132,10 +132,6 @@ def _add_common_train_flags(p, bits: bool) -> None:
     _run_flag(p, "--train-size", type=int, dest="train_subset", metavar="TRAIN_SIZE")
     _run_flag(p, "--k-prec", type=int)
     _run_flag(p, "--k-map", type=int)
-    _run_flag(p, "--paper-gradient", action="store_const", const="sigmoid",
-              dest="gradient",
-              help="use the (1 - tanh(u)) * tanh(u) gradient factor instead "
-                   "of the exact tanh derivative 1 - tanh(u)^2")
 
 
 def _cmd_train(args) -> int:
@@ -199,8 +195,7 @@ def _cmd_benchmark(args) -> int:
     bits_list = _int_list("--bits-list", args.bits_list)
     if not bits_list:
         raise ConfigError("--bits-list must name at least one code length")
-    if args.repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
+    check_repeats(args.repeats)
     configs = [_config_from_args(args, bits=bits) for bits in bits_list]
     _check_outputs(args, ("metrics",), ("features", "labels"))
     dataset = _load_dataset(args)

@@ -24,7 +24,9 @@ header and label count, and the size of every plain file, before it
 allocates that matrix; it then reads each feature file READ_ROWS rows
 at a time into one reused buffer of the file's dtype and casts (for
 ``"unit255"``, divides) each block straight into its rows, so no copy
-of a whole file is held.  A gzip file's size is counted as it is read.
+of a whole file is held.  An IDX label payload is read in blocks the
+same way.  A gzip file's size is counted as it is read, so one that
+inflates past its header is refused without being held either.
 
 The benchmark split takes a seeded per-class sample as the query (test)
 set, leaves the remainder as the retrieval database, and draws the
@@ -229,15 +231,13 @@ def _idx_dims(fh, path, expect_magic: int):
 
 
 def _idx_labels(path) -> np.ndarray:
-    """The int64 labels of one IDX label file, read whole."""
+    """The int64 labels of one IDX label file, read as image payloads are."""
     with _open(path) as fh:
         dims, header = _idx_dims(fh, path, IDX_LABEL_MAGIC)
-        payload = _read(fh, path)
-    expected = header + math.prod(dims)
-    if header + len(payload) != expected:
-        raise size_error(path, expected, header + len(payload),
-                         f" for dims {dims}")
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        _check_size(fh, path, header + math.prod(dims), f" for dims {dims}")
+        labels = np.empty((math.prod(dims), 1), dtype=np.int64)
+        _read_rows(fh, path, labels, np.uint8, header, f" for dims {dims}")
+    return labels.reshape(-1)
 
 
 def load_idx(image_path, label_path, norm: str = "unit255",

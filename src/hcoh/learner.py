@@ -12,13 +12,9 @@ One update step of plain gradient descent with rate eta:
     grad_W = (2/n) X.T E,   grad_b = (2/n) sum_rows(E)
     W     -= eta * grad_W,  b     -= eta * grad_b
 
-where 1 - a*a is the derivative of tanh.  The alternative factor
-(1 - a) * a sometimes seen for this update is the *sigmoid* derivative
-form; it is not the derivative of tanh and fails finite-difference
-verification, but is available via ``gradient="sigmoid"`` for
-comparison runs.  The constant 2 from the squared norm stays inside the
-gradient rather than being folded into eta, so quoted learning rates
-mean what they say.
+where 1 - a*a is the derivative of tanh.  The constant 2 from the
+squared norm stays inside the gradient rather than being folded into
+eta, so quoted learning rates mean what they say.
 
 A step is an (n, d) block of feature rows.  Steps of one row are the
 intended streaming mode; larger n averages the per-instance gradients,
@@ -32,7 +28,7 @@ W_0, b_0 the parameters at the block's start, step t's pre-activations
 are
 
     U_t = X_t W_0 + b_0 - eta (2/n) sum_{s<t} (X_t X_s.T + 1) E_s
-    E_t = (tanh(U_t) - T_t) * factor
+    E_t = (tanh(U_t) - T_t) * (1 - tanh(U_t)^2)
 
 which is the per-step loop's U_t = X_t W_t + b_t with W_t and b_t
 expanded.  So a block costs one forward GEMM, one Gram matrix X X.T and
@@ -66,7 +62,6 @@ from . import lsh
 from .errors import DimensionError, NumericFailureError
 from .hadamard import HadamardCodebook
 
-GRADIENT_FACTORS = ("exact", "sigmoid")
 BLOCK_ROWS = 128   # rows of training steps that train_stream runs as one block
 
 
@@ -139,7 +134,7 @@ def loss(model: HashModel, features: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _update(model: HashModel, features: np.ndarray, targets: np.ndarray,
-            gradient: str, n: int) -> None:
+            n: int) -> None:
     """Apply the block of len(features) // n steps of n rows, unchecked."""
     u = features @ model.weights
     u += model.bias
@@ -155,8 +150,7 @@ def _update(model: HashModel, features: np.ndarray, targets: np.ndarray,
         if lo:
             u[lo:hi] -= gram[lo:hi, :lo] @ err[:lo]
         a = np.tanh(u[lo:hi])
-        factor = 1.0 - a * a if gradient == "exact" else (1.0 - a) * a
-        np.multiply(a - targets[lo:hi], factor, out=err[lo:hi])
+        np.multiply(a - targets[lo:hi], 1.0 - a * a, out=err[lo:hi])
     model.weights -= model.eta * ((2.0 / n) * (features.T @ err))
     model.bias -= model.eta * ((2.0 / n) * err.sum(axis=0))
     model.round += len(u) // n
@@ -168,20 +162,17 @@ def _finite(model: HashModel) -> bool:
 
 
 def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
-             gradient: str = "exact", step_rows: int = None) -> HashModel:
+             step_rows: int = None) -> HashModel:
     """In-place gradient steps on ``model``; adds their count to the round.
 
     ``features`` is an (N, d) block and ``targets`` its (N, r) codes.
     With ``step_rows=None`` this is one step over all N rows; otherwise
     each run of ``step_rows`` consecutive rows is one step, and the steps
-    run as one block (see module docstring).  ``gradient="exact"`` uses
-    the tanh derivative 1 - a^2; ``"sigmoid"`` uses (1 - a) * a instead.
+    run as one block (see module docstring).
 
     Raises NumericFailureError, carrying the round index of the first
     step that leaves W or b non-finite, with the steps before it applied.
     """
-    if gradient not in GRADIENT_FACTORS:
-        raise ValueError(f"gradient must be one of {GRADIENT_FACTORS}")
     features, targets = _checked_block(model, features, targets)
     n = len(features) if step_rows is None else step_rows
     if n < 1 or len(features) % n:
@@ -191,14 +182,13 @@ def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
     if blocked:
         start = model.weights.copy(), model.bias.copy(), model.round
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
-        _update(model, features, targets, gradient, n)
+        _update(model, features, targets, n)
         finite = _finite(model)
         if blocked and not finite:
             # One step at a time from the block's start, to the failing one.
             model.weights[...], model.bias[...], model.round = start
             for lo in range(0, len(features), n):
-                _update(model, features[lo:lo + n], targets[lo:lo + n],
-                        gradient, n)
+                _update(model, features[lo:lo + n], targets[lo:lo + n], n)
                 finite = _finite(model)
                 if not finite:
                     break
@@ -210,7 +200,7 @@ def sgd_step(model: HashModel, features: np.ndarray, targets: np.ndarray,
 
 
 def train_stream(model: HashModel, batches, book: HadamardCodebook,
-                 reducer: lsh.LshReducer, gradient: str = "exact") -> HashModel:
+                 reducer: lsh.LshReducer) -> HashModel:
     """Consume an ordered stream of (features, labels) batches, one SGD step each.
 
     Consecutive steps run in blocks through :func:`sgd_step`, up to
@@ -231,7 +221,7 @@ def train_stream(model: HashModel, batches, book: HadamardCodebook,
             features, labels = zip(*block)
             codes = lsh.targets(np.concatenate(labels), book, reducer)
             sgd_step(model, np.concatenate(features), codes,
-                     gradient=gradient, step_rows=len(labels[0]))
+                     step_rows=len(labels[0]))
             block.clear()
 
     for features, labels in batches:

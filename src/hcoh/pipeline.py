@@ -26,7 +26,7 @@ from .data import Dataset, SplitSpec, split_indices, stream
 from .errors import ConfigError, InvalidOrderError
 from .evaluation import evaluate, map_curve_auc
 from .hadamard import HadamardCodebook, codeword_order
-from .learner import GRADIENT_FACTORS, init_model, train_stream
+from .learner import init_model, train_stream
 from .lsh import LshReducer
 
 log = logging.getLogger("hcoh")
@@ -54,7 +54,6 @@ class RunConfig:
     train_subset: int = 20000
     k_prec: int = 500
     k_map: int = None
-    gradient: str = "exact"
 
     def validate(self):
         if self.seed < 0 or self.repeat < 0:
@@ -69,9 +68,6 @@ class RunConfig:
         if any(m < 1 for m in ms) or any(a >= b for a, b in zip(ms, ms[1:])):
             raise ConfigError(
                 f"milestones must be positive and strictly increasing, got {ms}")
-        if self.gradient not in GRADIENT_FACTORS:
-            raise ConfigError(
-                f"gradient must be one of {GRADIENT_FACTORS}, got {self.gradient!r}")
         if self.max_labels < 1:
             raise ConfigError(f"max_labels must be >= 1, got {self.max_labels}")
         try:  # the code length and table limits; create builds no table
@@ -173,8 +169,7 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
     batches = stream(dataset, config.batch_size, seeds.stream, train_idx)
     done = 0
     for stop in stops:
-        train_stream(model, islice(batches, stop - done), book, reducer,
-                     gradient=config.gradient)
+        train_stream(model, islice(batches, stop - done), book, reducer)
         done = stop
         check_in(min(stop * config.batch_size, len(train_idx)))
 
@@ -192,14 +187,20 @@ def run_training(dataset: Dataset, config: RunConfig) -> TrainResult:
                        book=book, reducer=reducer, seeds=seeds)
 
 
+def check_repeats(repeats: int) -> None:
+    """Raise ConfigError unless ``repeats`` is a count of at least one run."""
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+
+
 def run_repeats(dataset: Dataset, config: RunConfig, repeats: int):
     """Run the protocol ``repeats`` times with derived per-repeat seeds.
 
+    ``repeats`` is checked by :func:`check_repeats` before any run.
     Returns (results, aggregate) where the aggregate dict carries the
     across-repeat means of the final metrics.
     """
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    check_repeats(repeats)
     results = [run_training(dataset, replace(config, repeat=i))
                for i in range(repeats)]
     maps = [r.summary["final_map"] for r in results]

@@ -147,8 +147,11 @@ def sparse_pixels():
 def dense_sgd_step(model, features, targets, gradient="exact"):
     """One dense step W - eta*((2/n)*(x.T @ e)), restated as the per-step oracle.
 
-    Same in-place effect as ``hcoh.sgd_step`` with ``step_rows=None``:
-    one step over every row, which updates and checks every entry of W.
+    With ``gradient="exact"``, the same in-place effect as
+    ``hcoh.sgd_step`` with ``step_rows=None``: one step over every row,
+    which updates and checks every entry of W.  ``gradient="sigmoid"``
+    swaps the tanh derivative 1 - a^2 for (1 - a) * a, a factor the
+    library does not offer: it is the gradient oracles' negative control.
     """
     features = np.asarray(features, dtype=np.float64)
     a = np.tanh(features @ model.weights + model.bias)
@@ -165,11 +168,11 @@ def dense_sgd_step(model, features, targets, gradient="exact"):
     return model
 
 
-def per_step_sgd(model, features, targets, gradient="exact", step_rows=None):
+def per_step_sgd(model, features, targets, step_rows=None):
     """``hcoh.sgd_step``'s signature, run as a loop of :func:`dense_sgd_step`."""
     n = len(features) if step_rows is None else step_rows
     for lo in range(0, len(features), n):
-        dense_sgd_step(model, features[lo:lo + n], targets[lo:lo + n], gradient)
+        dense_sgd_step(model, features[lo:lo + n], targets[lo:lo + n])
     return model
 
 

@@ -398,6 +398,24 @@ class TestPeakMemory:
         # block of squared deviations; no second matrix.
         assert peak < ds.features.nbytes * 1.1 + (data.READ_ROWS + 1) * 784 * 8
 
+    def test_overlong_gzip_label_file_refused_unheld(self, idx_pair):
+        # Two labels declared, then 16 MiB of zeros that gzip to 16 KB:
+        # the overrun is counted as it inflates, never held whole.
+        img, lab = idx_pair
+        blob = lab.read_bytes() + bytes(16 << 20)
+        long = lab.with_name(lab.name + ".gz")
+        long.write_bytes(gzip.compress(blob, compresslevel=1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=re.escape(
+                    f"{long}: expected 10 bytes for dims (2,), got {len(blob)}")
+                    + "$"):
+                load_idx(img, long)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
 
 class TestStandardize:
     """Row-blocked z-score: the std of ``features.std(axis=0)``, bit for bit."""

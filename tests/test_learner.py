@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -41,12 +42,12 @@ def fd_gradients(weights, bias, features, targets, step=1e-6):
     return grad_w, grad_b
 
 
-def step_gradients(model, features, targets, gradient="exact"):
-    """Recover the analytic gradient from one eta=1 update."""
+def step_gradients(model, features, targets, step=sgd_step):
+    """Recover the analytic gradient from one eta=1 update by ``step``."""
     probe = model.copy()
     probe.eta = 1.0
     w_before, b_before = probe.weights.copy(), probe.bias.copy()
-    sgd_step(probe, features, targets, gradient=gradient)
+    step(probe, features, targets)
     return w_before - probe.weights, b_before - probe.bias
 
 
@@ -178,16 +179,14 @@ class TestSgdStep:
             sgd_step(model, np.array([[1.0]]), np.array([[1.0]]))
         assert err.value.round_index == 42
 
-    @pytest.mark.parametrize("kwargs, targets, error", [
-        (dict(gradient="nonsense"), np.ones((2, 3)), "gradient must be one of"),
-        ({}, np.ones((2, 4)), "targets have shape"),
-    ], ids=["unknown-gradient", "target-shape"])
-    def test_bad_arguments_rejected_without_a_step(self, kwargs, targets,
-                                                   error):
+    @pytest.mark.parametrize("targets, error", [
+        (np.ones((2, 4)), "targets have shape"),
+    ], ids=["target-shape"])
+    def test_bad_arguments_rejected_without_a_step(self, targets, error):
         model = init_model(5, 3, eta=0.2, seed=0)
         weights = model.weights.copy()
         with pytest.raises(ValueError, match=error):
-            sgd_step(model, np.ones((2, 5)), targets, **kwargs)
+            sgd_step(model, np.ones((2, 5)), targets)
         assert model.round == 0
         assert np.array_equal(model.weights, weights)
 
@@ -209,9 +208,10 @@ def pixel_rows(rng, n, d=784, density=0.25):
 class TestSparseStep:
     """One-step calls on pixel rows give the dense oracle's bytes."""
 
-    @pytest.mark.parametrize("gradient", ["exact", "sigmoid"])
+    # Here and below, the id names the reference step's gradient factor.
+    @pytest.mark.parametrize("reference_step", [dense_sgd_step], ids=["exact"])
     @pytest.mark.parametrize("r", [32, 128])
-    def test_matches_dense_reference_every_step(self, r, gradient):
+    def test_matches_dense_reference_every_step(self, r, reference_step):
         rng = np.random.default_rng(r)
         rows = pixel_rows(rng, 1000)
         assert ((rows != 0).sum(axis=1) * 2 < rows.shape[1]).all()
@@ -220,8 +220,8 @@ class TestSparseStep:
         reference = model.copy()
         for i, label in enumerate(rng.integers(0, 10, len(rows))):
             x, t = rows[i:i + 1], codes[label:label + 1]
-            sgd_step(model, x, t, gradient=gradient)
-            dense_sgd_step(reference, x, t, gradient=gradient)
+            sgd_step(model, x, t)
+            reference_step(reference, x, t)
             assert np.array_equal(model.weights, reference.weights), i
             assert np.array_equal(model.bias, reference.bias), i
         assert model.round == reference.round == len(rows)
@@ -245,17 +245,18 @@ class TestSparseStep:
         assert err.value.round_index == 42
         assert np.isfinite(model.bias).all()
 
-    @pytest.mark.parametrize("gradient", ["exact", "sigmoid"])
+    @pytest.mark.parametrize("reference_step", [dense_sgd_step], ids=["exact"])
     @pytest.mark.parametrize("n, density", [(1, 1.0), (1, 0.75), (7, 0.25)])
-    def test_dense_rows_and_blocks_match_reference(self, n, density, gradient):
+    def test_dense_rows_and_blocks_match_reference(self, n, density,
+                                                   reference_step):
         rng = np.random.default_rng(n)
         model = init_model(784, 32, eta=0.2, seed=5)
         reference = model.copy()
         for _ in range(50):
             x = pixel_rows(rng, n, density=density)
             t = rng.choice([-1.0, 1.0], size=(n, 32))
-            sgd_step(model, x, t, gradient=gradient)
-            dense_sgd_step(reference, x, t, gradient=gradient)
+            sgd_step(model, x, t)
+            reference_step(reference, x, t)
             assert np.array_equal(model.weights, reference.weights)
             assert np.array_equal(model.bias, reference.bias)
 
@@ -263,10 +264,10 @@ class TestSparseStep:
 class TestBlockedStep:
     """Multi-step calls against a loop of dense single steps."""
 
-    @pytest.mark.parametrize("gradient", ["exact", "sigmoid"])
+    @pytest.mark.parametrize("reference_step", [per_step_sgd], ids=["exact"])
     @pytest.mark.parametrize("step_rows", [1, 7])
     @pytest.mark.parametrize("r", [32, 128])
-    def test_matches_per_step_oracle(self, r, step_rows, gradient):
+    def test_matches_per_step_oracle(self, r, step_rows, reference_step):
         rng = np.random.default_rng(r + step_rows)
         rows = pixel_rows(rng, 2000)
         rows = rows[:len(rows) // step_rows * step_rows]
@@ -277,9 +278,8 @@ class TestBlockedStep:
         block = BLOCK_ROWS // step_rows * step_rows
         for lo in range(0, len(rows), block):
             x, t = rows[lo:lo + block], targets[lo:lo + block]
-            sgd_step(model, x, t, gradient=gradient, step_rows=step_rows)
-            per_step_sgd(reference, x, t, gradient=gradient,
-                         step_rows=step_rows)
+            sgd_step(model, x, t, step_rows=step_rows)
+            reference_step(reference, x, t, step_rows=step_rows)
         assert model.round == reference.round == len(rows) // step_rows
         assert relative_error(model.weights, reference.weights,
                               start.weights) <= BLOCK_TOLERANCE
@@ -334,8 +334,9 @@ class TestGradientOracle:
         failures = 0
         for _ in range(25):
             model, features, targets = random_problem(rng)
-            grad_w, grad_b = step_gradients(model, features, targets,
-                                            gradient="sigmoid")
+            grad_w, grad_b = step_gradients(
+                model, features, targets,
+                step=partial(dense_sgd_step, gradient="sigmoid"))
             fd_w, fd_b = fd_gradients(model.weights, model.bias,
                                       features, targets)
             num = np.linalg.norm(grad_w - fd_w) + np.linalg.norm(grad_b - fd_b)
