@@ -36,7 +36,7 @@ ERROR_PREFIXES = {2: "config error", 3: "data error", 4: "numeric failure"}
 
 def _load_dataset(args) -> data.Dataset:
     mnist = args.dataset == "mnist"
-    flags = {"--data-dir": (args.data_dir, mnist), "--norm": (args.norm, mnist),
+    flags = {"--data-dir": (args.data_dir, mnist),
              "--features": (args.features, not mnist),
              "--labels": (args.labels, not mnist)}
     stray = [flag for flag, (value, applies) in flags.items()
@@ -47,8 +47,7 @@ def _load_dataset(args) -> data.Dataset:
     if mnist:
         if not args.data_dir:
             raise ConfigError("--dataset mnist requires --data-dir")
-        return load_mnist_dir(args.data_dir,
-                              **({"norm": args.norm} if args.norm else {}))
+        return load_mnist_dir(args.data_dir)
     if not (args.features and args.labels):
         raise ConfigError("--dataset dense requires --features and --labels")
     return data.load_dense(args.features, args.labels)
@@ -125,7 +124,6 @@ def _add_common_train_flags(p, bits: bool) -> None:
     _run_flag(p, "--seed", type=int, help="master seed")
     _run_flag(p, "--milestones",
               help="comma-separated instance counts for mAP-curve checkpoints")
-    p.add_argument("--norm", choices=data.NORM_MODES)
     _run_flag(p, "--max-labels", type=int,
               help="declared lower bound on the number of stream labels")
     _run_flag(p, "--test-per-class", type=int)

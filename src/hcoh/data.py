@@ -3,13 +3,11 @@
 Two on-disk feature carriers are supported (byte layouts in FORMATS.md):
 
 * IDX, the MNIST container: big-endian dims, ubyte payload.  Pixels are
-  scaled to [0, 1] by default (``norm="unit255"``); ``"zscore"``
-  standardizes each feature over the loaded file and ``"none"`` keeps raw
-  values.
+  divided by 255, into [0, 1].
 * HCOHFEAT, a minimal dense float32 matrix with a little-endian header,
-  for precomputed features of any provenance; stored values pass through
-  unchanged.  Labels ride in a bare u32 array file, 0xFFFFFFFF standing
-  for the unknown label -1.
+  for precomputed features of any provenance, other pixel scalings
+  included; stored values pass through unchanged.  Labels ride in a bare
+  u32 array file, 0xFFFFFFFF standing for the unknown label -1.
 
 Feature and label files ending in .gz are decompressed as they are
 read, and a damaged gzip stream raises FormatError naming the file.
@@ -23,10 +21,11 @@ evaluation index into it instead of copying it.  Loading checks every
 header and label count, and the size of every plain file, before it
 allocates that matrix; it then reads each feature file READ_ROWS rows
 at a time into one reused buffer of the file's dtype and casts (for
-``"unit255"``, divides) each block straight into its rows, so no copy
-of a whole file is held.  An IDX label payload is read in blocks the
-same way.  A gzip file's size is counted as it is read, so one that
-inflates past its header is refused without being held either.
+IDX, divides) each block straight into its rows, so no copy of a whole
+file is held.  Label payloads, IDX and u32 alike, are read the same
+way, as one row of the count a header fixed.  A gzip file's size is
+counted as it is read, so one that inflates past its header is refused
+without being held either.
 
 The benchmark split takes a seeded per-class sample as the query (test)
 set, leaves the remainder as the retrieval database, and draws the
@@ -68,7 +67,6 @@ MNIST_FILES = {
 }
 FEAT_MAGIC = b"HCOHFEAT"
 FEAT_VERSION = 1
-NORM_MODES = ("unit255", "zscore", "none")
 # Feature rows read and cast per block: 256 rows of 784 uint8 pixels are
 # a 200 KB read buffer, and of 128 float32 features a 131 KB one.  Larger
 # blocks (1,024 to 16,384 rows were measured) load no faster.
@@ -108,36 +106,6 @@ class SplitSpec:
     test_per_class: int
     train_subset: int
     seed: int
-
-
-def _standardize(features: np.ndarray) -> None:
-    """Z-score ``features`` in place over its own rows; a zero std counts as 1.
-
-    ``features`` is C-ordered, as ``load_idx``'s rows are.  The standard
-    deviation equals ``features.std(axis=0)`` bit for bit.  With two or
-    more columns, numpy sums along axis 0 one row after another, so the
-    squared deviations can be summed READ_ROWS rows at a time in the same
-    order: each block goes into one reused buffer whose row 0 holds the
-    running sum, instead of into a temporary of the features' size.  A
-    single column is contiguous along axis 0, which numpy sums pairwise,
-    so that is left to ``std``.
-    """
-    n = features.shape[0]
-    mean = features.mean(axis=0)
-    if features.shape[1] < 2:
-        std = features.std(axis=0)
-    else:
-        squares = np.zeros((min(n, READ_ROWS) + 1, features.shape[1]))
-        for lo in range(0, n, READ_ROWS):
-            rows = features[lo:lo + READ_ROWS]
-            block = squares[1:rows.shape[0] + 1]
-            np.subtract(rows, mean, out=block)
-            np.multiply(block, block, out=block)
-            squares[0] = squares[:rows.shape[0] + 1].sum(axis=0)
-        std = np.sqrt(squares[0] / n)
-    std[std == 0] = 1.0
-    features -= mean
-    features /= std
 
 
 def _open(path):
@@ -230,29 +198,39 @@ def _idx_dims(fh, path, expect_magic: int):
     return struct.unpack(f">{ndim}I", raw), 4 + 4 * ndim
 
 
+def _read_labels(fh, path, n: int, dtype, header: int = 0,
+                 what: str = "") -> np.ndarray:
+    """The ``n`` int64 labels of ``fh``'s payload, 0xFFFFFFFF read as -1.
+
+    The payload is sized and read as a feature payload is, so a file that
+    holds more or fewer than ``n`` raises FormatError without being held.
+    It is read as one row of ``n`` labels: the read buffer is then the
+    declared payload, at most half the size of the labels returned, and
+    one read replaces a Python-level loop over blocks of READ_ROWS labels.
+    """
+    _check_size(fh, path, header + n * np.dtype(dtype).itemsize, what)
+    labels = np.empty((1, n), dtype=np.int64)
+    _read_rows(fh, path, labels, dtype, header, what)
+    return labels_from_u32(labels.reshape(-1))
+
+
 def _idx_labels(path) -> np.ndarray:
-    """The int64 labels of one IDX label file, read as image payloads are."""
+    """The int64 labels of one IDX label file."""
     with _open(path) as fh:
         dims, header = _idx_dims(fh, path, IDX_LABEL_MAGIC)
-        _check_size(fh, path, header + math.prod(dims), f" for dims {dims}")
-        labels = np.empty((math.prod(dims), 1), dtype=np.int64)
-        _read_rows(fh, path, labels, np.uint8, header, f" for dims {dims}")
-    return labels.reshape(-1)
+        return _read_labels(fh, path, math.prod(dims), np.uint8, header,
+                            f" for dims {dims}")
 
 
-def load_idx(image_path, label_path, norm: str = "unit255",
-             extra_pairs=()) -> Dataset:
+def load_idx(image_path, label_path, extra_pairs=()) -> Dataset:
     """Load IDX image/label file pairs into one flat-feature Dataset.
 
     The rows of each (image, label) pair in ``extra_pairs`` follow those
     of the first pair, in order.  Every header, size and label count is
     checked before the float64 feature matrix is allocated; each image
-    file is then read block by block straight into its own rows, and
-    ``"zscore"`` standardizes each file's rows with their own statistics
-    once they are filled.
+    file is then read block by block straight into its own rows, its
+    pixels divided by 255.
     """
-    if norm not in NORM_MODES:
-        raise ConfigError(f"norm must be one of {NORM_MODES}, got {norm!r}")
     with ExitStack() as stack:
         images, labels = [], []
         for image_file, label_file in [(image_path, label_path), *extra_pairs]:
@@ -276,9 +254,7 @@ def load_idx(image_path, label_path, norm: str = "unit255",
         for fh, image_file, dims, header in images:
             rows = features[lo:lo + dims[0]]
             _read_rows(fh, image_file, rows, np.uint8, header, f" for dims {dims}",
-                       scale=255.0 if norm == "unit255" else None)
-            if norm == "zscore":
-                _standardize(rows)
+                       scale=255.0)
             lo += dims[0]
     return Dataset(features, np.concatenate(labels), name="idx")
 
@@ -309,17 +285,14 @@ def mnist_paths(directory) -> list:
     return paths
 
 
-def load_mnist_dir(directory, norm: str = "unit255") -> Dataset:
+def load_mnist_dir(directory) -> Dataset:
     """All 70K MNIST instances: the train IDX pair's rows, then the test pair's.
 
-    The files are found by :func:`mnist_paths`.  Each of the two image
-    files is normalised on its own, straight into its rows of the one
-    float64 feature matrix: with ``norm="zscore"`` the train rows are
-    standardized by the train file's per-pixel mean and std, and the
-    test rows by the test file's.
+    The files are found by :func:`mnist_paths` and read by :func:`load_idx`
+    into one float64 feature matrix, each pixel divided by 255.
     """
     train_images, train_labels, *test = mnist_paths(directory)
-    dataset = load_idx(train_images, train_labels, norm=norm, extra_pairs=[test])
+    dataset = load_idx(train_images, train_labels, extra_pairs=[test])
     dataset.name = "mnist"
     return dataset
 
@@ -327,19 +300,23 @@ def load_mnist_dir(directory, norm: str = "unit255") -> Dataset:
 def load_dense(feature_path, label_path) -> Dataset:
     """Load an HCOHFEAT matrix and its u32 label file, values as stored.
 
-    The header, file size and label count are checked before the float64
-    matrix is allocated; the float32 payload is then cast into it block
-    by block.
+    The header and file size are checked, and the n labels the header
+    declares are read, before the float64 matrix is allocated; the
+    float32 payload is then cast into it block by block.  A plain label
+    file of another length is a count mismatch; a gzipped one is refused
+    by its byte count as it inflates.
     """
     with _open(feature_path) as fh:
         n, d = read_header(_read(fh, feature_path, 17), feature_path,
                            FEAT_MAGIC, FEAT_VERSION)
         _check_size(fh, feature_path, 17 + n * d * 4)
-        labels = load_labels(label_path)
-        if labels.shape[0] != n:
-            raise FormatError(
-                f"count mismatch: {n} feature rows in {feature_path} but "
-                f"{labels.shape[0]} labels in {label_path}")
+        with _open(label_path) as label_fh:
+            count = os.fstat(label_fh.fileno()).st_size // 4
+            if not isinstance(label_fh, gzip.GzipFile) and count != n:
+                raise FormatError(
+                    f"count mismatch: {n} feature rows in {feature_path} but "
+                    f"{count} labels in {label_path}")
+            labels = _read_labels(label_fh, label_path, n, "<u4")
         features = np.empty((n, d), dtype=np.float64)
         _read_rows(fh, feature_path, features, "<f4", 17)
     return Dataset(features, labels, name="dense")

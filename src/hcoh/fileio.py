@@ -104,7 +104,10 @@ def labels_to_u32(labels, path) -> np.ndarray:
 
 
 def labels_from_u32(raw: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`labels_to_u32`: int64 ids, 0xFFFFFFFF read as -1."""
-    labels = raw.astype(np.int64)
+    """Inverse of :func:`labels_to_u32`: int64 ids, 0xFFFFFFFF read as -1.
+
+    An int64 ``raw`` is mapped in place and returned, not copied.
+    """
+    labels = raw.astype(np.int64, copy=False)
     labels[labels == UNKNOWN_LABEL_U32] = UNKNOWN_LABEL
     return labels

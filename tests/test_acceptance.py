@@ -176,7 +176,7 @@ _MNIST = {}
 def _mnist_dataset():
     directory = require_mnist()
     if "dataset" not in _MNIST:
-        _MNIST["dataset"] = hcoh.load_mnist_dir(directory, norm="unit255")
+        _MNIST["dataset"] = hcoh.load_mnist_dir(directory)
     return _MNIST["dataset"]
 
 

@@ -192,7 +192,7 @@ class TestTrain:
         packed = gzip.compress(plain.read_bytes())
         cut.write_bytes(packed[:len(packed) // 2])
         plain.unlink()
-        assert main(idx_train_args(data_dir, tmp_path, "unit255")) == 3
+        assert main(idx_train_args(data_dir, tmp_path)) == 3
         assert f"{cut}: damaged gzip data" in capsys.readouterr().err
 
     def test_non_gzip_label_file_exit_data(self, dense_blobs, tmp_path, capsys):
@@ -207,7 +207,7 @@ class TestTrain:
         for key, name in MNIST_FILES.items():
             if key != "test_labels":
                 (data_dir / name).write_bytes((idx_dir / name).read_bytes())
-        assert main(idx_train_args(data_dir, tmp_path, "unit255")) == 3
+        assert main(idx_train_args(data_dir, tmp_path)) == 3
         assert (f"missing MNIST file {MNIST_FILES['test_labels']}(.gz) under "
                 f"{data_dir}") in capsys.readouterr().err
 
@@ -221,7 +221,7 @@ class TestTrain:
 @pytest.fixture(scope="module")
 def idx_dir(tmp_path_factory):
     """Small MNIST-named IDX pairs: four classes of 5x5 images whose pixels
-    have per-class means, so z-scoring changes the features' geometry."""
+    have per-class means."""
     root = tmp_path_factory.mktemp("idx")
     rng = np.random.default_rng(31)
     for part, n in (("train", 240), ("test", 80)):
@@ -235,26 +235,12 @@ def idx_dir(tmp_path_factory):
     return root
 
 
-def idx_train_args(root, out_dir, norm):
+def idx_train_args(root, out_dir):
     return ["train", "--dataset", "mnist", "--data-dir", str(root),
-            "--norm", norm, "--bits", "8", "--seed", "3", "--max-labels", "4",
+            "--bits", "8", "--seed", "3", "--max-labels", "4",
             "--test-per-class", "5", "--train-size", "100", "--k-prec", "10",
-            "--checkpoint", str(out_dir / f"{norm}.hcoh"),
-            "--metrics", str(out_dir / f"{norm}.jsonl")]
-
-
-class TestNorm:
-    def test_norm_modes_write_different_checkpoints(self, idx_dir, tmp_path):
-        for norm in ("zscore", "unit255"):
-            assert main(idx_train_args(idx_dir, tmp_path, norm)) == 0
-        assert ((tmp_path / "zscore.hcoh").read_bytes()
-                != (tmp_path / "unit255.hcoh").read_bytes())
-
-    def test_unknown_norm_exit_config(self, idx_dir, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(idx_train_args(idx_dir, tmp_path, "l2"))
-        assert exc.value.code == 2
-        assert list(tmp_path.iterdir()) == []
+            "--checkpoint", str(out_dir / "idx.hcoh"),
+            "--metrics", str(out_dir / "idx.jsonl")]
 
 
 class TestDatasetFlags:
@@ -267,10 +253,10 @@ class TestDatasetFlags:
         if dataset == "dense":
             return train_args(dense_blobs, tmp_path,
                               **{"--features": tmp_path / "nope.feat"})
-        return idx_train_args(tmp_path / "nope", tmp_path, "unit255")
+        return idx_train_args(tmp_path / "nope", tmp_path)
 
     @pytest.mark.parametrize("dataset, flag, value", [
-        ("dense", "--norm", "zscore"), ("dense", "--data-dir", "mnist"),
+        ("dense", "--data-dir", "mnist"),
         ("mnist", "--features", "x.feat"), ("mnist", "--labels", "x.lab"),
     ])
     def test_flag_of_the_other_kind_exit_config_before_loading(
@@ -291,15 +277,13 @@ class TestDatasetFlags:
         assert main(args[:at] + args[at + 2:]) == 2
         assert capsys.readouterr().err == f"config error: {error}\n"
 
-    def test_mnist_norm_defaults_to_unit255(self, idx_dir, tmp_path):
-        given, left = tmp_path / "given", tmp_path / "left"
-        given.mkdir(), left.mkdir()
-        assert main(idx_train_args(idx_dir, given, "unit255")) == 0
-        args = idx_train_args(idx_dir, left, "unit255")
-        at = args.index("--norm")
-        assert main(args[:at] + args[at + 2:]) == 0
-        assert ((given / "unit255.hcoh").read_bytes()
-                == (left / "unit255.hcoh").read_bytes())
+    def test_norm_is_an_unrecognized_argument(self, idx_dir, tmp_path, capsys):
+        # IDX pixels have one scaling; others go through --dataset dense.
+        with pytest.raises(SystemExit) as exc:
+            main(idx_train_args(idx_dir, tmp_path) + ["--norm", "unit255"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --norm" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEncode:

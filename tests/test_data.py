@@ -59,14 +59,6 @@ class TestLoadIdx:
         ds = load_idx(*idx_pair)
         assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
 
-    def test_norm_none_keeps_raw_pixels(self, idx_pair):
-        ds = load_idx(*idx_pair, norm="none")
-        assert ds.features.max() == 255.0
-
-    def test_norm_zscore_standardizes_features(self, idx_pair):
-        ds = load_idx(*idx_pair, norm="zscore")
-        np.testing.assert_allclose(ds.features.mean(axis=0), 0.0, atol=1e-12)
-
     def test_gzipped_files_load_transparently(self, idx_pair, tmp_path):
         img, lab = idx_pair
         img_gz = tmp_path / "images-idx3-ubyte.gz"
@@ -108,10 +100,6 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="count mismatch"):
             load_idx(img, lab3)
 
-    def test_unknown_norm_rejected(self, idx_pair):
-        with pytest.raises(ConfigError):
-            load_idx(*idx_pair, norm="l2")
-
     def test_empty_file_is_valid(self, tmp_path):
         (tmp_path / "img").write_bytes(idx_image_bytes(np.zeros((0, 5, 5))))
         (tmp_path / "lab").write_bytes(idx_label_bytes([]))
@@ -134,17 +122,9 @@ class TestLoadIdx:
             load_idx(img, bad)
 
 
-def reference_normalize(pixels, norm):
-    """The out-of-place formulas, restated: a new array per operation."""
-    features = np.asarray(pixels, dtype=np.float64)
-    if norm == "unit255":
-        return features / 255.0
-    if norm == "zscore":
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        std[std == 0] = 1.0
-        return (features - mean) / std
-    return features
+def reference_normalize(pixels):
+    """The out-of-place formula, restated: cast, then divide by 255."""
+    return np.asarray(pixels, dtype=np.float64) / 255.0
 
 
 class TestLoadMnistDir:
@@ -152,9 +132,8 @@ class TestLoadMnistDir:
     def mnist_files(self, tmp_path):
         """Tiny train and test IDX pairs under the MNIST file names.
 
-        The two files have different pixel ranges, so per-file z-score
-        statistics differ from pooled ones, and pixel (0, 0) is constant
-        in both, so a zero std is replaced by one.
+        The two files have different pixel ranges, and pixel (0, 0) is
+        constant in both.
         """
         rng = np.random.default_rng(4)
         train = rng.integers(0, 256, size=(40, 5, 5), dtype=np.uint8)
@@ -168,30 +147,30 @@ class TestLoadMnistDir:
                 idx_label_bytes(labels[part]))
         return tmp_path, (train, test), labels
 
-    @pytest.mark.parametrize("norm", ["unit255", "zscore", "none"])
-    def test_bit_equal_to_per_file_normalise_and_vstack(self, mnist_files, norm):
+    @pytest.mark.parametrize("scaling", ["unit255"])  # the one IDX scaling, by name
+    def test_bit_equal_to_per_file_normalise_and_vstack(self, mnist_files, scaling):
         directory, (train, test), labels = mnist_files
-        ds = load_mnist_dir(directory, norm=norm)
-        expected = np.vstack([reference_normalize(train.reshape(40, -1), norm),
-                              reference_normalize(test.reshape(12, -1), norm)])
+        ds = load_mnist_dir(directory)
+        expected = np.vstack([reference_normalize(train.reshape(40, -1)),
+                              reference_normalize(test.reshape(12, -1))])
         assert ds.features.dtype == np.float64
         assert ds.features.tobytes() == expected.tobytes()
         assert np.array_equal(ds.labels,
                               np.concatenate([labels["train"], labels["test"]]))
         assert ds.name == "mnist"
 
-    @pytest.mark.parametrize("norm", ["unit255", "zscore", "none"])
-    def test_single_pair_matches_reference(self, mnist_files, norm):
+    @pytest.mark.parametrize("scaling", ["unit255"])  # the one IDX scaling, by name
+    def test_single_pair_matches_reference(self, mnist_files, scaling):
         directory, (train, _test), _labels = mnist_files
         ds = load_idx(directory / MNIST_FILES["train_images"],
-                      directory / MNIST_FILES["train_labels"], norm=norm)
+                      directory / MNIST_FILES["train_labels"])
         assert (ds.features.tobytes()
-                == reference_normalize(train.reshape(40, -1), norm).tobytes())
+                == reference_normalize(train.reshape(40, -1)).tobytes())
 
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
-    @pytest.mark.parametrize("norm", ["unit255", "zscore", "none"])
+    @pytest.mark.parametrize("scaling", ["unit255"])  # the one IDX scaling, by name
     def test_ragged_row_blocks_bit_equal_to_reference(self, mnist_files, monkeypatch,
-                                                      norm, compress):
+                                                      scaling, compress):
         directory, (train, test), labels = mnist_files
         if compress:
             directory = directory / "gz"
@@ -201,16 +180,14 @@ class TestLoadMnistDir:
                     gzip.compress((directory.parent / name).read_bytes()))
         suffix = ".gz" if compress else ""
         monkeypatch.setattr(data, "READ_ROWS", 7)  # 40 = 5 x 7 + 5 rows, 12 = 7 + 5
-        train_ref = reference_normalize(train.reshape(40, -1), norm)
-        ds = load_mnist_dir(directory, norm=norm)
-        expected = np.vstack([train_ref,
-                              reference_normalize(test.reshape(12, -1), norm)])
+        train_ref = reference_normalize(train.reshape(40, -1))
+        ds = load_mnist_dir(directory)
+        expected = np.vstack([train_ref, reference_normalize(test.reshape(12, -1))])
         assert ds.features.tobytes() == expected.tobytes()
         assert np.array_equal(ds.labels,
                               np.concatenate([labels["train"], labels["test"]]))
         single = load_idx(directory / (MNIST_FILES["train_images"] + suffix),
-                          directory / (MNIST_FILES["train_labels"] + suffix),
-                          norm=norm)
+                          directory / (MNIST_FILES["train_labels"] + suffix))
         assert single.features.tobytes() == train_ref.tobytes()
 
     def test_pixel_count_mismatch_rejected(self, mnist_files):
@@ -386,18 +363,6 @@ class TestPeakMemory:
         assert ds.features.tobytes() == feats.astype(np.float64).tobytes()
         assert peak < ds.features.nbytes * 1.05 + data.READ_ROWS * 128 * 4
 
-    def test_idx_zscore_peak(self, tmp_path):
-        pixels = np.random.default_rng(5).integers(0, 256, (3000, 28, 28), dtype=np.uint8)
-        (tmp_path / "img").write_bytes(idx_image_bytes(pixels))
-        (tmp_path / "lab").write_bytes(idx_label_bytes(np.arange(3000) % 10))
-        ds, peak = traced_peak(lambda: load_idx(tmp_path / "img", tmp_path / "lab",
-                                                norm="zscore"))
-        assert (ds.features.tobytes()
-                == reference_normalize(pixels.reshape(3000, -1), "zscore").tobytes())
-        # The matrix, one read buffer and one (READ_ROWS + 1)-row float64
-        # block of squared deviations; no second matrix.
-        assert peak < ds.features.nbytes * 1.1 + (data.READ_ROWS + 1) * 784 * 8
-
     def test_overlong_gzip_label_file_refused_unheld(self, idx_pair):
         # Two labels declared, then 16 MiB of zeros that gzip to 16 KB:
         # the overrun is counted as it inflates, never held whole.
@@ -416,22 +381,23 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert peak < 4 << 20
 
-
-class TestStandardize:
-    """Row-blocked z-score: the std of ``features.std(axis=0)``, bit for bit."""
-
-    @pytest.mark.parametrize("shape", [(3000, 784), (1000, 7), (70_001, 33),
-                                       (257, 5), (256, 3), (255, 2), (1, 4),
-                                       (513, 1)])
-    # load_idx standardizes C-ordered rows only.
-    @pytest.mark.parametrize("order", ["C"])
-    def test_bit_equal_to_whole_matrix_std(self, shape, order):
-        rng = np.random.default_rng(shape[0])
-        pixels = rng.integers(0, 256, shape).astype(np.float64, order=order)
-        pixels[:, 0] = 9.0  # a constant column: its zero std counts as one
-        features = pixels.copy()
-        data._standardize(features)
-        assert features.tobytes() == reference_normalize(pixels, "zscore").tobytes()
+    def test_overlong_gzip_dense_label_file_refused_unheld(self, tmp_path):
+        # Two rows declared by the feature header, and a label file of two
+        # labels and then 16 MiB of zeros that gzip to 16 KB: only 4 * 2
+        # label bytes are wanted, so the rest is counted, never held.
+        save_dense(tmp_path / "x.feat", np.ones((2, 3), dtype=np.float32))
+        blob = struct.pack("<2I", 0, 1) + bytes(16 << 20)
+        long = tmp_path / "x.u32.gz"
+        long.write_bytes(gzip.compress(blob, compresslevel=1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=re.escape(
+                    f"{long}: expected 8 bytes, got {len(blob)}") + "$"):
+                load_dense(tmp_path / "x.feat", long)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestDataset:
