@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -336,6 +337,103 @@ class TestRankingKernel:
                 oracle_ap(by_index, relevance), abs=1e-12)
         expected_p = np.mean([np.mean(db_labels[:10] == label) for label in [0, 1, 1]])
         assert report.precision_at_k == pytest.approx(expected_p, abs=1e-12)
+
+
+def evaluate_routed(monkeypatch, queries, database, ratio, **kwargs):
+    """``evaluate`` with the small-class rule set to ``ratio``."""
+    monkeypatch.setattr(evaluation, "SMALL_CLASS_RATIO", ratio)
+    return evaluate(queries, database, **kwargs)
+
+
+class TestCandidateRoute:
+    """Sparse classes ranked by their candidates against the oracle.
+
+    Each case draws 40-200 labels over 300-2,000 tie-heavy codes, where
+    a class's codes share one of a few prototypes, so most classes take
+    the candidate route and most candidate sets are a strict part of the
+    database.  Label 0 holds an eighth of the database and so takes the
+    whole-row route, which puts both routes in one block.  Every case
+    also has unknown-label queries and database codes, query labels
+    absent from the database, and a query whose class holds the code at
+    distance r from it, the farthest any code can be.
+    """
+
+    CASES = [  # r, n_db, n_labels, k_prec, k_map
+        (1, 300, 40, 15, None),
+        (63, 2000, 200, 2000, 2100),
+        (64, 600, 60, 7, 9),
+        (65, 1000, 100, 1000, 3),
+        (255, 500, 50, 25, 600),
+        (256, 800, 150, 40, 40),
+        (300, 1200, 120, 1200, None),
+    ]
+
+    @pytest.mark.parametrize("r, n_db, n_labels, k_prec, k_map", CASES,
+                             ids=[f"{c[0]}-{c[1]}" for c in CASES])
+    def test_matches_oracle_and_whole_row(self, r, n_db, n_labels, k_prec, k_map,
+                                          monkeypatch):
+        rng = np.random.default_rng(1000 + r)
+        n_q = 30
+        prototypes = rng.integers(0, 2, size=(8, r), dtype=np.uint8)
+        db_labels = rng.integers(1, n_labels, n_db)
+        db_labels[rng.permutation(n_db)[:n_db // 8]] = 0
+        db_labels[rng.permutation(n_db)[:5]] = UNKNOWN_LABEL
+        q_labels = db_labels[rng.integers(0, n_db, n_q)]
+        q_labels[:3] = UNKNOWN_LABEL
+        q_labels[3:5] = n_labels + np.arange(2)  # in no database code
+        q_labels[5] = db_labels[db_labels > 0][0]
+        db_bits = (prototypes[db_labels % 8]
+                   ^ (rng.random((n_db, r)) < 0.05).astype(np.uint8))
+        q_bits = (prototypes[q_labels % 8]
+                  ^ (rng.random((n_q, r)) < 0.05).astype(np.uint8))
+        # Query 5's class holds its complement, at distance r.
+        far = int(np.flatnonzero(db_labels == q_labels[5])[0])
+        db_bits[far] = 1 - q_bits[5]
+        database, queries = make_set(db_bits, db_labels), make_set(q_bits, q_labels)
+
+        sizes = np.array([np.count_nonzero(db_labels == label) for label in q_labels])
+        small = (q_labels != UNKNOWN_LABEL) & (sizes > 0) & (
+            sizes * evaluation.SMALL_CLASS_RATIO <= n_db)
+        assert small.sum() > n_q // 2 and not small[q_labels == 0].any()
+        distances = (q_bits[:, None, :] != db_bits[None]).sum(axis=2)
+        candidates = [np.count_nonzero(distances[qi]
+                                       <= distances[qi][db_labels == q_labels[qi]].max())
+                      for qi in np.flatnonzero(small)]
+        assert distances[5][far] == r and max(candidates) == n_db
+        assert min(candidates) < n_db // 2
+
+        report = evaluate(queries, database, k_prec=k_prec, k_map=k_map)
+        known = q_labels != UNKNOWN_LABEL
+        expected = oracle_scores(q_bits[known], q_labels[known], db_bits, db_labels,
+                                 k_prec, k_map)
+        assert report.n_skipped == n_q - len(expected) >= 5
+        np.testing.assert_allclose(report.per_query_ap, [e[0] for e in expected],
+                                   rtol=0, atol=1e-12)
+        assert report.precision_at_k == pytest.approx(
+            np.mean([e[2] for e in expected]), abs=1e-12)
+        if k_map is not None:
+            assert report.map_at_k == pytest.approx(
+                np.mean([e[1] for e in expected]), abs=1e-12)
+
+        # Every query on the whole row, and every query on its candidates,
+        # in blocks of 7: the same bits.
+        monkeypatch.setattr(evaluation, "RANK_BLOCK_BYTES", 7 * 8 * n_db)
+        for ratio in (n_db + 1, 0):
+            other = evaluate_routed(monkeypatch, queries, database, ratio,
+                                    k_prec=k_prec, k_map=k_map)
+            assert np.array_equal(other.per_query_ap, report.per_query_ap)
+            assert (other.map, other.precision_at_k, other.map_at_k, other.n_skipped) == (
+                report.map, report.precision_at_k, report.map_at_k, report.n_skipped)
+
+    def test_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"evaluate started thread {thread.name}")
+
+        rng = np.random.default_rng(29)
+        labels = rng.integers(0, 100, 1000)
+        codes = make_set(clustered_bits(rng, 1000, 64, pool=20), labels)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert evaluate(codes.take(slice(0, 50)), codes, k_prec=10).n_skipped == 0
 
 
 class TestMapCurveAuc:
