@@ -292,11 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_logging() -> None:
     """Log to stderr at the level HCOH_LOG names, WARNING by default.
 
-    The level is checked even when the root logger already has a
-    handler, where ``logging.basicConfig`` does nothing.
+    The name is read in any case ("info" is INFO).  The level is checked
+    even when the root logger already has a handler, where
+    ``logging.basicConfig`` does nothing.
     """
     name = os.environ.get("HCOH_LOG", "WARNING")
-    level = logging.getLevelName(name)
+    level = logging.getLevelName(name.upper())
     if not isinstance(level, int):
         raise ConfigError(f"HCOH_LOG: unknown level {name!r}")
     logging.basicConfig(level=level,

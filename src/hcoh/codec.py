@@ -14,15 +14,19 @@ computed as the (r, rows) product W.T @ X_block.T, with W.T made
 contiguous once per call: single-threaded OpenBLAS ran that orientation
 about a quarter faster than X_block @ W on 784-wide blocks at r = 32 and
 128, with the same signs.  The blocks run on ``_parallel.pool_threads()``
-threads: one worker per usable CPU when the BLAS runs each product on
-one thread, while the calling thread collects the non-finite rows each
-block reports, and the calling thread alone when the BLAS already
-spreads each product over the CPUs.  Each block writes its products
-into the ENCODE_ROWS x r float64 buffer of its ``run_blocks`` slot,
-one buffer per thread, and no more threads run than ENCODE_BYTES of
-such buffers allow, whatever the CPU count.  The block bounds do not
-depend on the thread count, so each block is the same single GEMM call
-and the words are the same bytes on any number of CPUs.  Hamming
+threads: ``ThreadPoolExecutor.map`` over one worker per usable CPU when
+the BLAS runs each product on one thread, and a plain loop on the
+calling thread when the BLAS already spreads each product over the CPUs.
+Either way the calling thread collects the non-finite rows each block
+reports, in block order.  Each running block borrows one of the
+ENCODE_ROWS x r float64 buffers that the calling thread allocated, one
+per thread, from a queue and gives it back when it ends, raising or
+not; no more threads run than ENCODE_BYTES of such buffers allow,
+whatever the CPU count.  The workers call only private code, so a
+wrapper around the public functions, such as a span tracer with one
+stack, never sees two threads.  The block bounds do not depend on the
+thread count, so each block is the same single GEMM call and the words
+are the same bytes on any number of CPUs.  Hamming
 distance is XOR plus popcount over the words, computed in one place,
 the private ``_hamming_distances``, which adds up the popcounts one word
 at a time in the narrowest unsigned dtype that holds every distance in
@@ -40,12 +44,14 @@ Code-set file layout (little-endian throughout):
     n * u32  label ids, 0xFFFFFFFF for unknown (-1 in memory)
 """
 
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._parallel import pool_threads, run_blocks
+from ._parallel import pool_threads
 from .errors import DimensionError, FormatError, NumericFailureError
 from .fileio import (UNKNOWN_LABEL, atomic_write, labels_from_u32,
                      labels_to_u32, pack_header, read_header, size_error)
@@ -128,7 +134,7 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
 
     Labels are carried alongside the codes for retrieval evaluation; pass
     None to fill with -1 when they are unknown.  Rows are hashed in
-    blocks of ENCODE_ROWS on the pool's threads.  When any
+    blocks of ENCODE_ROWS on ``pool_threads()`` threads.  When any
     pre-activation W.T x + b is NaN or infinite, the error counts such
     rows over all blocks and names the first as an index into
     ``features`` (a whole-dataset row index when ``run_training`` hashes
@@ -141,23 +147,34 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
     n, r = features.shape[0], model.code_length
     words = np.empty((n, words_per_code(r)), dtype=np.uint64)
     weights_t = np.ascontiguousarray(model.weights.T)
-    bias = model.bias[:, None]
     starts = range(0, n, ENCODE_ROWS)
     threads = min(pool_threads(), len(starts),
                   max(1, ENCODE_BYTES // (8 * r * ENCODE_ROWS)))
-    buffers = [np.empty(r * min(n, ENCODE_ROWS)) for _ in range(threads)]
-    bad = []
+    buffers = queue.SimpleQueue()
+    for _ in range(threads):
+        buffers.put(np.empty(r * min(n, ENCODE_ROWS)))
 
-    def hash_block(slot, lo):
+    def hash_block(lo):
         rows = features[lo:lo + ENCODE_ROWS]
-        u = buffers[slot][:r * rows.shape[0]].reshape(r, rows.shape[0])
-        with np.errstate(invalid="ignore", over="ignore"):  # checked below
-            np.matmul(weights_t, rows.T, out=u)
-            u += bias
-        _pack_into((u >= 0).T, words[lo:lo + rows.shape[0]])
-        return np.flatnonzero(~np.isfinite(u).all(axis=0)) + lo
+        buffer = buffers.get()  # never waits: at most `threads` blocks run
+        try:
+            u = buffer[:r * rows.shape[0]].reshape(r, rows.shape[0])
+            with np.errstate(invalid="ignore", over="ignore"):  # checked below
+                np.matmul(weights_t, rows.T, out=u)
+                u += model.bias[:, None]
+            _pack_into((u >= 0).T, words[lo:lo + rows.shape[0]])
+            return np.flatnonzero(~np.isfinite(u).all(axis=0)) + lo
+        finally:
+            # A block that raised would otherwise keep its buffer, and the
+            # blocks after it would wait for one forever.
+            buffers.put(buffer)
 
-    run_blocks(hash_block, starts, threads, lambda _lo, rows: bad.extend(rows))
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            blocks = list(pool.map(hash_block, starts))
+    else:
+        blocks = [hash_block(lo) for lo in starts]
+    bad = [row for rows in blocks for row in rows]
     if bad:
         if np.isfinite(features[bad[0]]).all():
             raise NumericFailureError(

@@ -661,17 +661,28 @@ class TestBenchmarkAndCurve:
 
     def test_bad_log_level_exit_config(self, tmp_path):
         # In a fresh process, as a user runs it, where the root logger has
-        # no handler yet.
+        # no handler yet.  A level name is read in any case, so "info" runs.
         src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, HCOH_LOG="bogus", PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hcoh.cli", "curve",
-             "--metrics", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "c.csv")],
-            env=env, capture_output=True, text=True, timeout=120)
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text('{"record": "checkpoint", "instances_seen": 50, '
+                           '"map": 0.25}\n')
+
+        def curve(level):
+            env = dict(os.environ, HCOH_LOG=level, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+            return subprocess.run(
+                [sys.executable, "-m", "hcoh.cli", "curve", "--metrics", str(metrics),
+                 "--out", str(tmp_path / f"{level}.csv")],
+                env=env, capture_output=True, text=True, timeout=120)
+
+        proc = curve("bogus")
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: HCOH_LOG: ")
         assert "bogus" in proc.stderr
+        assert not (tmp_path / "bogus.csv").exists()
+        proc = curve("info")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "info.csv").exists()
 
 
 def run_flags(d, *outputs) -> list:

@@ -2,7 +2,8 @@
 
 The pool's thread count is the usable CPUs (``os.sched_getaffinity``)
 over the BLAS's threads, so each test sets the CPUs to 1, 2, 4 or 8 and
-the BLAS to one thread, whatever the host has.
+the BLAS to one thread, whatever the host has.  ``encode`` is the only
+user of the pool, so every pool behaviour is checked through it.
 """
 
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from hcoh import EvalReport, _parallel, codec, encode, evaluate, evaluation, init_model
-from hcoh._parallel import blas_threads, pool_threads, run_blocks
+from hcoh._parallel import blas_threads, pool_threads
 from tests.test_evaluation import clustered_bits, make_set
 
 CPU_COUNTS = (1, 2, 4)
@@ -60,11 +61,25 @@ def on_one_thread_each(monkeypatch, module, name, parties=2):
     return seen
 
 
-def collect(fn, starts, threads):
-    """``run_blocks`` with every (start, result) pair kept in the order used."""
-    used = []
-    run_blocks(fn, starts, threads, lambda start, result: used.append((start, result)))
-    return used
+class BlockFailed(Exception):
+    pass
+
+
+def fail_blocks(monkeypatch, fails):
+    """Make ``codec._pack_into`` raise BlockFailed(lo) where ``fails(lo)``.
+
+    ``lo`` is the block's first row, read from where its words lie in
+    the code set's array.
+    """
+    pack = codec._pack_into
+
+    def wrapped(bits, out):
+        lo = (out.ctypes.data - out.base.ctypes.data) // out.strides[0]
+        if fails(lo):
+            raise BlockFailed(lo)
+        pack(bits, out)
+
+    monkeypatch.setattr(codec, "_pack_into", wrapped)
 
 
 class TestPoolThreads:
@@ -97,132 +112,6 @@ class TestPoolThreads:
         assert thread_starts == []
 
 
-class TestRunBlocks:
-    @pytest.mark.parametrize("cpus", CPU_COUNTS)
-    def test_results_used_in_block_order_on_capped_threads(self, monkeypatch,
-                                                           thread_starts, cpus):
-        set_cpus(monkeypatch, cpus)
-        slots = set()
-        on_caller = set()
-
-        def fn(slot, start):
-            slots.add(slot)
-            on_caller.add(threading.current_thread() is threading.main_thread())
-            return start * 10
-
-        assert collect(fn, range(0, 70, 7), pool_threads()) == [
-            (start, start * 10) for start in range(0, 70, 7)]
-        assert slots <= set(range(cpus))
-        # One worker per thread, and no block on the calling thread.
-        assert len(thread_starts) == (cpus if cpus > 1 else 0)
-        assert on_caller == {cpus == 1}
-        # Never more threads than blocks.
-        thread_starts.clear()
-        assert collect(fn, [5], pool_threads()) == [(5, 50)]
-        assert thread_starts == []
-        assert collect(fn, [], pool_threads()) == []
-
-    def test_one_cpu_starts_no_thread(self, monkeypatch, thread_starts):
-        set_cpus(monkeypatch, 1)
-        n = 3 * codec.ENCODE_ROWS + 1
-        codes = encode(init_model(6, 40, eta=0.1, seed=1),
-                       np.random.default_rng(1).standard_normal((n, 6)), np.zeros(n))
-        evaluate(codes.take(slice(0, 30)), codes, k_prec=5)
-        assert thread_starts == []
-
-    def test_lowest_failing_block_raised_after_earlier_blocks_used(self, monkeypatch):
-        set_cpus(monkeypatch, 4)
-        before = threading.active_count()
-
-        def fn(slot, start):
-            if start in (3, 5):
-                raise KeyError(start)
-            return start
-
-        used = []
-        with pytest.raises(KeyError, match="3"):
-            run_blocks(fn, range(8), pool_threads(),
-                       lambda start, result: used.append(start))
-        assert used == [0, 1, 2]
-        assert threading.active_count() == before
-
-    def test_error_in_use_propagates_and_threads_joined(self, monkeypatch):
-        set_cpus(monkeypatch, 4)
-        before = threading.active_count()
-
-        def use(start, result):
-            if start == 6:
-                raise LookupError("use failed")
-
-        with pytest.raises(LookupError, match="use failed"):
-            run_blocks(lambda slot, start: start, range(40), pool_threads(), use)
-        assert threading.active_count() == before
-
-    def test_failed_thread_start_joins_started_workers(self, monkeypatch):
-        set_cpus(monkeypatch, 4)
-        before = threading.active_count()
-        start = threading.Thread.start
-        calls = []
-
-        def second_start_fails(thread):
-            calls.append(thread)
-            if len(calls) == 2:
-                raise RuntimeError("can't start new thread")
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", second_start_fails)
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            run_blocks(lambda slot, start: start, range(100), pool_threads(),
-                       lambda start, result: None)
-        assert len(calls) == 2
-        assert threading.active_count() == before
-
-    def test_every_block_runs_once_and_few_are_held(self, monkeypatch):
-        # Eight threads, more than most hosts have cores, switching as often as
-        # the interpreter allows: a block lost or run twice breaks the counts,
-        # and no more than eight blocks may be running or waiting to be used.
-        # Block i runs in slot i % 8, and no two running blocks share a slot,
-        # since encode's buffers are per slot.
-        set_cpus(monkeypatch, 8)
-        runs = [0] * 3000
-        slots = [None] * 3000
-        running = [0] * 8  # blocks now running in each slot
-        shared = []  # slots found running a second block
-        held = [0, 0]  # now, most
-        lock = threading.Lock()
-
-        def fn(slot, start):
-            with lock:
-                runs[start] += 1
-                slots[start] = slot
-                running[slot] += 1
-                if running[slot] > 1:
-                    shared.append(slot)
-                held[0] += 1
-                held[1] = max(held)
-            with lock:
-                running[slot] -= 1
-            return start
-
-        def use(start, result):
-            used.append(result)
-            with lock:
-                held[0] -= 1
-
-        used = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_blocks(fn, range(3000), pool_threads(), use)
-        finally:
-            sys.setswitchinterval(interval)
-        assert used == list(range(3000))
-        assert runs == [1] * 3000
-        assert slots == [start % 8 for start in range(3000)]
-        assert shared == []
-        assert held[1] <= 8
-
-
 def traced_peak(fn):
     tracemalloc.start()
     try:
@@ -233,13 +122,27 @@ def traced_peak(fn):
 
 
 class TestEncodeAnyCpuCount:
-    def test_words_equal_across_cpu_counts(self, monkeypatch):
+    def test_words_equal_across_cpu_counts(self, monkeypatch, thread_starts):
+        # 301 blocks of 3 rows, the last of 1, on up to eight threads, more
+        # than most hosts have cores, switching as often as the interpreter
+        # allows: a block lost, run twice or sharing its buffer with a
+        # running block changes the words.  Such a race shows only now and
+        # then, so each count runs four times.
+        monkeypatch.setattr(codec, "ENCODE_ROWS", 3)
         model = init_model(12, 70, eta=0.1, seed=3)
-        feats = np.random.default_rng(3).standard_normal((3 * codec.ENCODE_ROWS + 7, 12))
+        feats = np.random.default_rng(3).standard_normal((300 * 3 + 1, 12))
         words = []
-        for cpus in CPU_COUNTS:
-            set_cpus(monkeypatch, cpus)
-            words.append(encode(model, feats).words)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (*CPU_COUNTS, 8) * 4:
+                set_cpus(monkeypatch, cpus)
+                thread_starts.clear()
+                words.append(encode(model, feats).words)
+                # At most one worker per CPU, and none on one CPU.
+                assert len(thread_starts) <= (cpus if cpus > 1 else 0)
+        finally:
+            sys.setswitchinterval(interval)
         assert all(w.tobytes() == words[0].tobytes() for w in words[1:])
 
     def test_non_finite_row_in_a_worker_block_raises(self, monkeypatch):
@@ -259,6 +162,56 @@ class TestEncodeAnyCpuCount:
             assert sorted(on_caller for on_caller, _args in seen) == [False, False]
             monkeypatch.undo()
             set_cpus(monkeypatch, 2)
+
+    @pytest.mark.parametrize("fails, first", [
+        (lambda lo: lo == 0, 0),
+        (lambda lo: lo == 20 * 64, 20 * 64),
+        (lambda lo: True, 0),
+    ], ids=["first-block", "middle-block", "every-block"])
+    def test_block_that_raises_joins_every_worker(self, monkeypatch, thread_starts,
+                                                  fails, first):
+        # Each raising block gives its buffer back, so the blocks after it
+        # do not wait for one, the pool shuts down, and the error of the
+        # first raising block in block order reaches the caller.
+        monkeypatch.setattr(codec, "ENCODE_ROWS", 64)
+        set_cpus(monkeypatch, 4)
+        before = threading.active_count()
+        fail_blocks(monkeypatch, fails)
+        feats = np.random.default_rng(6).standard_normal((40 * 64 + 7, 8))
+        with pytest.raises(BlockFailed) as raised:
+            encode(init_model(8, 24, eta=0.1, seed=6), feats)
+        assert raised.value.args == (first,)
+        assert thread_starts
+        assert threading.active_count() == before
+
+    def test_failed_thread_start_joins_started_workers(self, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        monkeypatch.setattr(codec, "ENCODE_ROWS", 64)
+        before = threading.active_count()
+        start = threading.Thread.start
+        calls = []
+
+        def second_start_fails(thread):
+            calls.append(thread)
+            if len(calls) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+        feats = np.random.default_rng(7).standard_normal((40 * 64, 8))
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            encode(init_model(8, 24, eta=0.1, seed=7), feats)
+        assert len(calls) == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [0, 9], ids=["zero-rows", "one-block"])
+    def test_fewer_than_two_blocks_start_no_thread(self, monkeypatch, thread_starts, n):
+        set_cpus(monkeypatch, 4)
+        model = init_model(5, 16, eta=0.1, seed=8)
+        feats = np.random.default_rng(8).standard_normal((n, 5))
+        codes = encode(model, feats)
+        assert len(codes) == n and codes.words.shape == (n, 1)
+        assert thread_starts == []
 
     @pytest.mark.parametrize("cpus", [4, 8])
     def test_buffers_bounded_whatever_the_cpu_count(self, monkeypatch, thread_starts,
