@@ -31,10 +31,9 @@ then takes one of two routes, chosen by its class size R alone, which
 one sort of the database labels per call gives for every query:
 
 * A large class, R * SMALL_CLASS_RATIO > n, is ranked over the whole
-  row: the block's rows of such queries are argsorted together and each
-  is scored by :func:`average_precision` and :func:`precision_at_k`.
-  The int64 rankings in memory are one block's, at most
-  RANK_BLOCK_BYTES or one query's row, whichever is larger.
+  row: the query's own row is argsorted, and its hits are the positions
+  of its class's codes in that order.  The one int64 ranking in memory
+  is that query's, 8n bytes.
 * A small class ranks only its candidates, the codes no farther than
   D, the distance of the class's farthest code.  Every code ranked
   ahead of a relevant code by (distance, index) is no farther than that
@@ -74,12 +73,12 @@ from .codec import BinaryCodeSet, _distance_dtype, _hamming_distances
 from .errors import DimensionError, UndefinedAPError
 from .fileio import UNKNOWN_LABEL
 
-# Bytes of the (q, n) int64 rankings of one block of queries, the queries
-# that evaluate measures, sorts and scores at once on the calling thread;
-# with the block's distances, in one buffer reused for every block, it
-# bounds evaluate's temporaries whatever the query count.  Blocks well
-# under glibc's 32 MiB mmap ceiling can reuse heap pages instead of
-# mapping and faulting in fresh ones for every block.
+# Sets evaluate's block: max(1, RANK_BLOCK_BYTES // (8 * n)) queries at a
+# time against n database codes.  Their distances fill one buffer, reused
+# for every block, and the queries are then ranked one at a time, so
+# evaluate's temporaries are that buffer, an eighth of this budget for uint8
+# distances and a quarter for uint16, plus one query's int64 ranking of 8n
+# bytes, whatever the query count.
 RANK_BLOCK_BYTES = 4 * 2**20
 
 # A query whose class holds at most 1/SMALL_CLASS_RATIO of the database
@@ -218,7 +217,7 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
 
     # Query i's class is the run members[first[i]:first[i] + size[i]] of
     # the database indices sorted by label.  Only the candidate route reads
-    # members, so without it the whole-row rankings peak with no index array.
+    # members, so without it the whole-row route peaks with no index array.
     labels = np.sort(database.labels)
     first = np.searchsorted(labels, queries.labels, side="left")
     size = np.searchsorted(labels, queries.labels, side="right") - first
@@ -230,23 +229,19 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
     if n_scored == 0:
         raise UndefinedAPError("no query has any relevant database item")
 
-    # One call per block, so that a block's rankings are freed before the
-    # next block is sorted.
-    def rank_and_score(lo, distances):
-        wide = whole_row[lo:lo + len(distances)]
-        rankings = iter(np.argsort(distances if wide.all() else distances[wide],
-                                   axis=1, kind="stable"))
-        for qi, row in enumerate(distances, start=lo):
+    block = max(1, RANK_BLOCK_BYTES // (8 * n_db))  # queries at a time
+    distances = np.empty((block, n_db), dtype=_distance_dtype(database.length))
+    for lo in range(0, n_q, block):
+        words = queries.words[lo:lo + block]
+        rows = _hamming_distances(words, database.words, database.length,
+                                  out=distances[:len(words)])
+        for qi, row in enumerate(rows, start=lo):
             if not scored[qi]:
                 continue
             label = queries.labels[qi]
             if whole_row[qi]:
-                ranking = next(rankings)
-                relevance = database.labels == label
-                scores = (average_precision(ranking, relevance),
-                          None if k_map is None
-                          else average_precision(ranking, relevance, cutoff=k_map),
-                          precision_at_k(ranking, relevance, k_prec))
+                order = np.argsort(row, kind="stable")
+                hits = np.flatnonzero((database.labels == label)[order])
             else:
                 # Every code ranked ahead of a relevant one is no farther
                 # than the class's farthest code, so ranking those
@@ -255,17 +250,9 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
                 candidates = np.flatnonzero(row <= row[own].max())
                 order = candidates[np.argsort(row[candidates], kind="stable")]
                 hits = np.flatnonzero(database.labels[order] == label)
-                scores = _scores(hits, int(size[qi]), k_map, k_prec)
-            ap_full[qi], cut, prec[qi] = scores
+            ap_full[qi], cut, prec[qi] = _scores(hits, int(size[qi]), k_map, k_prec)
             if k_map is not None:
                 ap_cut[qi] = cut
-
-    block = max(1, RANK_BLOCK_BYTES // (8 * n_db))  # queries at a time
-    distances = np.empty((block, n_db), dtype=_distance_dtype(database.length))
-    for lo in range(0, n_q, block):
-        words = queries.words[lo:lo + block]
-        rank_and_score(lo, _hamming_distances(words, database.words, database.length,
-                                              out=distances[:len(words)]))
 
     report = EvalReport(
         map=float(ap_full[scored].mean()),
