@@ -31,9 +31,9 @@ then takes one of two routes, chosen by its class size R alone, which
 one sort of the database labels per call gives for every query:
 
 * A large class, R * SMALL_CLASS_RATIO > n, is ranked over the whole
-  row: the query's own row is argsorted, and its hits are the positions
-  of its class's codes in that order.  The one int64 ranking in memory
-  is that query's, 8n bytes.
+  row: the query's own row is argsorted and scored by
+  :func:`average_precision` and :func:`precision_at_k`.  The one int64
+  ranking in memory is that query's, 8n bytes.
 * A small class ranks only its candidates, the codes no farther than
   D, the distance of the class's farthest code.  Every code ranked
   ahead of a relevant code by (distance, index) is no farther than that
@@ -240,8 +240,14 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
                 continue
             label = queries.labels[qi]
             if whole_row[qi]:
+                # Scored by the public per-query functions, through which
+                # perfbench/selftest.py corrupts a ranking for its oracle.
                 order = np.argsort(row, kind="stable")
-                hits = np.flatnonzero((database.labels == label)[order])
+                relevance = database.labels == label
+                scores = (average_precision(order, relevance),
+                          None if k_map is None
+                          else average_precision(order, relevance, cutoff=k_map),
+                          precision_at_k(order, relevance, k_prec))
             else:
                 # Every code ranked ahead of a relevant one is no farther
                 # than the class's farthest code, so ranking those
@@ -250,7 +256,8 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet, k_prec: int,
                 candidates = np.flatnonzero(row <= row[own].max())
                 order = candidates[np.argsort(row[candidates], kind="stable")]
                 hits = np.flatnonzero(database.labels[order] == label)
-            ap_full[qi], cut, prec[qi] = _scores(hits, int(size[qi]), k_map, k_prec)
+                scores = _scores(hits, int(size[qi]), k_map, k_prec)
+            ap_full[qi], cut, prec[qi] = scores
             if k_map is not None:
                 ap_cut[qi] = cut
 
