@@ -19,12 +19,15 @@ the BLAS runs each product on one thread, and a plain loop on the
 calling thread when the BLAS already spreads each product over the CPUs.
 Either way the calling thread collects the non-finite rows each block
 reports, in block order.  Each running block borrows one of the
-ENCODE_ROWS x r float64 buffers that the calling thread allocated, one
-per thread, from a queue and gives it back when it ends, raising or
-not; no more threads run than ENCODE_BYTES of such buffers allow,
-whatever the CPU count.  The workers call only private code, so a
-wrapper around the public functions, such as a span tracer with one
-stack, never sees two threads.  The block bounds do not depend on the
+float64 buffers that the calling thread allocated, one per thread, from
+a queue and gives it back when it ends, raising or not.  A buffer holds
+the block's ENCODE_ROWS x r pre-activations and, when the rows are
+float32 (a dense dataset's storage), the block's rows widened to
+float64, so no float64 copy of the whole matrix is made; no more
+threads run than ENCODE_BYTES of such buffers allow, whatever the CPU
+count.  The workers call only private code, so a wrapper around the
+public functions, such as a span tracer with one stack, never sees two
+threads.  The block bounds do not depend on the
 thread count, so each block is the same single GEMM call and the words
 are the same bytes on any number of CPUs.  Hamming
 distance is XOR plus popcount over the words, computed in one place,
@@ -59,8 +62,11 @@ from .learner import HashModel, _checked_features
 
 WORD_BITS = 64
 ENCODE_ROWS = 4096  # rows per hashing block: 4 MiB of float64 at r = 128
-# Bytes of float64 pre-activations that encode's threads hold at once:
-# four blocks at r = 128, sixteen at r = 32.
+# Bytes of float64 buffers that encode's threads hold at once, each
+# thread 8 * ENCODE_ROWS * r bytes of pre-activations, plus 8 *
+# ENCODE_ROWS * d of widened rows when the rows are float32: for float64
+# rows four threads at r = 128 and sixteen at r = 32, for float32 rows
+# of d = 128 two threads at r = 64.
 ENCODE_BYTES = 16 * 2**20
 CODE_MAGIC = b"HCOHCODE"
 CODE_VERSION = 1
@@ -134,7 +140,9 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
 
     Labels are carried alongside the codes for retrieval evaluation; pass
     None to fill with -1 when they are unknown.  Rows are hashed in
-    blocks of ENCODE_ROWS on ``pool_threads()`` threads.  When any
+    blocks of ENCODE_ROWS on ``pool_threads()`` threads; float32 rows are
+    widened to float64 a block at a time, and rows of any dtype but
+    float32 and float64 are cast to float64 first.  When any
     pre-activation W.T x + b is NaN or infinite, the error counts such
     rows over all blocks and names the first as an index into
     ``features`` (a whole-dataset row index when ``run_training`` hashes
@@ -144,25 +152,33 @@ def encode(model: HashModel, features: np.ndarray, labels=None) -> BinaryCodeSet
     the product, and raise NumericFailureError.
     """
     features = _checked_features(model, features)
-    n, r = features.shape[0], model.code_length
+    (n, d), r = features.shape, model.code_length
     words = np.empty((n, words_per_code(r)), dtype=np.uint64)
     weights_t = np.ascontiguousarray(model.weights.T)
     starts = range(0, n, ENCODE_ROWS)
+    # float64 values per row that a block holds: its pre-activations, and
+    # for float32 rows the block widened to float64.
+    width = r if features.dtype == np.float64 else r + d
     threads = min(pool_threads(), len(starts),
-                  max(1, ENCODE_BYTES // (8 * r * ENCODE_ROWS)))
+                  max(1, ENCODE_BYTES // (8 * width * ENCODE_ROWS)))
     buffers = queue.SimpleQueue()
     for _ in range(threads):
-        buffers.put(np.empty(r * min(n, ENCODE_ROWS)))
+        buffers.put(np.empty(width * min(n, ENCODE_ROWS)))
 
     def hash_block(lo):
         rows = features[lo:lo + ENCODE_ROWS]
+        m = rows.shape[0]
         buffer = buffers.get()  # never waits: at most `threads` blocks run
         try:
-            u = buffer[:r * rows.shape[0]].reshape(r, rows.shape[0])
+            u = buffer[:r * m].reshape(r, m)
+            if width > r:
+                wide = buffer[r * m:width * m].reshape(m, d)
+                wide[...] = rows
+                rows = wide
             with np.errstate(invalid="ignore", over="ignore"):  # checked below
                 np.matmul(weights_t, rows.T, out=u)
                 u += model.bias[:, None]
-            _pack_into((u >= 0).T, words[lo:lo + rows.shape[0]])
+            _pack_into((u >= 0).T, words[lo:lo + m])
             return np.flatnonzero(~np.isfinite(u).all(axis=0)) + lo
         finally:
             # A block that raised would otherwise keep its buffer, and the

@@ -16,16 +16,21 @@ plain or gzipped; ``mnist_candidates`` names both forms of each,
 ``mnist_paths`` finds them and ``load_mnist_dir`` loads all four into
 one Dataset.
 
-A loaded dataset holds one float64 feature matrix, and training and
-evaluation index into it instead of copying it.  Loading checks every
-header and label count, and the size of every plain file, before it
-allocates that matrix; it then reads each feature file READ_ROWS rows
-at a time into one reused buffer of the file's dtype and casts (for
-IDX, divides) each block straight into its rows, so no copy of a whole
-file is held.  Label payloads, IDX and u32 alike, are read the same
-way, as one row of the count a header fixed.  A gzip file's size is
-counted as it is read, so one that inflates past its header is refused
-without being held either.
+A loaded dataset holds one feature matrix, and training and evaluation
+index into it instead of copying it.  An IDX set holds float64 (pixels
+divided by 255) and an HCOHFEAT set float32, the file's own values; a
+Dataset built from an array keeps float32 and float64 as they are and
+casts any other dtype to float64.  Every consumer widens float32 to
+float64 one block at a time (a step block in ``learner``, an
+ENCODE_ROWS block in ``codec.encode``), so no float64 copy of the
+matrix is made.  Loading checks every header and label count, and the
+size of every plain file, before it allocates that matrix; it then
+reads each feature file READ_ROWS rows at a time into one reused buffer
+of the file's dtype and copies (for IDX, divides) each block straight
+into its rows, so no copy of a whole file is held.  Label payloads, IDX
+and u32 alike, are read the same way, as one row of the count a header
+fixed.  A gzip file's size is counted as it is read, so one that
+inflates past its header is refused without being held either.
 
 The benchmark split takes a seeded per-class sample as the query (test)
 set, leaves the remainder as the retrieval database, and draws the
@@ -54,7 +59,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, FormatError
 from .fileio import (atomic_write, check_labels, labels_from_u32, labels_to_u32,
                      pack_header, read_header, size_error)
-from .learner import BLOCK_ROWS
+from .learner import BLOCK_ROWS, _float_features
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -78,12 +83,12 @@ DEFLATE_MAX_RATIO = 1032
 
 @dataclass
 class Dataset:
-    features: np.ndarray  # (n, d) float64
+    features: np.ndarray  # (n, d) float32 or float64 as given, else cast to float64
     labels: np.ndarray    # (n,) int64, each in [0, 0xFFFFFFFF) or -1
     name: str = ""
 
     def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
+        self.features = np.atleast_2d(_float_features(self.features))
         self.labels = np.atleast_1d(
             check_labels(self.labels, f"dataset {self.name!r}"))
         if self.features.shape[0] != self.labels.shape[0]:
@@ -301,10 +306,11 @@ def load_dense(feature_path, label_path) -> Dataset:
     """Load an HCOHFEAT matrix and its u32 label file, values as stored.
 
     The header and file size are checked, and the n labels the header
-    declares are read, before the float64 matrix is allocated; the
-    float32 payload is then cast into it block by block.  A plain label
-    file of another length is a count mismatch; a gzipped one is refused
-    by its byte count as it inflates.
+    declares are read, before the (n, d) float32 matrix is allocated; the
+    payload is then read into it block by block.  The values stay
+    float32: each consumer widens its own block to float64.  A plain
+    label file of another length is a count mismatch; a gzipped one is
+    refused by its byte count as it inflates.
     """
     with _open(feature_path) as fh:
         n, d = read_header(_read(fh, feature_path, 17), feature_path,
@@ -317,7 +323,7 @@ def load_dense(feature_path, label_path) -> Dataset:
                     f"count mismatch: {n} feature rows in {feature_path} but "
                     f"{count} labels in {label_path}")
             labels = _read_labels(label_fh, label_path, n, "<u4")
-        features = np.empty((n, d), dtype=np.float64)
+        features = np.empty((n, d), dtype=np.float32)
         _read_rows(fh, feature_path, features, "<f4", 17)
     return Dataset(features, labels, name="dense")
 
@@ -389,8 +395,9 @@ def split(dataset: Dataset, spec: SplitSpec):
                  zip(split_indices(dataset, spec), ("test", "retrieval", "train")))
 
 
-# Rows gathered per block by stream's finiteness check: 1,024 rows of 784
-# float64 features is a 6.4 MB temporary.
+# Rows gathered per block, in the storage dtype, by stream's finiteness
+# check: 1,024 rows of 784 float64 features is a 6.4 MB temporary, and of
+# 128 float32 features a 0.5 MB one.
 CHECK_ROWS = 1024
 
 
@@ -401,13 +408,15 @@ def stream(dataset: Dataset, batch_size: int, seed: int, indices=None):
     ``indices`` is None.  They are gathered from ``dataset`` as the stream
     goes, one training block of ``learner.BLOCK_ROWS`` rows (or one
     batch, when a batch is larger) by one fancy index, and each chunk is
-    a slice of its span, so no copy of the training set is made.  Single
-    pass: every instance appears exactly once.  The final chunk may be
-    smaller than ``batch_size``.
+    a slice of its span in the dataset's dtype, so no copy of the
+    training set is made and float32 rows stay float32 until a step
+    widens them.  Single pass: every instance appears exactly once.  The
+    final chunk may be smaller than ``batch_size``.
     Before the first chunk, every training row is checked once, in
-    blocks of CHECK_ROWS rows: a NaN or infinite value raises ValueError
-    naming its dataset row, so no SGD step runs on a stream that holds
-    one.
+    blocks of CHECK_ROWS rows gathered in the dataset's dtype (a float32
+    value is finite exactly when its float64 widening is): a NaN or
+    infinite value raises ValueError naming its dataset row, so no SGD
+    step runs on a stream that holds one.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")

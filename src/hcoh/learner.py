@@ -19,9 +19,11 @@ eta, so quoted learning rates mean what they say.
 A step is an (n, d) block of feature rows.  Steps of one row are the
 intended streaming mode; larger n averages the per-instance gradients,
 so repeating every row of a step the same number of times changes
-nothing and row order within a step never matters.  Feature values are
-not checked for finiteness here: ``data.stream`` checks the training
-rows once, and a non-finite update still stops with NumericFailureError.
+nothing and row order within a step never matters.  float32 rows, as a
+dense dataset stores them, are widened to float64 one block at a time,
+so every product runs in float64.  Feature values are not checked for
+finiteness here: ``data.stream`` checks the training rows once, and a
+non-finite update still stops with NumericFailureError.
 
 Consecutive steps of n rows each run as one block of k steps.  With
 W_0, b_0 the parameters at the block's start, step t's pre-activations
@@ -98,8 +100,17 @@ def init_model(d: int, r: int, eta: float, seed: int) -> HashModel:
     return HashModel(weights=weights, bias=bias, eta=float(eta))
 
 
+def _float_features(features) -> np.ndarray:
+    """``features`` as an array: float32 and float64 as they are, else float64."""
+    features = np.asarray(features)
+    if features.dtype in (np.float32, np.float64):
+        return features
+    return features.astype(np.float64)
+
+
 def _checked_features(model: HashModel, features) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
+    """``features`` by :func:`_float_features`, checked to be (n, d)."""
+    features = _float_features(features)
     if features.ndim != 2 or features.shape[1] != model.feature_dim:
         raise DimensionError(
             f"features have shape {features.shape}, expected "
@@ -114,8 +125,12 @@ def relaxed_codes(model: HashModel, features: np.ndarray) -> np.ndarray:
 
 
 def _checked_block(model: HashModel, features, targets):
-    """(features, targets) as float64, checked to be (n, d) and (n, r), n >= 1."""
-    features = _checked_features(model, features)
+    """(features, targets) as float64, checked to be (n, d) and (n, r), n >= 1.
+
+    float32 rows are widened here, one step block at a time, so the Gram
+    matrix and the update run in float64 whatever the storage dtype.
+    """
+    features = _checked_features(model, features).astype(np.float64, copy=False)
     if features.shape[0] < 1:
         raise DimensionError("a batch must hold at least one feature row")
     targets = np.asarray(targets, dtype=np.float64)

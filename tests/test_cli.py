@@ -444,7 +444,8 @@ class TestNonFiniteFeatures:
         assert not (tmp_path / "model.hcoh").exists()
         assert not (tmp_path / "metrics.jsonl").exists()
 
-    def test_encode_exit_data_without_output(self, dense_blobs, tmp_path):
+    def test_encode_exit_data_without_output(self, dense_blobs, tmp_path, capsys):
+        # The HCOHFEAT rows stay float32 in memory; the row is still named.
         assert main(train_args(dense_blobs, tmp_path)) == 0
         out = tmp_path / "x.hcode"
         code = main(["encode", "--checkpoint", str(tmp_path / "model.hcoh"),
@@ -452,6 +453,7 @@ class TestNonFiniteFeatures:
                      "--labels", str(dense_blobs / "blobs.lab"),
                      "--out", str(out)])
         assert code == 3
+        assert "(first row 17); features must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hcoh import (BinaryCodeSet, DimensionError, FormatError, HashModel,
-                  NumericFailureError, encode, init_model, load_code_set,
+                  NumericFailureError, codec, encode, init_model, load_code_set,
                   pack_bits, rank, save_code_set)
 from hcoh.codec import ENCODE_ROWS, _hamming_distances
 from tests.conftest import unpack_bits
+from tests.test_parallel import set_cpus
 
 
 def naive_hamming(bits_a, bits_b):
@@ -133,6 +134,56 @@ class TestEncode:
                            match=r"weights overflow: 1 feature rows .*first row 1"):
             encode(model, np.array([[1.0, -1.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_float32_rows_give_the_words_of_their_float64_cast(self, monkeypatch,
+                                                               cpus):
+        # 50 blocks of 7 rows and a ragged last block of 3, each widened
+        # into the buffer it borrows.
+        monkeypatch.setattr(codec, "ENCODE_ROWS", 7)
+        set_cpus(monkeypatch, cpus)
+        model = init_model(12, 70, eta=0.1, seed=3)
+        feats = np.random.default_rng(3).standard_normal((50 * 7 + 3, 12),
+                                                         dtype=np.float32)
+        assert (encode(model, feats).words.tobytes()
+                == encode(model, feats.astype(np.float64)).words.tobytes())
+
+    def test_float32_rows_raise_the_float64_errors(self):
+        # An infinite feature names its row in a ValueError; finite rows
+        # whose product with W overflows raise NumericFailureError.
+        feats = np.ones((5, 3))
+        feats[3, 1] = np.inf
+        cases = [(init_model(3, 4, eta=0.1, seed=5), feats, ValueError),
+                 (HashModel(np.array([[1e308], [1e308]]), np.zeros(1), eta=0.1),
+                  np.array([[1.0, -1.0], [1.0, 1.0]]), NumericFailureError)]
+        for model, rows, error in cases:
+            raised = []
+            for dtype in (np.float64, np.float32):
+                with pytest.raises(error) as info:
+                    encode(model, rows.astype(dtype))
+                raised.append((type(info.value), str(info.value)))
+            assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_float32_peak_holds_no_float64_copy(self, monkeypatch, threads):
+        monkeypatch.setattr(codec, "pool_threads", lambda: threads)
+        n, d, r = 40_000, 128, 64
+        model = init_model(d, r, eta=0.1, seed=5)
+        feats = np.random.default_rng(6).standard_normal((n, d), dtype=np.float32)
+        labels = np.zeros(n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            codes = encode(model, feats, labels)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Each thread's lent buffer of pre-activations and widened rows,
+        # room for one more pre-activation block per thread (the sign and
+        # finiteness masks and the packing temporaries), and the code
+        # words twice (encode's and the code set's copy).  A float64 copy
+        # of the rows alone is far more.
+        bound = (threads * 8 * ENCODE_ROWS * (r + d + r)
+                 + 2 * codes.words.nbytes)
+        assert peak < bound < 8 * n * d
 
     def test_peak_memory_holds_one_pre_activation_array(self):
         model = init_model(16, 128, eta=0.1, seed=5)

@@ -266,7 +266,8 @@ class TestDenseFormat:
         path = gzip_copy(tmp_path / "x.feat") if compress else tmp_path / "x.feat"
         monkeypatch.setattr(data, "READ_ROWS", 7)  # blocks of 7 and 5 rows
         ds = load_dense(path, tmp_path / "x.lab")
-        assert ds.features.tobytes() == feats.astype(np.float64).tobytes()
+        assert ds.features.dtype == np.float32
+        assert ds.features.tobytes() == feats.tobytes()
 
     def test_unknown_label_round_trips(self, tmp_path):
         save_labels(tmp_path / "x.lab", [-1, 0, 2**32 - 2])
@@ -345,7 +346,7 @@ def traced_peak(load):
 
 
 class TestPeakMemory:
-    """A load holds the float64 matrix and one read buffer, not the file's bytes."""
+    """A load holds its feature matrix and one read buffer, not the file's bytes."""
 
     def test_idx_unit255_peak(self, tmp_path):
         pixels = np.random.default_rng(5).integers(0, 256, (3000, 28, 28), dtype=np.uint8)
@@ -360,7 +361,9 @@ class TestPeakMemory:
         save_dense(tmp_path / "x.feat", feats)
         save_labels(tmp_path / "x.lab", np.arange(20_000) % 10)
         ds, peak = traced_peak(lambda: load_dense(tmp_path / "x.feat", tmp_path / "x.lab"))
-        assert ds.features.tobytes() == feats.astype(np.float64).tobytes()
+        assert ds.features.dtype == np.float32
+        assert ds.features.tobytes() == feats.tobytes()
+        # The file's own float32 values, half the bytes of a float64 matrix.
         assert peak < ds.features.nbytes * 1.05 + data.READ_ROWS * 128 * 4
 
     def test_overlong_gzip_label_file_refused_unheld(self, idx_pair):
@@ -414,6 +417,25 @@ class TestDataset:
     def test_more_rows_than_labels_rejected(self):
         with pytest.raises(DimensionError, match="3 feature rows but 2 labels"):
             Dataset(np.zeros((3, 2)), [0, 1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_features_kept_without_a_copy(self, dtype):
+        features = np.arange(6, dtype=dtype).reshape(3, 2)
+        assert Dataset(features, [0, 1, 2]).features is features
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, bool, np.float16])
+    def test_other_dtypes_become_float64(self, dtype):
+        features = (np.arange(6) % 3).reshape(3, 2).astype(dtype)
+        ds = Dataset(features, [0, 1, 2])
+        assert ds.features.dtype == np.float64
+        assert np.array_equal(ds.features, features)
+
+    def test_take_and_split_keep_float32(self):
+        features = np.random.default_rng(2).standard_normal((40, 3), dtype=np.float32)
+        ds = Dataset(features, np.repeat(np.arange(4), 10))
+        parts = [ds.take([0, 5, 9])] + list(split(ds, SplitSpec(2, 10, seed=0)))
+        assert [part.features.dtype for part in parts] == [np.float32] * 4
+        assert parts[0].features.tobytes() == features[[0, 5, 9]].tobytes()
 
 
 def synthetic(n_classes=10, per_class=70, dim=6, seed=0):

@@ -8,6 +8,7 @@ from hcoh import (ConfigError, Dataset, FormatError, RunConfig, SplitSpec,
                   derive_seeds, encode, evaluate, run_repeats, run_training,
                   split, split_indices)
 from hcoh import init_model, learner, pipeline
+from hcoh.checkpoint import save_checkpoint
 from tests.conftest import (blob_dataset, per_step_sgd, relative_error,
                             sparse_pixel_dataset)
 
@@ -202,6 +203,27 @@ class TestRunTraining:
         assert result.records[-1] == {"record": "checkpoint",
                                       "instances_seen": 1000,
                                       **report.to_record()}
+
+    @pytest.mark.parametrize("batch_size", [1, 7])
+    def test_float32_rows_train_to_the_bytes_of_their_float64_cast(
+            self, sparse_pixels, tmp_path, batch_size):
+        # The stream gathers float32 rows, each step block is widened to
+        # float64, and encode widens each of its blocks: the same products
+        # on the same values as a float64 dataset.  The classes overlap, so
+        # codes that moved would move the metrics.
+        labels = sparse_pixels.labels
+        narrow = Dataset(sparse_pixels.features.astype(np.float32), labels)
+        wide = Dataset(narrow.features.astype(np.float64), labels)
+        config = blob_config(batch_size=batch_size, milestones=(250, 500))
+        runs = []
+        for name, dataset in (("narrow", narrow), ("wide", wide)):
+            result = run_training(dataset, config)
+            save_checkpoint(tmp_path / name, result.model, result.book,
+                            result.reducer)
+            runs.append((result.records + [result.summary],
+                         (tmp_path / name).read_bytes()))
+        assert narrow.features.dtype == np.float32
+        assert runs[0] == runs[1]
 
     def test_non_finite_retrieval_row_named_by_dataset_index(self, blobs):
         config = blob_config()
